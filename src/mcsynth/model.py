@@ -300,52 +300,124 @@ def member_count(sub: Subfamily) -> int:
     return math.prod(len(dom) for dom in sub.domains)
 
 
-def iterate_unpruned(sub: Subfamily, conflicts: Sequence[Conflict] = ()) -> Iterator[Realization]:
-    """Members of ``sub`` not covered by any conflict, in lexicographic order.
+def cube_pins(entry: Conflict | Realization, sub: Subfamily) -> tuple[tuple[int, int], ...] | None:
+    """The cube ``entry`` cuts out of ``sub``, as ``(param, value)`` pins sorted by param.
 
-    ``conflicts`` is consulted live: conflicts appended while the generator is
-    running prune the not-yet-yielded remainder.  When the current member
-    matches a conflict the odometer jumps past the whole block of members
-    agreeing with it up to the conflict's most significant parameter, instead
-    of stepping one by one.
+    A conflict pins its parameters to its reference's values, a realization
+    (a checked member) pins all of them.  Pins on single-valued parameters
+    of ``sub`` are dropped, so empty pins cover all of ``sub``.  ``None``
+    means the cube misses ``sub``: a pinned value lies outside its domain.
+    """
+    if isinstance(entry, Realization):
+        params, ref = range(len(entry.values)), entry.values
+    else:
+        params, ref = sorted(entry.params), entry.reference.values
+    pins = []
+    for k in params:
+        dom = sub.domains[k]
+        if ref[k] not in dom:
+            return None
+        if len(dom) > 1:
+            pins.append((k, ref[k]))
+    return tuple(pins)
+
+
+def _branch(cubes: list, k: int) -> tuple[list, dict]:
+    """Cubes leaving ``k`` free, and per value pinned at ``k`` the cubes pinning it, minus that pin."""
+    rest, pinned = [], {}
+    for c in cubes:
+        if c[0][0] == k:
+            pinned.setdefault(c[0][1], []).append(c[1:])
+        else:
+            rest.append(c)
+    return rest, pinned
+
+
+def _count(sizes: list[int], cubes: list, start: int) -> int:
+    """Members over parameters ``start..`` that no cube covers (cubes non-empty)."""
+    if not cubes:
+        return math.prod(sizes[start:])
+    k = min(c[0][0] for c in cubes)
+    rest, pinned = _branch(cubes, k)
+    free = sizes[k] - len(pinned)
+    # a branch holding an emptied cube is covered whole and counts 0
+    total = sum(_count(sizes, rest + reduced, k + 1) for reduced in pinned.values() if all(reduced))
+    return math.prod(sizes[start:k]) * (total + (free * _count(sizes, rest, k + 1) if free else 0))
+
+
+def _least_open(doms, cubes: list, j: int, cursor: list[int] | None) -> list[int] | None:
+    """Domain positions, from parameter ``j`` on, of the least member no cube covers.
+
+    With a ``cursor`` (tight mode) the member must not precede ``cursor[j:]``,
+    and every parameter is branched on, since later pins may force a larger
+    value there.  Off the cursor path, parameters no cube pins take their
+    least value.  ``None`` when every candidate is covered.
+    """
+    if not cubes:
+        return cursor[j:] if cursor is not None else [0] * (len(doms) - j)
+    if cursor is None:
+        k = min(c[0][0] for c in cubes)
+        head, lo = [0] * (k - j), 0
+    else:
+        k, head, lo = j, [], cursor[j]
+    rest, pinned = _branch(cubes, k)
+    free_failed = False
+    for i in range(lo, len(doms[k])):
+        reduced = pinned.get(doms[k][i])
+        tight = cursor if cursor is not None and i == lo else None
+        if reduced is None and free_failed and tight is None:
+            continue  # same cubes as a free value already searched in vain
+        if reduced is not None and not all(reduced):
+            continue
+        found = _least_open(doms, rest if reduced is None else rest + reduced, k + 1, tight)
+        if found is not None:
+            return head + [i] + found
+        free_failed = free_failed or (reduced is None and tight is None)
+    return None
+
+
+def iterate_unpruned(
+    sub: Subfamily, conflicts: Sequence[Conflict | Realization] = ()
+) -> Iterator[Realization]:
+    """Members of ``sub`` not covered by any entry of ``conflicts``, in lexicographic order.
+
+    Entries are conflicts or checked realizations, each a cube (see
+    :func:`cube_pins`), and are consulted live: entries appended while the
+    generator runs prune the not-yet-yielded remainder.  Each step searches
+    the cubes for the least uncovered member at or after the cursor, so
+    covered members are never visited.
     """
     doms = sub.domains
-    m = len(doms)
-    if m == 0:
-        if not any(len(c.params) == 0 for c in conflicts):
-            yield Realization(())
-        return
-    sizes = [len(d) for d in doms]
-    pos = [0] * m
+    cubes: list = []
+    done = 0
+    pos = [0] * len(doms)
     while True:
-        hit = None
-        for c in conflicts:
-            ref = c.reference.values
-            if all(doms[k][pos[k]] == ref[k] for k in c.params):
-                hit = c
-                break
-        if hit is None:
-            yield Realization(tuple(doms[k][pos[k]] for k in range(m)))
-            bump = m - 1
-        elif not hit.params:
+        fresh = [cube_pins(entry, sub) for entry in conflicts[done:]]
+        done += len(fresh)
+        if () in fresh:
             return
-        else:
-            # Members sharing the prefix up to max(params) all match the
-            # conflict, so carry at that position directly.
-            bump = max(hit.params)
-        for j in range(bump + 1, m):
-            pos[j] = 0
-        j = bump
-        while j >= 0:
-            pos[j] += 1
-            if pos[j] < sizes[j]:
-                break
+        cubes += [c for c in fresh if c is not None]
+        pos = _least_open(doms, cubes, 0, pos)
+        if pos is None:
+            return
+        yield Realization(tuple(dom[i] for dom, i in zip(doms, pos)))
+        j = len(pos) - 1
+        while j >= 0 and pos[j] == len(doms[j]) - 1:
             pos[j] = 0
             j -= 1
         if j < 0:
             return
+        pos[j] += 1
 
 
-def count_unpruned(sub: Subfamily, conflicts: Sequence[Conflict] = ()) -> int:
-    """Exact number of members iterate_unpruned would yield."""
-    return sum(1 for _ in iterate_unpruned(sub, conflicts))
+def count_unpruned(sub: Subfamily, conflicts: Sequence[Conflict | Realization] = ()) -> int:
+    """Exact number of members iterate_unpruned would yield, without walking them.
+
+    Recurses on the lowest parameter a live cube pins: one branch per pinned
+    value, keeping the cubes compatible with it minus that pin, and one
+    shared branch for the unpinned values.  Parameters no live cube pins
+    contribute their domain sizes as one factor, so the cost grows with the
+    number of cubes, not with the number of members.
+    """
+    cubes = [c for c in (cube_pins(entry, sub) for entry in conflicts) if c is not None]
+    return 0 if () in cubes else _count([len(d) for d in sub.domains], cubes, 0)

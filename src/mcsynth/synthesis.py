@@ -31,6 +31,7 @@ from .model import (
     Realization,
     Subfamily,
     count_unpruned,
+    cube_pins,
     induce,
     iterate_unpruned,
     member_count,
@@ -87,37 +88,18 @@ class SynthesisResult:
 
 @dataclass(eq=False)
 class WorkItem:
-    """A subfamily on the synthesis queue along with its conflict store.
+    """A subfamily on the synthesis queue along with its cube store.
 
-    ``remaining`` counts members neither covered by a stored conflict nor
-    already checked (``seen``); it is refreshed lazily after CEGIS appends
-    conflicts.
+    ``conflicts`` holds conflicts, own or inherited, and in optimal mode the
+    checked members that violated nothing, as realizations (no property
+    excludes them, so they are no conflicts).  ``remaining`` counts the
+    members no entry covers; CEGIS recounts it after extending the store.
     """
 
     sub: Subfamily
     conflicts: list = field(default_factory=list)
     remaining: int = 0
-    dirty: bool = False
     inherited: dict = field(default_factory=dict)
-    seen: set = field(default_factory=set)
-
-    def refresh(self) -> None:
-        if self.dirty:
-            self.remaining = _count_open(self.sub, self.conflicts, self.seen)
-            self.dirty = False
-
-
-def _iter_open(item: WorkItem):
-    """Members of the item not covered by conflicts and not yet checked."""
-    for r in iterate_unpruned(item.sub, item.conflicts):
-        if r.values not in item.seen:
-            yield r
-
-
-def _count_open(sub: Subfamily, conflicts, seen) -> int:
-    if not seen:
-        return count_unpruned(sub, conflicts)
-    return sum(1 for r in iterate_unpruned(sub, conflicts) if r.values not in seen)
 
 
 @dataclass(eq=False)
@@ -188,11 +170,11 @@ def _props_all(state: HybridState) -> list[Property]:
 
 
 def _target_sets(state: HybridState) -> list[frozenset[int]]:
-    seen: list[frozenset[int]] = []
+    tsets: list[frozenset[int]] = []
     for p in _props_all(state):
-        if p.targets not in seen:
-            seen.append(p.targets)
-    return seen
+        if p.targets not in tsets:
+            tsets.append(p.targets)
+    return tsets
 
 
 def _member_values(state: HybridState, r: Realization) -> dict[frozenset[int], float]:
@@ -292,7 +274,6 @@ def ar_run(state: HybridState) -> tuple[SynthesisResult | None, float, int]:
     """
     while state.queue:
         item = state.queue.popleft()
-        item.refresh()
         if item.remaining > 0:
             break
     else:
@@ -303,7 +284,7 @@ def ar_run(state: HybridState) -> tuple[SynthesisResult | None, float, int]:
 
     if state.optimizing and member_count(item.sub) == 1:
         # leaf subfamily: decide the single member directly
-        r = next(_iter_open(item))
+        r = next(iterate_unpruned(item.sub, item.conflicts))
         values = _member_values(state, r)
         state.stats.checked += 1
         _maybe_improve(state, r, values)
@@ -323,7 +304,7 @@ def ar_run(state: HybridState) -> tuple[SynthesisResult | None, float, int]:
         return None, item.remaining / max(cost, 1), cost
 
     if not state.optimizing and all(st == "sat" for st in statuses):
-        r = next(_iter_open(item))
+        r = next(iterate_unpruned(item.sub, item.conflicts))
         values = _member_values(state, r)
         state.stats.checked += 1
         result = SynthesisResult(
@@ -339,22 +320,10 @@ def ar_run(state: HybridState) -> tuple[SynthesisResult | None, float, int]:
     )
     inherited = dict(item.inherited)
     inherited.update(item.sub.bounds_snapshot())
-    left_item = WorkItem(
-        sub=left,
-        conflicts=list(item.conflicts),
-        remaining=_count_open(left, item.conflicts, item.seen),
-        inherited=inherited,
-        seen=set(item.seen),
-    )
-    right_item = WorkItem(
-        sub=right,
-        conflicts=list(item.conflicts),
-        remaining=item.remaining - left_item.remaining,
-        inherited=dict(inherited),
-        seen=set(item.seen),
-    )
-    state.queue.append(left_item)
-    state.queue.append(right_item)
+    for half in (left, right):
+        # each half keeps only the cubes that intersect it
+        conflicts = [c for c in item.conflicts if cube_pins(c, half) is not None]
+        state.queue.append(WorkItem(half, conflicts, count_unpruned(half, conflicts), dict(inherited)))
     return None, 0.0, cost
 
 
@@ -389,20 +358,17 @@ def cegis_phase(
         if over_budget():
             break
         item = state.queue[0]
-        item.refresh()
         if item.remaining == 0:
             state.queue.popleft()
             continue
         rem_start = item.remaining
         checked_here = 0
         stopped = False
-        for r in _iter_open(item):
+        for r in iterate_unpruned(item.sub, item.conflicts):
             if over_budget():
                 stopped = True
                 break
             values = _member_values(state, r)
-            item.seen.add(r.values)
-            item.dirty = True
             checked_here += 1
             state.stats.checked += 1
             state.stats.cegis_iterations += 1
@@ -419,6 +385,7 @@ def cegis_phase(
                     )
                     return result, 0.0, meter.total - cost0
                 _maybe_improve(state, r, values)
+                item.conflicts.append(r)
                 continue
             for p in violated:
                 gamma = _gamma_for(state, item, p)
@@ -427,7 +394,7 @@ def cegis_phase(
                     eta=eta, tol=state.settings.tol, meter=meter,
                 )
                 item.conflicts.append(conflict)
-        item.refresh()
+        item.remaining = count_unpruned(item.sub, item.conflicts)
         state.stats.pruned += rem_start - checked_here - item.remaining
         eliminated += rem_start - item.remaining
         if stopped:

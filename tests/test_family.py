@@ -1,9 +1,11 @@
 """Data model: distributions, induced chains, generalization, enumeration."""
 
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mcsynth import (
     Conflict,
@@ -184,6 +186,109 @@ class TestIterateUnpruned:
         expected = [m for m in members if m.values not in covered]
         assert list(iterate_unpruned(scope, conflicts)) == expected
         assert count_unpruned(scope, conflicts) == len(expected)
+
+
+@st.composite
+def accounting_cases(draw):
+    """A subfamily inside a larger scope, plus store entries drawn from the scope.
+
+    The subfamily restricts each scope domain as a split does, so conflict
+    references may lie outside it on pinned parameters, and its domains may
+    be singletons under pins.  Entries are conflicts (any pin set, the empty
+    one included) or checked members as realizations.
+    """
+    m = draw(st.integers(0, 5))
+    domains = [sorted(draw(st.sets(st.integers(0, 4), min_size=1, max_size=3))) for _ in range(m)]
+    scope = Subfamily(domains)
+    sub = Subfamily([
+        sorted(draw(st.one_of(st.just(d), st.sets(st.sampled_from(d), min_size=1))))
+        for d in domains
+    ])
+    member = st.tuples(*(st.sampled_from(d) for d in domains)).map(Realization)
+    conflict = st.builds(
+        lambda ref, params: Conflict(params=frozenset(params), reference=ref, scope=scope),
+        member,
+        st.sets(st.sampled_from(range(m))) if m else st.just(()),
+    )
+    entries = st.lists(st.one_of(conflict, conflict, member), max_size=8)
+    return sub, draw(entries), draw(st.lists(entries, max_size=6))
+
+
+def _covered(entry) -> set:
+    if isinstance(entry, Realization):
+        return {entry.values}
+    return {m.values for m in generalization(entry.reference, entry.params, entry.scope)}
+
+
+class TestAccountingAgainstBruteForce:
+    """Cube recursion versus filtering the generalization sets member by member."""
+
+    # After (0, 0) the cursor is (0, 1), which the cube covers; parameter 0
+    # is pinned by no cube but must still advance to reach (1, 0).
+    @example((
+        Subfamily([(0, 1)] * 2),
+        [Conflict(frozenset({1}), Realization((0, 1)), Subfamily([(0, 1)] * 2))],
+        [],
+    ))
+    @settings(max_examples=300, deadline=None)
+    @given(accounting_cases())
+    def test_static_store(self, case):
+        sub, entries, _appends = case
+        covered = set().union(*map(_covered, entries))
+        expected = [r for r in itertools.product(*sub.domains) if r not in covered]
+        assert [r.values for r in iterate_unpruned(sub, entries)] == expected
+        assert count_unpruned(sub, entries) == len(expected)
+
+    @settings(max_examples=300, deadline=None)
+    @given(accounting_cases())
+    def test_entries_appended_while_iterating(self, case):
+        sub, entries, appends = case
+        after_yield = dict(enumerate(appends, start=1))  # yields so far -> entries appended
+        covered, expected = set().union(*map(_covered, entries)), []
+        for r in itertools.product(*sub.domains):
+            if r not in covered:
+                expected.append(r)
+                covered |= set().union(*map(_covered, after_yield.get(len(expected), ())))
+        store, got = list(entries), []
+        for r in iterate_unpruned(sub, store):
+            got.append(r.values)
+            store.extend(after_yield.get(len(got), ()))
+        assert got == expected
+
+    def test_zero_parameter_subfamily(self):
+        sub = Subfamily(())
+        assert list(iterate_unpruned(sub)) == [Realization(())]
+        assert count_unpruned(sub) == 1
+        for entry in (Conflict(params=frozenset(), reference=Realization(()), scope=sub),
+                      Realization(())):
+            assert list(iterate_unpruned(sub, [entry])) == []
+            assert count_unpruned(sub, [entry]) == 0
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_count_beyond_enumeration_matches_inclusion_exclusion(self, seed):
+        """2^40 members cannot be walked; the oracle sums cube intersections instead."""
+        rng = random.Random(f"scale:{seed}")
+        n = 40
+        sub = Subfamily([(0, 1)] * n)
+        conflicts = [
+            Conflict(
+                params=frozenset(rng.sample(range(n), rng.randint(1, 6))),
+                reference=Realization(tuple(rng.randint(0, 1) for _ in range(n))),
+                scope=sub,
+            )
+            for _ in range(rng.randint(8, 10))
+        ]
+        expected = 0
+        for size in range(len(conflicts) + 1):
+            for subset in itertools.combinations(conflicts, size):
+                pins = {}
+                for c in subset:
+                    for k in c.params:
+                        pins.setdefault(k, set()).add(c.reference.values[k])
+                if all(len(vals) == 1 for vals in pins.values()):
+                    expected += (-1) ** size * 2 ** (n - len(pins))
+        assert 0 < expected < 2**n
+        assert count_unpruned(sub, conflicts) == expected
 
 
 class TestValidation:

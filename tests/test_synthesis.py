@@ -1,13 +1,19 @@
 """Drivers: enumeration, CEGIS, abstraction refinement, hybrid, optimal."""
 
+import itertools
+
 import pytest
 
+import mcsynth.synthesis
 from mcsynth import (
+    Conflict,
     Objective,
     Property,
+    Realization,
     Specification,
     ar_run,
     ar_synthesize,
+    cegis_phase,
     cegis_run,
     cegis_synthesize,
     evaluate_property,
@@ -246,3 +252,63 @@ class TestOptimal:
             result = synthesize(fam, opt_spec, method=method)
             assert result.verdict == "optimal", method
             assert result.optimum == pytest.approx(brute, abs=1e-6)
+
+
+def _assert_store_exact(state, item, checked):
+    """``remaining`` equals a brute-force count, and no conflict covers a candidate.
+
+    Open members are those of the item's subfamily that were never checked
+    and that no stored conflict covers.  A candidate satisfies the base
+    properties and the final working threshold.  Every stored entry must
+    intersect the subfamily.
+    """
+    covered = set()
+    for c in (e for e in item.conflicts if isinstance(e, Conflict)):
+        assert all(c.reference.values[k] in item.sub.domains[k] for k in c.params)
+        covered |= {m.values for m in generalization(c.reference, c.params, c.scope)}
+    members = set(itertools.product(*item.sub.domains))
+    assert item.remaining == len(members - covered - checked)
+    props = list(state.spec.properties) + [state.working]
+
+    def satisfies(values, props):
+        mc = induce(state.family, Realization(values))
+        return all(
+            evaluate_property(mc_reach_exact(mc, p.targets)[state.family.initial], p)
+            for p in props
+        )
+
+    assert not any(satisfies(m, props) for m in covered)
+    for entry in item.conflicts:
+        if isinstance(entry, Realization):
+            assert entry.values in checked & members
+            assert satisfies(entry.values, state.spec.properties)
+
+
+class TestCubeStore:
+    @pytest.mark.parametrize("direction", ["max", "min"])
+    def test_optimal_store_counts_exactly_before_and_after_split(self, direction, monkeypatch):
+        fam, spec, _values = make_instance(3, "mixed")
+        objective = Objective(direction=direction, targets=spec.properties[0].targets)
+        opt_spec = Specification(properties=spec.properties, objective=objective)
+        checked = set()
+        real_induce = mcsynth.synthesis.induce
+
+        def spy(family, r):
+            checked.add(r.values)
+            return real_induce(family, r)
+
+        monkeypatch.setattr(mcsynth.synthesis, "induce", spy)
+        state = new_state(fam, opt_spec)
+        result, _sigma, _cost = cegis_phase(state, budget_units=11)
+        assert result is None
+        item = state.queue[0]
+        kinds = {type(e) for e in item.conflicts}
+        assert kinds == {Conflict, Realization}
+        _assert_store_exact(state, item, checked)
+
+        queued = len(state.queue)
+        result, _sigma, _cost = ar_run(state)
+        assert result is None and len(state.queue) == queued + 1
+        for child in list(state.queue)[-2:]:
+            assert child.conflicts
+            _assert_store_exact(state, child, checked)
