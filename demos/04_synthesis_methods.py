@@ -1,8 +1,9 @@
-"""The four synthesis drivers side by side.
+"""The four synthesis methods side by side.
 
 Enumeration, conflict-driven pruning (CEGIS), abstraction refinement, and the
-adaptive hybrid all decide the same question; they differ in how many chains
-they have to look at.  Cost below is the number of model-check calls.
+adaptive hybrid are settings of one synthesis loop and decide the same
+question; they differ in how many chains they have to look at.  Cost below is
+the number of model-check calls.
 """
 
 from mcsynth import (

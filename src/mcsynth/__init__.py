@@ -5,7 +5,8 @@ parameters with finite domains; assigning every parameter a value yields one
 member chain.  Given threshold reachability properties (and optionally an
 optimization objective), the drivers in :mod:`mcsynth.synthesis` find a
 satisfying or optimal member by enumeration, conflict-driven pruning (CEGIS),
-quotient-MDP abstraction refinement, or an adaptive hybrid of the latter two.
+quotient-MDP abstraction refinement, or an adaptive hybrid of the latter two;
+all four are settings of one loop, :func:`mcsynth.synthesis.synthesize`.
 """
 
 from .counterexamples import (
@@ -58,24 +59,7 @@ from .sketch import (
     parse_spec,
     serialize_sketch,
 )
-from .synthesis import (
-    CheckSettings,
-    HybridState,
-    SynthesisResult,
-    SynthStats,
-    WorkItem,
-    ar_run,
-    ar_synthesize,
-    cegis_phase,
-    cegis_run,
-    cegis_synthesize,
-    hybrid_synthesize,
-    new_state,
-    one_by_one,
-    optimal_synthesize,
-    synthesize,
-    update_delta,
-)
+from .synthesis import CheckSettings, SynthesisResult, SynthStats, synthesize
 
 __version__ = "0.1.0"
 
@@ -90,7 +74,6 @@ __all__ = [
     "DEFAULT_TOL",
     "Distribution",
     "Family",
-    "HybridState",
     "InvalidBoundsError",
     "Mc",
     "McsynthError",
@@ -105,14 +88,8 @@ __all__ = [
     "Subfamily",
     "SynthStats",
     "SynthesisResult",
-    "WorkItem",
-    "ar_run",
-    "ar_synthesize",
     "build_quotient",
     "ce_quality_report",
-    "cegis_phase",
-    "cegis_run",
-    "cegis_synthesize",
     "choose_to_expand",
     "compute_bounds",
     "construct_conflict",
@@ -120,7 +97,6 @@ __all__ = [
     "evaluate_property",
     "generalization",
     "generate_benchmark",
-    "hybrid_synthesize",
     "induce",
     "iterate_unpruned",
     "mc_reach",
@@ -128,9 +104,6 @@ __all__ = [
     "mdp_extreme",
     "member_count",
     "minimal_conflict_oracle",
-    "new_state",
-    "one_by_one",
-    "optimal_synthesize",
     "parse_property",
     "parse_sketch",
     "parse_spec",
@@ -140,5 +113,4 @@ __all__ = [
     "split_subfamily",
     "synthesize",
     "trivial_gamma",
-    "update_delta",
 ]

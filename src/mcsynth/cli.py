@@ -26,7 +26,7 @@ import time
 from .errors import ResourceCapError, SketchError
 from .report import ce_quality_report
 from .sketch import generate_benchmark, parse_sketch, parse_spec, serialize_sketch
-from .synthesis import CheckSettings, synthesize
+from .synthesis import METHODS, CheckSettings, synthesize
 
 EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
@@ -46,15 +46,23 @@ def _build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--spec", required=True, help="specification file")
     synth.add_argument(
         "--method",
-        choices=["onebyone", "cegis", "ar", "hybrid"],
+        choices=METHODS,
         default="hybrid",
     )
-    synth.add_argument("--bounds", choices=["trivial", "family"], default="family")
+    synth.add_argument(
+        "--bounds",
+        choices=["trivial", "family"],
+        default="family",
+        help="rerouting vectors of conflicts (cegis and hybrid)",
+    )
     synth.add_argument(
         "--exact", action="store_true", help="certify members with the exact solver"
     )
     synth.add_argument(
-        "--cost-units", choices=["deterministic", "wallclock"], default="deterministic"
+        "--cost-units",
+        choices=["deterministic", "wallclock"],
+        default="deterministic",
+        help="unit of the hybrid's CEGIS budget: model checks or seconds",
     )
     synth.add_argument("--seed", type=int, default=0, help="reserved; recorded in output")
     synth.add_argument("--json", action="store_true", help="machine-readable output")

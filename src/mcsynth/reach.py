@@ -157,12 +157,17 @@ def _check_targets(n: int, targets: Iterable[int]) -> frozenset[int]:
     return tset
 
 
-def _mc_backward_reachable(mc: Mc, targets: frozenset[int]) -> np.ndarray:
-    """Boolean mask of states with a path into ``targets``."""
-    n = mc.n_states
+def _backward_reachable(
+    n: int, successors: Iterable[Iterable[int]], targets: frozenset[int]
+) -> np.ndarray:
+    """Boolean mask of the ``n`` states with a path into ``targets``.
+
+    ``successors`` yields, per state in index order, the states it has an edge
+    to; chains pass their rows, MDPs the entries of all actions of a state.
+    """
     preds: list[list[int]] = [[] for _ in range(n)]
-    for s, row in enumerate(mc.rows):
-        for t in row.keys:
+    for s, succ in enumerate(successors):
+        for t in succ:
             preds[t].append(s)
     seen = np.zeros(n, dtype=bool)
     queue = deque(sorted(targets))
@@ -183,7 +188,7 @@ def _mc_prepare(mc: Mc, targets: frozenset[int]):
     dense = np.zeros((n, n))
     for s, row in enumerate(mc.rows):
         dense[s, list(row.keys)] = row.probs
-    can_reach = _mc_backward_reachable(mc, targets)
+    can_reach = _backward_reachable(n, (row.keys for row in mc.rows), targets)
     values = np.zeros(n)
     tlist = sorted(targets)
     values[tlist] = 1.0
@@ -260,23 +265,9 @@ def mc_reach_exact(mc: Mc, targets: Iterable[int]) -> np.ndarray:
 def _mdp_prob0_max(mdp: "QuotientMdp", targets: frozenset[int]) -> np.ndarray:
     """States with maximal reachability 0: no path to the target at all."""
     n = mdp.n_states
-    preds: list[set[int]] = [set() for _ in range(n)]
-    for s in range(n):
-        e0 = mdp.act_ptr[mdp.state_ptr[s]]
-        e1 = mdp.act_ptr[mdp.state_ptr[s + 1]]
-        for t in mdp.ent_target[e0:e1]:
-            preds[t].add(s)
-    seen = np.zeros(n, dtype=bool)
-    queue = deque(sorted(targets))
-    for t in targets:
-        seen[t] = True
-    while queue:
-        t = queue.popleft()
-        for s in preds[t]:
-            if not seen[s]:
-                seen[s] = True
-                queue.append(s)
-    return ~seen
+    ent = mdp.act_ptr[mdp.state_ptr].tolist()
+    tgt = mdp.ent_target.tolist()
+    return ~_backward_reachable(n, (tgt[ent[s] : ent[s + 1]] for s in range(n)), targets)
 
 
 def _mdp_prob0_min(mdp: "QuotientMdp", targets: frozenset[int]) -> np.ndarray:

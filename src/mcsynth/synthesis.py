@@ -1,21 +1,26 @@
-"""Synthesis drivers: enumeration, CEGIS, abstraction refinement, hybrid.
+"""Synthesis: one queue loop with a deductive and an inductive oracle.
 
-All four drivers decide the same question: does the family contain a member
-satisfying the specification (optionally: which member is optimal)?  They
-differ in how they eliminate candidates.
+Every method decides the same question: does the family contain a member
+satisfying the specification (optionally: which member is optimal)?  The
+queue starts with the whole family.  Abstraction refinement (AR, ``ar_run``)
+analyses one queued subfamily with quotient bounds and prunes, accepts or
+splits it; CEGIS (``cegis_phase``) checks the members of queued subfamilies
+one at a time and prunes the generalization of a conflict for every violated
+property.  The methods of :func:`synthesize` are settings of that loop:
 
-* ``one_by_one`` checks every member in lexicographic order.
-* CEGIS checks members one at a time and prunes the generalization of a
-  conflict for every violated property.
-* Abstraction refinement (AR) decides or splits whole subfamilies using
-  quotient bounds.
-* The hybrid loop alternates one AR analysis with a budget-bounded CEGIS
-  phase that consumes subfamilies from the AR queue together with their
-  cached bounds; the budget adapts to the relative pruning efficiency of the
-  two oracles.
+============  ====  ======================================================
+method        AR    CEGIS
+============  ====  ======================================================
+``ar``        on    off
+``cegis``     off   no budget; root bounds primed when ``bounds="family"``
+``onebyone``  off   no budget, no conflicts: every member in order
+``hybrid``    on    budget = cost of the last AR step x delta
+============  ====  ======================================================
 
-Cost is measured in model-check invocations by default, which makes every
-driver deterministic; wall-clock budgeting is available for the hybrid loop.
+The hybrid's CEGIS budget factor delta starts at 1 and follows the ratio of
+the two oracles' pruning efficiencies (:func:`update_delta`).  Cost is
+measured in model-check invocations by default, which makes every method
+deterministic; the hybrid can budget by wall clock instead.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ from .reach import (
     mc_reach_exact,
 )
 
+METHODS = ("onebyone", "cegis", "ar", "hybrid")
 MEMBER_CAP = 10**7
 DELTA_MIN = 1.0 / 64.0
 DELTA_MAX = 64.0
@@ -93,7 +99,8 @@ class WorkItem:
     ``conflicts`` holds conflicts, own or inherited, and in optimal mode the
     checked members that violated nothing, as realizations (no property
     excludes them, so they are no conflicts).  ``remaining`` counts the
-    members no entry covers; CEGIS recounts it after extending the store.
+    members no entry covers; CEGIS recounts it when its budget stops it
+    inside the subfamily.
     """
 
     sub: Subfamily
@@ -113,9 +120,8 @@ class HybridState:
     meter: CostMeter
     stats: SynthStats
     delta_cegis: float = 1.0
-    sigma_ar: float = 0.0
-    sigma_cegis: float = 0.0
     trivial_bounds: bool = False
+    wallclock: bool = False
     incumbent: tuple[Realization, float] | None = None
     working: Property | None = None
 
@@ -123,12 +129,17 @@ class HybridState:
     def optimizing(self) -> bool:
         return self.spec.objective is not None
 
+    def clock(self) -> float:
+        """Cost spent so far in the run's units: model checks, or seconds."""
+        return time.perf_counter() if self.wallclock else self.meter.total
+
 
 def new_state(
     family: Family,
     spec: Specification,
     settings: CheckSettings | None = None,
     trivial_bounds: bool = False,
+    wallclock: bool = False,
 ) -> HybridState:
     """Fresh synthesis state whose queue holds the whole family."""
     settings = settings or CheckSettings()
@@ -142,6 +153,7 @@ def new_state(
         meter=CostMeter(),
         stats=SynthStats(),
         trivial_bounds=trivial_bounds,
+        wallclock=wallclock,
     )
     if spec.objective is not None:
         state.working = _initial_working(spec.objective)
@@ -329,44 +341,41 @@ def ar_run(state: HybridState) -> tuple[SynthesisResult | None, float, int]:
 
 def cegis_phase(
     state: HybridState,
-    budget_units: int | None = None,
-    budget_seconds: float | None = None,
+    budget: float | None = None,
+    conflicts: bool = True,
 ) -> tuple[SynthesisResult | None, float, int]:
     """Run CEGIS over the queued subfamilies until a verdict or the budget.
 
     Subfamilies are processed FIFO; every violating candidate contributes one
     conflict per violated property, built with the subfamily's cached (or
     inherited) bounds.  A partially processed subfamily stays at the head of
-    the queue with its conflict store intact.  The budget is checked between
-    candidates, so the last candidate may overshoot it; with a zero budget
-    nothing is examined.
+    the queue with its conflict store intact.  ``budget`` is in the run's cost
+    units (:meth:`HybridState.clock`) and is checked between candidates, so
+    the last candidate may overshoot it; with a zero budget nothing is
+    examined.  ``conflicts=False`` (enumeration) stores nothing, so it must
+    run without a budget.  Returns the result (or ``None``), the pruning
+    efficiency per model check, and the cost in model checks.
     """
     meter = state.meter
     eta = state.settings.eta
     cost0 = meter.total
-    t0 = time.perf_counter()
+    start = state.clock()
     eliminated = 0
 
     def over_budget() -> bool:
-        if budget_units is not None and meter.total - cost0 >= budget_units:
-            return True
-        if budget_seconds is not None and time.perf_counter() - t0 >= budget_seconds:
-            return True
-        return False
+        return budget is not None and state.clock() - start >= budget
 
-    while state.queue:
-        if over_budget():
-            break
+    while state.queue and not over_budget():
         item = state.queue[0]
         if item.remaining == 0:
             state.queue.popleft()
             continue
         rem_start = item.remaining
         checked_here = 0
-        stopped = False
         for r in iterate_unpruned(item.sub, item.conflicts):
             if over_budget():
-                stopped = True
+                # stopped inside the subfamily: the store decides what is left
+                item.remaining = count_unpruned(item.sub, item.conflicts)
                 break
             values = _member_values(state, r)
             checked_here += 1
@@ -385,20 +394,23 @@ def cegis_phase(
                     )
                     return result, 0.0, meter.total - cost0
                 _maybe_improve(state, r, values)
-                item.conflicts.append(r)
-                continue
-            for p in violated:
-                gamma = _gamma_for(state, item, p)
-                conflict = construct_conflict(
-                    state.family, r, p, gamma, item.sub,
-                    eta=eta, tol=state.settings.tol, meter=meter,
-                )
-                item.conflicts.append(conflict)
-        item.remaining = count_unpruned(item.sub, item.conflicts)
+                if conflicts:
+                    item.conflicts.append(r)
+            elif conflicts:
+                for p in violated:
+                    gamma = _gamma_for(state, item, p)
+                    conflict = construct_conflict(
+                        state.family, r, p, gamma, item.sub,
+                        eta=eta, tol=state.settings.tol, meter=meter,
+                    )
+                    item.conflicts.append(conflict)
+        else:
+            # an exhausted iterator leaves no open member
+            item.remaining = 0
         state.stats.pruned += rem_start - checked_here - item.remaining
         eliminated += rem_start - item.remaining
-        if stopped:
-            break
+        if item.remaining:
+            break  # budget spent: the item stays at the head of the queue
         state.queue.popleft()
 
     cost = meter.total - cost0
@@ -413,179 +425,6 @@ def update_delta(sigma_cegis: float, sigma_ar: float) -> float:
     return min(DELTA_MAX, max(DELTA_MIN, sigma_cegis / sigma_ar))
 
 
-def one_by_one(
-    family: Family,
-    spec: Specification,
-    settings: CheckSettings | None = None,
-    member_cap: int | None = None,
-) -> SynthesisResult:
-    """Check every member in lexicographic order.
-
-    Feasibility returns the first satisfying member; optimization returns the
-    exact argopt over satisfying members (ties keep the lexicographically
-    least).
-    """
-    cap = MEMBER_CAP if member_cap is None else member_cap
-    state = new_state(family, spec, settings)
-    total = member_count(state.family.full_subfamily())
-    if total > cap:
-        raise ResourceCapError(f"family has {total} members, one-by-one cap is {cap}")
-    eta = state.settings.eta
-    obj = spec.objective
-    best: tuple[Realization, float] | None = None
-    for r in iterate_unpruned(family.full_subfamily()):
-        values = _member_values(state, r)
-        state.stats.checked += 1
-        sat = all(evaluate_property(values[p.targets], p, eta) for p in spec.properties)
-        if not sat:
-            continue
-        if obj is None:
-            return _finish(
-                state,
-                SynthesisResult(
-                    verdict="feasible", realization=r, values=_base_values(state, values)
-                ),
-            )
-        v = values[obj.targets]
-        if best is None or (v > best[1] if obj.direction == "max" else v < best[1]):
-            best = (r, v)
-    if best is not None:
-        values = _member_values(state, best[0])
-        return _finish(
-            state,
-            SynthesisResult(
-                verdict="optimal",
-                realization=best[0],
-                values=_base_values(state, values),
-                optimum=best[1],
-            ),
-        )
-    return _finish(state, SynthesisResult(verdict="infeasible"))
-
-
-def cegis_run(
-    family: Family,
-    spec: Specification,
-    scope: Subfamily | None = None,
-    bounds: str = "family",
-    budget: int | None = None,
-    settings: CheckSettings | None = None,
-) -> tuple[SynthesisResult | None, WorkItem, float]:
-    """One CEGIS run over ``scope`` (default: the whole family).
-
-    ``bounds`` selects the rerouting vectors: ``"family"`` computes quotient
-    bounds for the scope first, ``"trivial"`` uses the bound-free vectors.
-    Returns the verdict (``None`` when the budget ran out first), the
-    remaining work item (subfamily plus conflict store), and the pruning
-    efficiency.
-    """
-    if bounds not in ("family", "trivial"):
-        raise ValueError(f"unknown bounds mode {bounds!r}")
-    state = new_state(family, spec, settings, trivial_bounds=(bounds == "trivial"))
-    if scope is not None:
-        item = WorkItem(sub=scope, remaining=member_count(scope))
-        state.queue = deque([item])
-    if bounds == "family":
-        root = state.queue[0]
-        for tset in _target_sets(state):
-            compute_bounds(family, root.sub, tset, state.settings.tol, state.meter)
-    result, sigma, _cost = cegis_phase(state, budget_units=budget)
-    remaining = state.queue[0] if state.queue else WorkItem(
-        sub=(scope or family.full_subfamily()), remaining=0
-    )
-    if result is not None:
-        return _finish(state, result), remaining, sigma
-    if not state.queue:
-        return _close(state), remaining, sigma
-    state.stats.model_checks = state.meter.total
-    return None, remaining, sigma
-
-
-def cegis_synthesize(
-    family: Family,
-    spec: Specification,
-    bounds: str = "family",
-    settings: CheckSettings | None = None,
-) -> SynthesisResult:
-    """CEGIS to exhaustion (no budget)."""
-    result, _item, _sigma = cegis_run(family, spec, bounds=bounds, settings=settings)
-    assert result is not None
-    return result
-
-
-def ar_synthesize(
-    family: Family,
-    spec: Specification,
-    settings: CheckSettings | None = None,
-) -> SynthesisResult:
-    """Pure abstraction refinement: analyse subfamilies until the queue empties."""
-    state = new_state(family, spec, settings)
-    while True:
-        result, sigma, _cost = ar_run(state)
-        state.sigma_ar = sigma
-        if result is not None:
-            return _finish(state, result)
-        if not state.queue:
-            return _close(state)
-
-
-def hybrid_synthesize(
-    family: Family,
-    spec: Specification,
-    settings: CheckSettings | None = None,
-    cost_units: str = "deterministic",
-) -> SynthesisResult:
-    """Adaptive dual-oracle synthesis.
-
-    Each round runs one AR analysis, then a CEGIS phase whose budget is the
-    AR cost scaled by the allocation factor; the factor starts at 1 and is
-    updated to the ratio of the phases' pruning efficiencies, clamped to
-    [1/64, 64].  With deterministic cost units the whole loop is
-    deterministic and the verdict agrees with ``one_by_one``.
-    """
-    if cost_units not in ("deterministic", "wallclock"):
-        raise ValueError(f"unknown cost units {cost_units!r}")
-    state = new_state(family, spec, settings)
-    while True:
-        t0 = time.perf_counter()
-        result, sigma_ar, cost_ar = ar_run(state)
-        t_ar = time.perf_counter() - t0
-        state.sigma_ar = sigma_ar
-        if result is not None:
-            return _finish(state, result)
-        if not state.queue:
-            return _close(state)
-        if cost_units == "deterministic":
-            budget = int(cost_ar * state.delta_cegis)
-            result, sigma_cegis, _ = cegis_phase(state, budget_units=budget)
-        else:
-            result, sigma_cegis, _ = cegis_phase(state, budget_seconds=t_ar * state.delta_cegis)
-        state.sigma_cegis = sigma_cegis
-        if result is not None:
-            return _finish(state, result)
-        if not state.queue:
-            return _close(state)
-        state.delta_cegis = update_delta(sigma_cegis, sigma_ar)
-
-
-def optimal_synthesize(
-    family: Family,
-    spec: Specification,
-    method: str = "hybrid",
-    settings: CheckSettings | None = None,
-    bounds: str = "family",
-) -> SynthesisResult:
-    """Optimal synthesis with any driver.
-
-    Every satisfying solution tightens a working threshold property around
-    the objective (relaxed by the objective's epsilon), so the search space
-    shrinks as the incumbent improves; exhaustion returns the incumbent.
-    """
-    if spec.objective is None:
-        raise ValueError("specification has no objective")
-    return synthesize(family, spec, method=method, settings=settings, bounds=bounds)
-
-
 def synthesize(
     family: Family,
     spec: Specification,
@@ -595,13 +434,60 @@ def synthesize(
     cost_units: str = "deterministic",
     member_cap: int | None = None,
 ) -> SynthesisResult:
-    """Dispatch to a synthesis driver by name."""
+    """Decide ``spec`` on ``family`` with one of the methods in ``METHODS``.
+
+    All methods run the same queue loop (see the module docstring): ``ar``
+    runs AR steps only, ``cegis`` one unbudgeted CEGIS phase, ``onebyone``
+    one CEGIS phase without conflicts (refused above ``member_cap`` members,
+    default ``MEMBER_CAP``), and ``hybrid`` alternates one AR step with a
+    CEGIS phase whose budget is the step's cost times delta.  ``bounds``
+    selects the rerouting vectors of every conflict: ``"family"`` uses the
+    subfamily's cached or inherited quotient bounds, ``"trivial"`` the
+    bound-free vectors.  ``cost_units`` measures budgets in model checks
+    (``"deterministic"``, reproducible) or seconds (``"wallclock"``).
+
+    In optimal mode every satisfying member tightens a working threshold
+    around the objective (relaxed by its epsilon), and an exhausted queue
+    returns the incumbent.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown synthesis method {method!r}")
+    if bounds not in ("family", "trivial"):
+        raise ValueError(f"unknown bounds mode {bounds!r}")
+    if cost_units not in ("deterministic", "wallclock"):
+        raise ValueError(f"unknown cost units {cost_units!r}")
+    state = new_state(
+        family, spec, settings,
+        trivial_bounds=bounds == "trivial", wallclock=cost_units == "wallclock",
+    )
+    root = state.queue[0]
     if method == "onebyone":
-        return one_by_one(family, spec, settings=settings, member_cap=member_cap)
-    if method == "cegis":
-        return cegis_synthesize(family, spec, bounds=bounds, settings=settings)
-    if method == "ar":
-        return ar_synthesize(family, spec, settings=settings)
-    if method == "hybrid":
-        return hybrid_synthesize(family, spec, settings=settings, cost_units=cost_units)
-    raise ValueError(f"unknown synthesis method {method!r}")
+        cap = MEMBER_CAP if member_cap is None else member_cap
+        if root.remaining > cap:
+            raise ResourceCapError(
+                f"family has {root.remaining} members, one-by-one cap is {cap}"
+            )
+    if method == "cegis" and bounds == "family":
+        for tset in _target_sets(state):
+            compute_bounds(family, root.sub, tset, state.settings.tol, state.meter)
+
+    ar_steps = method in ("ar", "hybrid")
+    result = None
+    while result is None and state.queue:
+        budget = None
+        if ar_steps:
+            start = state.clock()
+            result, sigma_ar, _cost = ar_run(state)
+            if method == "ar" or result is not None or not state.queue:
+                continue
+            budget = (state.clock() - start) * state.delta_cegis
+            if not state.wallclock:
+                budget = int(budget)
+        result, sigma_cegis, _cost = cegis_phase(
+            state, budget, conflicts=method != "onebyone"
+        )
+        if ar_steps:
+            state.delta_cegis = update_delta(sigma_cegis, sigma_ar)
+    if result is None:
+        return _close(state)
+    return _finish(state, result)

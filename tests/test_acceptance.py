@@ -22,20 +22,17 @@ from mcsynth import (
     Property,
     Realization,
     Specification,
-    ar_synthesize,
-    cegis_synthesize,
     compute_bounds,
     construct_conflict,
     evaluate_property,
     generalization,
-    hybrid_synthesize,
     induce,
     iterate_unpruned,
     mc_reach,
     mc_reach_exact,
     member_count,
-    one_by_one,
     split_subfamily,
+    synthesize,
     trivial_gamma,
 )
 from mcsynth.report import ce_quality_report
@@ -85,7 +82,7 @@ def golden_runs(toy4):
         toy4, TOY_R[0], prop, trivial_gamma(toy4.n_states, prop), scope, meter=meter_trivial
     )
     gen = generalization(TOY_R[0], with_bounds.params, scope)
-    verdict = hybrid_synthesize(toy4, Specification(properties=(prop,)))
+    verdict = synthesize(toy4, Specification(properties=(prop,)), method="hybrid")
     elapsed = time.perf_counter() - start
     budgets = [
         (meter_bounds.total, len(scope.multi_valued()) + 1),
@@ -248,10 +245,10 @@ def test_criterion_5_method_agreement():
             family, spec, values = make_instance(i, want)
             total = member_count(family.full_subfamily())
             results = {
-                "onebyone": one_by_one(family, spec),
-                "cegis": cegis_synthesize(family, spec, bounds="family"),
-                "ar": ar_synthesize(family, spec),
-                "hybrid": hybrid_synthesize(family, spec),
+                "onebyone": synthesize(family, spec, method="onebyone"),
+                "cegis": synthesize(family, spec, method="cegis", bounds="family"),
+                "ar": synthesize(family, spec, method="ar"),
+                "hybrid": synthesize(family, spec, method="hybrid"),
             }
             verdicts = {name: r.verdict for name, r in results.items()}
             assert len(set(verdicts.values())) == 1, (i, verdicts)
@@ -286,14 +283,14 @@ def test_criterion_6_optimal_synthesis():
                 properties=(base,),
                 objective=Objective(direction=direction, targets=base.targets),
             )
-            result = hybrid_synthesize(family, exact_spec)
+            result = synthesize(family, exact_spec, method="hybrid")
             assert result.verdict == "optimal"
             assert abs(result.optimum - brute) <= 1e-6
             relaxed_spec = Specification(
                 properties=(base,),
                 objective=Objective(direction=direction, targets=base.targets, epsilon=0.05),
             )
-            relaxed = hybrid_synthesize(family, relaxed_spec)
+            relaxed = synthesize(family, relaxed_spec, method="hybrid")
             assert relaxed.verdict == "optimal"
             if direction == "min":
                 assert relaxed.optimum <= brute * 1.05 + 1e-9

@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 import mcsynth.synthesis
@@ -11,23 +12,16 @@ from mcsynth import (
     Property,
     Realization,
     Specification,
-    ar_run,
-    ar_synthesize,
-    cegis_phase,
-    cegis_run,
-    cegis_synthesize,
+    compute_bounds,
     evaluate_property,
     generalization,
-    hybrid_synthesize,
     induce,
     mc_reach_exact,
     member_count,
-    new_state,
-    one_by_one,
-    optimal_synthesize,
     synthesize,
-    update_delta,
+    trivial_gamma,
 )
+from mcsynth.synthesis import METHODS, ar_run, cegis_phase, new_state, update_delta
 
 from conftest import TOY_R, TOY_TARGET, make_instance
 
@@ -40,18 +34,18 @@ MAX_T = Specification(properties=(), objective=Objective(direction="max", target
 
 class TestOneByOne:
     def test_toy_feasible_is_r3(self, toy4):
-        result = one_by_one(toy4, SAFE_03)
+        result = synthesize(toy4, SAFE_03, method="onebyone")
         assert result.verdict == "feasible"
         assert result.realization == TOY_R[3]
         assert result.values[0] == pytest.approx(0.2, abs=1e-6)
 
     def test_toy_tight_threshold_infeasible(self, toy4):
-        result = one_by_one(toy4, SAFE_01)
+        result = synthesize(toy4, SAFE_01, method="onebyone")
         assert result.verdict == "infeasible"
         assert result.stats.checked == 4
 
     def test_toy_minimize(self, toy4):
-        result = one_by_one(toy4, MIN_T)
+        result = synthesize(toy4, MIN_T, method="onebyone")
         assert result.verdict == "optimal"
         assert result.realization == TOY_R[3]
         assert result.optimum == pytest.approx(0.2, abs=1e-6)
@@ -60,35 +54,40 @@ class TestOneByOne:
         from mcsynth.errors import ResourceCapError
 
         with pytest.raises(ResourceCapError):
-            one_by_one(toy4, SAFE_03, member_cap=2)
+            synthesize(toy4, SAFE_03, method="onebyone", member_cap=2)
 
 
 class TestCegis:
     def test_family_bounds_find_r3_in_three_candidates(self, toy4):
-        result = cegis_synthesize(toy4, SAFE_03, bounds="family")
+        result = synthesize(toy4, SAFE_03, method="cegis", bounds="family")
         assert result.verdict == "feasible"
         assert result.realization == TOY_R[3]
         assert result.stats.cegis_iterations <= 3
 
     def test_trivial_bounds_check_all_four(self, toy4):
-        result = cegis_synthesize(toy4, SAFE_03, bounds="trivial")
+        result = synthesize(toy4, SAFE_03, method="cegis", bounds="trivial")
         assert result.verdict == "feasible"
         assert result.realization == TOY_R[3]
         assert result.stats.cegis_iterations == 4
 
     def test_zero_budget_is_undecided(self, toy4):
-        result, remaining, sigma = cegis_run(toy4, SAFE_03, budget=0)
+        state = new_state(toy4, SAFE_03)
+        result, sigma, _cost = cegis_phase(state, budget=0)
+        remaining = state.queue[0]
         assert result is None
         assert remaining.remaining == member_count(toy4.full_subfamily())
         assert sigma == 0.0
 
     def test_infeasible_accounts_every_member(self, toy4):
-        result = cegis_synthesize(toy4, SAFE_01, bounds="family")
+        result = synthesize(toy4, SAFE_01, method="cegis", bounds="family")
         assert result.verdict == "infeasible"
         assert result.stats.pruned + result.stats.checked == 4
 
     def test_conflicts_never_cover_satisfying_members(self, toy4):
-        result, remaining, _sigma = cegis_run(toy4, SAFE_03, bounds="family")
+        state = new_state(toy4, SAFE_03)
+        remaining = state.queue[0]
+        compute_bounds(toy4, remaining.sub, TOY_TARGET, meter=state.meter)
+        result, _sigma, _cost = cegis_phase(state)
         assert result.verdict == "feasible"
         prop = SAFE_03.properties[0]
         for conflict in remaining.conflicts:
@@ -108,25 +107,25 @@ class TestAbstractionRefinement:
         assert left.domains[0] == (1,) and right.domains[0] == (2,)
 
     def test_toy_feasible_r3(self, toy4):
-        result = ar_synthesize(toy4, SAFE_03)
+        result = synthesize(toy4, SAFE_03, method="ar")
         assert result.verdict == "feasible"
         assert result.realization == TOY_R[3]
 
     def test_loose_threshold_accepts_whole_family_immediately(self, toy4):
-        result = ar_synthesize(toy4, SAFE_09)
+        result = synthesize(toy4, SAFE_09, method="ar")
         assert result.verdict == "feasible"
         assert result.realization == TOY_R[0]  # lexicographic least member
         assert result.stats.ar_iterations == 1
 
     def test_infeasible_accounts_every_member(self, toy4):
-        result = ar_synthesize(toy4, SAFE_01)
+        result = synthesize(toy4, SAFE_01, method="ar")
         assert result.verdict == "infeasible"
         assert result.stats.pruned == 4
         assert result.stats.checked == 0
 
     def test_analysis_count_bounded_by_twice_members(self):
         fam, spec, _values = make_instance(3, "infeasible")
-        result = ar_synthesize(fam, spec)
+        result = synthesize(fam, spec, method="ar")
         assert result.verdict == "infeasible"
         total = member_count(fam.full_subfamily())
         assert result.stats.ar_iterations <= 2 * total - 1
@@ -134,7 +133,7 @@ class TestAbstractionRefinement:
 
 class TestHybrid:
     def test_toy_feasible_and_fully_accounted(self, toy4):
-        result = hybrid_synthesize(toy4, SAFE_03)
+        result = synthesize(toy4, SAFE_03, method="hybrid")
         assert result.verdict == "feasible"
         assert result.realization == TOY_R[3]
         assert result.stats.pruned + result.stats.checked == 4
@@ -156,8 +155,8 @@ class TestHybrid:
             want = "mixed" if i % 2 == 0 else "infeasible"
             expected = "feasible" if want == "mixed" else "infeasible"
             fam, spec, values = make_instance(i, want)
-            baseline = one_by_one(fam, spec)
-            result = hybrid_synthesize(fam, spec)
+            baseline = synthesize(fam, spec, method="onebyone")
+            result = synthesize(fam, spec, method="hybrid")
             assert result.verdict == baseline.verdict == expected
             if result.verdict == "feasible":
                 prop = spec.properties[0]
@@ -167,7 +166,7 @@ class TestHybrid:
                 assert result.stats.pruned + result.stats.checked == total
 
     def test_wallclock_cost_units_reach_same_verdict(self, toy4):
-        result = hybrid_synthesize(toy4, SAFE_03, cost_units="wallclock")
+        result = synthesize(toy4, SAFE_03, method="hybrid", cost_units="wallclock")
         assert result.verdict == "feasible"
         assert result.realization == TOY_R[3]
 
@@ -200,13 +199,13 @@ class TestMultiProperty:
 
 class TestOptimal:
     def test_toy_minimize_hybrid(self, toy4):
-        result = optimal_synthesize(toy4, MIN_T, method="hybrid")
+        result = synthesize(toy4, MIN_T, method="hybrid")
         assert result.verdict == "optimal"
         assert result.realization == TOY_R[3]
         assert result.optimum == pytest.approx(0.2, abs=1e-6)
 
     def test_toy_maximize(self, toy4):
-        result = optimal_synthesize(toy4, MAX_T, method="hybrid")
+        result = synthesize(toy4, MAX_T, method="hybrid")
         assert result.verdict == "optimal"
         assert result.realization == TOY_R[0]
         assert result.optimum == pytest.approx(0.8, abs=1e-6)
@@ -216,7 +215,7 @@ class TestOptimal:
             properties=(),
             objective=Objective(direction="min", targets=TOY_TARGET, epsilon=0.05),
         )
-        result = optimal_synthesize(toy4, spec, method="hybrid")
+        result = synthesize(toy4, spec, method="hybrid")
         assert result.verdict == "optimal"
         assert result.optimum <= 0.2 * 1.05 + 1e-9
 
@@ -299,7 +298,7 @@ class TestCubeStore:
 
         monkeypatch.setattr(mcsynth.synthesis, "induce", spy)
         state = new_state(fam, opt_spec)
-        result, _sigma, _cost = cegis_phase(state, budget_units=11)
+        result, _sigma, _cost = cegis_phase(state, budget=11)
         assert result is None
         item = state.queue[0]
         kinds = {type(e) for e in item.conflicts}
@@ -312,3 +311,97 @@ class TestCubeStore:
         for child in list(state.queue)[-2:]:
             assert child.conflicts
             _assert_store_exact(state, child, checked)
+
+
+class TestOptions:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("option", ["bounds", "cost_units"])
+    def test_bad_option_rejected_by_every_method(self, toy4, method, option):
+        with pytest.raises(ValueError, match="bogus"):
+            synthesize(toy4, SAFE_03, method=method, **{option: "bogus"})
+
+    def test_unknown_method_rejected(self, toy4):
+        with pytest.raises(ValueError, match="bogus"):
+            synthesize(toy4, SAFE_03, method="bogus")
+
+    def test_hybrid_honours_trivial_bounds(self, monkeypatch):
+        fam, spec, _values = make_instance(1, "infeasible")
+        gammas = []
+        real_construct = mcsynth.synthesis.construct_conflict
+
+        def spy(family, r, prop, gamma, scope, **kwargs):
+            gammas.append((prop, np.asarray(gamma).copy()))
+            return real_construct(family, r, prop, gamma, scope, **kwargs)
+
+        monkeypatch.setattr(mcsynth.synthesis, "construct_conflict", spy)
+        result = synthesize(fam, spec, method="hybrid", bounds="trivial")
+        assert result.verdict == "infeasible"
+        assert gammas
+        for prop, gamma in gammas:
+            assert np.array_equal(gamma, trivial_gamma(fam.n_states, prop))
+
+
+# Behaviour lock: (instance, method, bounds) -> (verdict, witness, optimum,
+# model_checks, ar_iterations, cegis_iterations, pruned, checked), recorded
+# from the drivers before they became settings of one loop.  Enumeration now
+# reports its checked members as CEGIS iterations (it reported 0 before).
+GOLDEN = {
+    ("toy4", "onebyone", "family"): ("feasible", (2, 4, 3, 4), None, 4, 0, 4, 0, 4),
+    ("toy4", "cegis", "family"): ("feasible", (2, 4, 3, 4), None, 10, 0, 3, 0, 3),
+    ("toy4", "cegis", "trivial"): ("feasible", (2, 4, 3, 4), None, 13, 0, 4, 0, 4),
+    ("toy4", "ar", "family"): ("feasible", (2, 4, 3, 4), None, 11, 5, 0, 3, 1),
+    ("toy4", "hybrid", "family"): ("feasible", (2, 4, 3, 4), None, 9, 2, 3, 1, 3),
+    ("toy4-min", "onebyone", "family"): ("optimal", (2, 4, 3, 4), 0.2, 5, 0, 4, 0, 4),
+    ("toy4-min", "cegis", "family"): ("optimal", (2, 4, 3, 4), 0.2, 7, 0, 4, 0, 4),
+    ("toy4-min", "cegis", "trivial"): ("optimal", (2, 4, 3, 4), 0.2, 5, 0, 4, 0, 4),
+    ("toy4-min", "ar", "family"): ("optimal", (2, 4, 3, 4), 0.2, 11, 7, 0, 0, 4),
+    ("toy4-min", "hybrid", "family"): ("optimal", (2, 4, 3, 4), 0.2, 9, 2, 4, 0, 4),
+    ("instance-0", "onebyone", "family"): ("feasible", (5, 4, 4, 5), None, 3, 0, 3, 0, 3),
+    ("instance-0", "cegis", "family"): ("feasible", (5, 4, 4, 5), None, 9, 0, 3, 0, 3),
+    ("instance-0", "cegis", "trivial"): ("feasible", (5, 4, 4, 5), None, 7, 0, 3, 0, 3),
+    ("instance-0", "ar", "family"): ("feasible", (5, 4, 4, 5), None, 7, 3, 0, 2, 1),
+    ("instance-0", "hybrid", "family"): ("feasible", (5, 4, 4, 5), None, 8, 2, 2, 1, 2),
+    ("instance-1", "onebyone", "family"): ("infeasible", None, None, 8, 0, 8, 0, 8),
+    ("instance-1", "cegis", "family"): ("infeasible", None, None, 34, 0, 8, 0, 8),
+    ("instance-1", "cegis", "trivial"): ("infeasible", None, None, 32, 0, 8, 0, 8),
+    ("instance-1", "ar", "family"): ("infeasible", None, None, 6, 3, 0, 8, 0),
+    ("instance-1", "hybrid", "family"): ("infeasible", None, None, 23, 2, 5, 3, 5),
+    ("instance-2", "onebyone", "family"): ("feasible", (6, 5, 1, 7, 8, 9), None, 1, 0, 1, 0, 1),
+    ("instance-2", "cegis", "family"): ("feasible", (6, 5, 1, 7, 8, 9), None, 3, 0, 1, 0, 1),
+    ("instance-2", "cegis", "trivial"): ("feasible", (6, 5, 1, 7, 8, 9), None, 1, 0, 1, 0, 1),
+    ("instance-2", "ar", "family"): ("feasible", (6, 5, 1, 7, 8, 9), None, 5, 2, 0, 0, 1),
+    ("instance-2", "hybrid", "family"): ("feasible", (6, 5, 1, 7, 8, 9), None, 3, 1, 1, 0, 1),
+    ("instance-3", "onebyone", "family"): ("infeasible", None, None, 32, 0, 32, 0, 32),
+    ("instance-3", "cegis", "family"): ("infeasible", None, None, 27, 0, 5, 27, 5),
+    ("instance-3", "cegis", "trivial"): ("infeasible", None, None, 25, 0, 5, 27, 5),
+    ("instance-3", "ar", "family"): ("infeasible", None, None, 10, 5, 0, 32, 0),
+    ("instance-3", "hybrid", "family"): ("infeasible", None, None, 22, 2, 4, 28, 4),
+}
+
+
+def _golden_instance(name, toy4):
+    if name == "toy4":
+        return toy4, SAFE_03
+    if name == "toy4-min":
+        return toy4, MIN_T
+    i = int(name.split("-")[1])
+    fam, spec, _values = make_instance(i, "mixed" if i % 2 == 0 else "infeasible")
+    return fam, spec
+
+
+class TestBehaviourLock:
+    @pytest.mark.parametrize("key", sorted(GOLDEN), ids="-".join)
+    def test_golden_record(self, toy4, key):
+        name, method, bounds = key
+        fam, spec = _golden_instance(name, toy4)
+        result = synthesize(fam, spec, method=method, bounds=bounds)
+        verdict, witness, optimum, *counts = GOLDEN[key]
+        assert result.verdict == verdict
+        assert (result.realization and result.realization.values) == witness
+        if optimum is None:
+            assert result.optimum is None
+        else:
+            assert result.optimum == pytest.approx(optimum, abs=1e-6)
+        s = result.stats
+        got = [s.model_checks, s.ar_iterations, s.cegis_iterations, s.pruned, s.checked]
+        assert got == counts
