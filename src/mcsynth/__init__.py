@@ -18,7 +18,6 @@ from .counterexamples import (
     trivial_gamma,
 )
 from .errors import (
-    ConvergenceError,
     InvalidBoundsError,
     McsynthError,
     PropertyError,
@@ -42,7 +41,6 @@ from .quotient import BoundsVec, QuotientMdp, build_quotient, compute_bounds, sp
 from .reach import (
     CostMeter,
     DECISION_ETA,
-    DEFAULT_TOL,
     Objective,
     Property,
     Specification,
@@ -68,10 +66,8 @@ __all__ = [
     "CeQualityReport",
     "CheckSettings",
     "Conflict",
-    "ConvergenceError",
     "CostMeter",
     "DECISION_ETA",
-    "DEFAULT_TOL",
     "Distribution",
     "Family",
     "InvalidBoundsError",

@@ -3,30 +3,27 @@
 Subcommands::
 
     mcsynth synth     --sketch F --spec F --method onebyone|cegis|ar|hybrid
-                      [--bounds trivial|family] [--exact]
+                      [--bounds trivial|family]
                       [--cost-units deterministic|wallclock] [--seed N] [--json]
     mcsynth bench gen --states N --params K --domain D --seed S -o FILE
     mcsynth ce-report --sketch F --spec F --mode trivial|family
                       [--minimal-oracle] [--json]
 
 Exit codes: 0 feasible/optimal (and for bench/ce-report success), 1
-infeasible, 2 input error, 3 resource cap exceeded.  The environment
-variable ``SYNTH_TOL`` overrides the value-iteration tolerance (default
-1e-8).
+infeasible, 2 input error, 3 resource cap exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
 from .errors import ResourceCapError, SketchError
 from .report import ce_quality_report
 from .sketch import generate_benchmark, parse_sketch, parse_spec, serialize_sketch
-from .synthesis import METHODS, CheckSettings, synthesize
+from .synthesis import METHODS, synthesize
 
 EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
@@ -54,9 +51,6 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["trivial", "family"],
         default="family",
         help="rerouting vectors of conflicts (cegis and hybrid)",
-    )
-    synth.add_argument(
-        "--exact", action="store_true", help="certify members with the exact solver"
     )
     synth.add_argument(
         "--cost-units",
@@ -97,29 +91,14 @@ def _read(path: str) -> str:
         raise SketchError(str(exc), location=path) from exc
 
 
-def _tolerance() -> float | None:
-    raw = os.environ.get("SYNTH_TOL")
-    if raw is None:
-        return None
-    try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise SketchError(f"SYNTH_TOL={raw!r} is not a number", location="env") from exc
-    if tol <= 0:
-        raise SketchError(f"SYNTH_TOL={raw!r} must be positive", location="env")
-    return tol
-
-
 def _run_synth(args) -> int:
     family = parse_sketch(_read(args.sketch))
     spec = parse_spec(_read(args.spec), family)
-    settings = CheckSettings(tol=_tolerance(), exact=args.exact)
     start = time.perf_counter()
     result = synthesize(
         family,
         spec,
         method=args.method,
-        settings=settings,
         bounds=args.bounds,
         cost_units=args.cost_units,
     )
@@ -185,7 +164,6 @@ def _run_ce_report(args) -> int:
         spec,
         mode=args.mode,
         include_minimal=args.minimal_oracle,
-        tol=_tolerance(),
     )
     if args.json:
         print(report.to_json(), end="")

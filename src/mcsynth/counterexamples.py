@@ -130,7 +130,6 @@ def construct_conflict(
     gamma: Sequence[float],
     scope: Subfamily,
     eta: float = DECISION_ETA,
-    tol: float | None = None,
     meter: CostMeter | None = None,
 ) -> Conflict:
     """Greedy conflict for a member violating ``prop``.
@@ -150,7 +149,7 @@ def construct_conflict(
     while True:
         expanded, horizon = reachable_via_holes(mc, family, rel, scope)
         rerouted = reroute(mc, expanded, gamma)
-        value = float(mc_reach(rerouted, new_targets, tol)[mc.initial])
+        value = float(mc_reach(rerouted, new_targets)[mc.initial])
         if meter is not None:
             meter.count()
         if not evaluate_property(value, prop, eta):

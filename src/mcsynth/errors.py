@@ -22,12 +22,9 @@ class PropertyError(SketchError):
 
 
 class ResourceCapError(McsynthError):
-    """A configured resource cap was exceeded (member count, actions, sweeps)."""
-
-
-class ConvergenceError(ResourceCapError):
-    """Value iteration hit the sweep cap before reaching the tolerance."""
+    """A configured resource cap was exceeded (member count, actions, states)."""
 
 
 class InvalidBoundsError(McsynthError):
-    """A rerouting vector is inconsistent with the chain it was applied to."""
+    """Bounds are inconsistent: a rerouting vector with the chain it was
+    applied to, or a quotient's upper bound with its lower bound."""

@@ -17,11 +17,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ResourceCapError
+from .errors import InvalidBoundsError, ResourceCapError
 from .model import Family, Subfamily, member_count
 from .reach import mdp_extreme
 
 ACTION_CAP = 10**6
+BOUNDS_SLACK = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +71,8 @@ class QuotientMdp:
 class BoundsVec:
     """Per-state reachability bounds valid for every member of ``scope``.
 
-    ``lb <= ub`` pointwise; the schedulers attain the bounds on the quotient.
+    ``lb <= ub`` pointwise up to ``BOUNDS_SLACK``; the schedulers attain the
+    bounds on the quotient.
     """
 
     lb: np.ndarray
@@ -133,22 +135,28 @@ def compute_bounds(
     family: Family,
     sub: Subfamily,
     targets: Iterable[int],
-    tol: float | None = None,
     meter=None,
 ) -> BoundsVec:
-    """Min/max reachability bounds for ``sub``, cached on the subfamily."""
+    """Min/max reachability bounds for ``sub``, cached on the subfamily.
+
+    Raises :class:`InvalidBoundsError` if the upper bound falls more than
+    ``BOUNDS_SLACK`` below the lower bound anywhere.
+    """
     key = frozenset(int(t) for t in targets)
     cached = sub.cached_bounds(key)
     if cached is not None:
         return cached
     qmdp = build_quotient(family, sub)
-    lb, min_sched = mdp_extreme(qmdp, key, "min", tol)
-    ub, max_sched = mdp_extreme(qmdp, key, "max", tol)
+    lb, min_sched = mdp_extreme(qmdp, key, "min")
+    ub, max_sched = mdp_extreme(qmdp, key, "max")
     if meter is not None:
         meter.count(2)
-    # Both solves approach their fixpoints from below, so ub can undershoot lb
-    # by a sliver on singleton scopes; clamp to keep lb <= ub pointwise.
-    ub = np.maximum(ub, lb)
+    below = np.flatnonzero(ub < lb - BOUNDS_SLACK)
+    if below.size:
+        s = int(below[0])
+        raise InvalidBoundsError(
+            f"upper bound {ub[s]!r} below lower bound {lb[s]!r} at state {s}"
+        )
     bounds = BoundsVec(
         lb=lb,
         ub=ub,

@@ -1,35 +1,35 @@
 """Reachability probabilities for chains and quotient MDPs.
 
-All solvers run a qualitative prob-0 precomputation first, which pins states
-that cannot reach the target to exactly 0 and makes the remaining fixpoint
-unique.  Value iteration uses Gauss-Seidel sweeps in state-index order; the
-last sweep's change alone understates the true error by the contraction
-factor of the chain, so sweeps stop once the change scaled by an online
-estimate of that factor drops below the tolerance, keeping the returned
-values within ``tol`` of the true probabilities.  The sweep count is capped
-at ``SWEEP_CAP`` (exceeding it is an error).  Boundary precision at
-thresholds is handled by the decision tolerance ``eta`` of
-:func:`evaluate_property`; ties resolve toward satisfaction.
+Every solver runs a qualitative prob-0 precomputation first: target states
+are pinned to exactly 1 and states that cannot reach the target to exactly 0,
+which leaves a nonsingular linear system ``(I - Q) x = c`` on the remaining
+states.  Chains solve that system once, directly; quotient MDPs run policy
+iteration, evaluating each policy with the same solve.  Values are exact up
+to floating rounding.  Boundary precision at thresholds is handled by the
+decision tolerance ``eta`` of :func:`evaluate_property`; ties resolve toward
+satisfaction.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .errors import ConvergenceError, ResourceCapError
+from .errors import ResourceCapError
 from .model import Mc
 
 if TYPE_CHECKING:  # pragma: no cover
     from .quotient import QuotientMdp
 
-DEFAULT_TOL = 1e-8
 DECISION_ETA = 1e-6
-SWEEP_CAP = 10**6
 EXACT_STATE_CAP = 2000
+# Policy iteration switches an action only when it improves a state's value
+# by more than this, so rounding noise in ties never makes it cycle.
+IMPROVE_EPS = 1e-12
 
 
 class CostMeter:
@@ -42,32 +42,6 @@ class CostMeter:
 
     def count(self, n: int = 1) -> None:
         self.total += n
-
-
-class _StopRule:
-    """Error-bounded convergence test for geometrically converging sweeps.
-
-    For a contraction with factor kappa, the distance to the fixpoint is at
-    most ``delta * kappa / (1 - kappa)`` where ``delta`` is the last change;
-    kappa is estimated from recent change ratios (floored at 0.5 so the test
-    is never weaker than ``delta < tol``).
-    """
-
-    __slots__ = ("tol", "prev", "ratios")
-
-    def __init__(self, tol: float):
-        self.tol = tol
-        self.prev: float | None = None
-        self.ratios = deque(maxlen=5)
-
-    def done(self, delta: float) -> bool:
-        if delta == 0.0:
-            return True
-        if self.prev is not None and self.prev > 0.0:
-            self.ratios.append(delta / self.prev)
-        self.prev = delta
-        kappa = min(0.99999, max(0.5, max(self.ratios, default=0.5)))
-        return delta * kappa / (1.0 - kappa) < self.tol
 
 
 @dataclass(frozen=True)
@@ -157,29 +131,75 @@ def _check_targets(n: int, targets: Iterable[int]) -> frozenset[int]:
     return tset
 
 
-def _backward_reachable(
-    n: int, successors: Iterable[Iterable[int]], targets: frozenset[int]
+def _backward_distance(
+    n: int, src: np.ndarray, tgt: np.ndarray, targets: frozenset[int]
 ) -> np.ndarray:
-    """Boolean mask of the ``n`` states with a path into ``targets``.
+    """Fewest edges from each of the ``n`` states into ``targets``; -1 if none.
 
-    ``successors`` yields, per state in index order, the states it has an edge
-    to; chains pass their rows, MDPs the entries of all actions of a state.
+    ``src`` and ``tgt`` are the flat entry arrays: chains pass one entry per
+    transition, MDPs the entries of all actions.
     """
-    preds: list[list[int]] = [[] for _ in range(n)]
-    for s, succ in enumerate(successors):
-        for t in succ:
-            preds[t].append(s)
-    seen = np.zeros(n, dtype=bool)
+    order = np.argsort(tgt, kind="stable")
+    preds = src[order].tolist()
+    ptr = np.searchsorted(tgt[order], np.arange(n + 1)).tolist()
+    dist = [-1] * n
     queue = deque(sorted(targets))
-    for t in targets:
-        seen[t] = True
+    for t in queue:
+        dist[t] = 0
     while queue:
         t = queue.popleft()
-        for s in preds[t]:
-            if not seen[s]:
-                seen[s] = True
+        for s in preds[ptr[t] : ptr[t + 1]]:
+            if dist[s] < 0:
+                dist[s] = dist[t] + 1
                 queue.append(s)
-    return seen
+    return np.asarray(dist)
+
+
+def _chain_entries(mc: Mc) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of ``mc`` as flat ``(src, tgt, prob)`` entry arrays."""
+    rows = mc.rows
+    tgt = np.fromiter(itertools.chain.from_iterable(r.keys for r in rows), np.int64)
+    prob = np.fromiter(itertools.chain.from_iterable(r.probs for r in rows), np.float64)
+    src = np.repeat(np.arange(len(rows)), [len(r.keys) for r in rows])
+    return src, tgt, prob
+
+
+def _fixed_values(
+    n: int, targets: frozenset[int], zero: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Values 1 at targets and 0 elsewhere, plus the mask of states left to solve."""
+    values = np.zeros(n)
+    tlist = sorted(targets)
+    values[tlist] = 1.0
+    unknown = ~zero
+    unknown[tlist] = False
+    return values, unknown
+
+
+def _solve(
+    src: np.ndarray, tgt: np.ndarray, prob: np.ndarray, values: np.ndarray, unknown: np.ndarray
+) -> None:
+    """Set ``values[unknown]`` to the reachability values of one chain.
+
+    The entries hold one row per state: a chain's, or the actions a policy
+    picks.  ``values`` holds the fixed values outside ``unknown``; the rows
+    of the unknown states give ``(I - Q) x = c``, solved with one
+    ``np.linalg.solve``.  The system is nonsingular when every unknown state
+    leaves the unknown set with probability 1.
+    """
+    m = int(np.count_nonzero(unknown))
+    if m == 0:
+        return
+    index = np.cumsum(unknown) - 1
+    own = unknown[src]
+    s, t, p = index[src[own]], tgt[own], prob[own]
+    inner = unknown[t]
+    system = np.eye(m)
+    # Targets are unique within a row, so no (s, t) pair repeats.
+    system[s[inner], index[t[inner]]] -= p[inner]
+    outer = ~inner
+    rhs = np.bincount(s[outer], weights=p[outer] * values[t[outer]], minlength=m)
+    values[unknown] = np.clip(np.linalg.solve(system, rhs), 0.0, 1.0)
 
 
 def _mc_prepare(mc: Mc, targets: frozenset[int]):
@@ -188,7 +208,8 @@ def _mc_prepare(mc: Mc, targets: frozenset[int]):
     dense = np.zeros((n, n))
     for s, row in enumerate(mc.rows):
         dense[s, list(row.keys)] = row.probs
-    can_reach = _backward_reachable(n, (row.keys for row in mc.rows), targets)
+    src, tgt, _ = _chain_entries(mc)
+    can_reach = _backward_distance(n, src, tgt, targets) >= 0
     values = np.zeros(n)
     tlist = sorted(targets)
     values[tlist] = 1.0
@@ -198,47 +219,17 @@ def _mc_prepare(mc: Mc, targets: frozenset[int]):
     return dense, values, unknown
 
 
-def mc_reach(
-    mc: Mc,
-    targets: Iterable[int],
-    tol: float | None = None,
-    sweep_log: list | None = None,
-) -> np.ndarray:
+def mc_reach(mc: Mc, targets: Iterable[int]) -> np.ndarray:
     """Per-state probability of eventually reaching ``targets``.
 
     Target states are exactly 1, states that cannot reach the target in the
-    underlying graph exactly 0, all others within ``tol`` of the true value.
-    ``sweep_log`` (testing hook) collects a copy of the iterate every 10
-    Gauss-Seidel sweeps.
+    underlying graph exactly 0; the rest come from one direct solve.
     """
-    tol = DEFAULT_TOL if tol is None else float(tol)
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
     tset = _check_targets(mc.n_states, targets)
-    dense, values, unknown = _mc_prepare(mc, tset)
-    if unknown.size == 0:
-        return values
-    q = dense[np.ix_(unknown, unknown)]
-    c = dense[unknown] @ values
-    # Gauss-Seidel in state-index order: (I - L) x' = (Q - L) x + c with L the
-    # strict lower triangle; the unit-triangular inverse is formed once.
-    lower_inv = np.linalg.inv(np.eye(unknown.size) - np.tril(q, -1))
-    rest = np.triu(q, 0)
-    x = np.zeros(unknown.size)
-    stop = _StopRule(tol)
-    for sweep in range(1, SWEEP_CAP + 1):
-        x_new = lower_inv @ (rest @ x + c)
-        delta = float(np.max(np.abs(x_new - x)))
-        x = x_new
-        if sweep_log is not None and sweep % 10 == 0:
-            snapshot = values.copy()
-            snapshot[unknown] = x
-            sweep_log.append(snapshot)
-        if stop.done(delta):
-            break
-    else:
-        raise ConvergenceError(f"value iteration did not converge in {SWEEP_CAP} sweeps")
-    values[unknown] = np.clip(x, 0.0, 1.0)
+    src, tgt, prob = _chain_entries(mc)
+    zero = _backward_distance(mc.n_states, src, tgt, tset) < 0
+    values, unknown = _fixed_values(mc.n_states, tset, zero)
+    _solve(src, tgt, prob, values, unknown)
     return values
 
 
@@ -262,108 +253,84 @@ def mc_reach_exact(mc: Mc, targets: Iterable[int]) -> np.ndarray:
     return values
 
 
-def _mdp_prob0_max(mdp: "QuotientMdp", targets: frozenset[int]) -> np.ndarray:
-    """States with maximal reachability 0: no path to the target at all."""
-    n = mdp.n_states
-    ent = mdp.act_ptr[mdp.state_ptr].tolist()
-    tgt = mdp.ent_target.tolist()
-    return ~_backward_reachable(n, (tgt[ent[s] : ent[s + 1]] for s in range(n)), targets)
+def _first_action(mask: np.ndarray, state_ptr: np.ndarray) -> np.ndarray:
+    """Per state, the local index of its first action with ``mask`` set.
+
+    States without such an action get the total action count.
+    """
+    local = np.arange(mask.size) - np.repeat(state_ptr[:-1], np.diff(state_ptr))
+    return np.minimum.reduceat(np.where(mask, local, mask.size), state_ptr[:-1])
 
 
-def _mdp_prob0_min(mdp: "QuotientMdp", targets: frozenset[int]) -> np.ndarray:
+def _mdp_prob0_min(
+    mdp: "QuotientMdp", targets: frozenset[int]
+) -> tuple[np.ndarray, np.ndarray]:
     """States with minimal reachability 0: some action can avoid the target forever.
 
     Greatest fixpoint of "has an action whose support stays inside the set".
+    Also returns, per action, whether its support stays inside the final set.
     """
-    n = mdp.n_states
-    inside = np.ones(n, dtype=bool)
-    for t in targets:
-        inside[t] = False
-    changed = True
-    while changed:
-        changed = False
-        for s in range(n):
-            if not inside[s]:
-                continue
-            ok = False
-            for a in range(mdp.state_ptr[s], mdp.state_ptr[s + 1]):
-                succ = mdp.ent_target[mdp.act_ptr[a] : mdp.act_ptr[a + 1]]
-                if inside[succ].all():
-                    ok = True
-                    break
-            if not ok:
-                inside[s] = False
-                changed = True
-    return inside
+    inside = np.ones(mdp.n_states, dtype=bool)
+    inside[sorted(targets)] = False
+    while True:
+        stays = np.logical_and.reduceat(inside[mdp.ent_target], mdp.act_ptr[:-1])
+        keep = inside & np.logical_or.reduceat(stays, mdp.state_ptr[:-1])
+        if np.array_equal(keep, inside):
+            return inside, stays
+        inside = keep
 
 
 def mdp_extreme(
-    mdp: "QuotientMdp",
-    targets: Iterable[int],
-    mode: str,
-    tol: float | None = None,
+    mdp: "QuotientMdp", targets: Iterable[int], mode: str
 ) -> tuple[np.ndarray, np.ndarray]:
     """Optimal (min or max) reachability values plus an attaining scheduler.
 
-    The scheduler is one action index per state; ties resolve to the smallest
-    index.  For the min objective, states inside the prob-0 region get the
-    smallest action that stays inside it, so the induced chain attains 0.
+    Howard's policy iteration: evaluate the current policy with a direct
+    solve, then switch every state whose best action beats its current one
+    by more than ``IMPROVE_EPS`` to the smallest-index best action.  Min
+    mode starts from action 0, since outside the prob-0 region every policy
+    reaches the target with positive probability.  Max mode starts from a
+    proper policy, the smallest action with a successor one step closer to
+    the target; strict improvements keep it proper.  The scheduler is the
+    final policy: with exact values, actions that stay inside an end
+    component tie with the optimal one but do not attain the value.  For
+    the min objective, states inside the prob-0 region get the smallest
+    action that stays inside it, so the induced chain attains 0.
     """
     if mode not in ("min", "max"):
         raise ValueError(f"unknown mode {mode!r}")
-    tol = DEFAULT_TOL if tol is None else float(tol)
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
     n = mdp.n_states
-    for s in range(n):
-        if mdp.state_ptr[s + 1] == mdp.state_ptr[s]:
-            raise ValueError(f"state {s} has no actions")
+    state_ptr, act_ptr = mdp.state_ptr, mdp.act_ptr
+    n_acts = np.diff(state_ptr)
+    if (n_acts == 0).any():
+        raise ValueError(f"state {int(np.argmax(n_acts == 0))} has no actions")
     tset = _check_targets(n, targets)
+    tgt, prob = mdp.ent_target, mdp.ent_prob
+    act_first = state_ptr[:-1]
+    act_state = np.repeat(np.arange(n), n_acts)
+    ent_act = np.repeat(np.arange(act_state.size), np.diff(act_ptr))
+    ent_src = act_state[ent_act]
 
-    zero = _mdp_prob0_min(mdp, tset) if mode == "min" else _mdp_prob0_max(mdp, tset)
-    values = np.zeros(n)
-    for t in tset:
-        values[t] = 1.0
-        zero[t] = False
-    unknown = [s for s in range(n) if s not in tset and not zero[s]]
-
-    # Per-state slices of the flat entry arrays, with reduceat offsets for the
-    # action boundaries inside each slice.
-    slices = []
-    for s in unknown:
-        a0, a1 = mdp.state_ptr[s], mdp.state_ptr[s + 1]
-        e0, e1 = mdp.act_ptr[a0], mdp.act_ptr[a1]
-        offs = mdp.act_ptr[a0:a1] - e0
-        slices.append((s, mdp.ent_target[e0:e1], mdp.ent_prob[e0:e1], offs))
-
-    pick = np.min if mode == "min" else np.max
-    stop = _StopRule(tol)
-    for _sweep in range(1, SWEEP_CAP + 1):
-        delta = 0.0
-        for s, tgt, prob, offs in slices:
-            act_vals = np.add.reduceat(prob * values[tgt], offs)
-            nv = float(pick(act_vals))
-            d = abs(nv - values[s])
-            if d > delta:
-                delta = d
-            values[s] = nv
-        if stop.done(delta):
-            break
-    else:
-        raise ConvergenceError(f"value iteration did not converge in {SWEEP_CAP} sweeps")
-
-    scheduler = np.zeros(n, dtype=np.int64)
-    argpick = np.argmin if mode == "min" else np.argmax
-    for s, tgt, prob, offs in slices:
-        act_vals = np.add.reduceat(prob * values[tgt], offs)
-        scheduler[s] = int(argpick(act_vals))
+    policy = np.zeros(n, dtype=np.int64)
     if mode == "min":
-        for s in range(n):
-            if zero[s]:
-                for a in range(mdp.state_ptr[s], mdp.state_ptr[s + 1]):
-                    succ = mdp.ent_target[mdp.act_ptr[a] : mdp.act_ptr[a + 1]]
-                    if zero[succ].all():
-                        scheduler[s] = a - mdp.state_ptr[s]
-                        break
-    np.clip(values, 0.0, 1.0, out=values)
-    return values, scheduler
+        zero, stays = _mdp_prob0_min(mdp, tset)
+        values, unknown = _fixed_values(n, tset, zero)
+        policy[zero] = _first_action(stays, state_ptr)[zero]
+        reduce = np.minimum.reduceat
+    else:
+        dist = _backward_distance(n, ent_src, tgt, tset)
+        values, unknown = _fixed_values(n, tset, dist < 0)
+        closer = np.logical_or.reduceat(dist[tgt] == dist[ent_src] - 1, act_ptr[:-1])
+        policy[unknown] = _first_action(closer, state_ptr)[unknown]
+        reduce = np.maximum.reduceat
+
+    while True:
+        picked = ent_act == (act_first + policy)[ent_src]
+        _solve(ent_src[picked], tgt[picked], prob[picked], values, unknown)
+        act_vals = np.add.reduceat(prob * values[tgt], act_ptr[:-1])
+        best = reduce(act_vals, act_first)
+        gain = np.abs(best - act_vals[act_first + policy])
+        switch = unknown & (gain > IMPROVE_EPS)
+        if not switch.any():
+            return values, policy
+        policy[switch] = _first_action(act_vals == best[act_state], state_ptr)[switch]

@@ -94,7 +94,6 @@ def ce_quality_report(
     mode: str = "family",
     include_minimal: bool = False,
     eta: float = DECISION_ETA,
-    tol: float | None = None,
 ) -> CeQualityReport:
     """Build conflicts for every violating (member, property) pair.
 
@@ -112,20 +111,20 @@ def ce_quality_report(
         if mode == "trivial":
             gammas[idx] = trivial_gamma(family.n_states, prop)
         else:
-            bounds = compute_bounds(family, scope, prop.targets, tol)
+            bounds = compute_bounds(family, scope, prop.targets)
             gammas[idx] = bounds.lb if prop.op == "<=" else bounds.ub
 
     rows = []
     for r in iterate_unpruned(scope):
         mc = induce(family, r)
         for idx, prop in enumerate(spec.properties):
-            value = float(mc_reach(mc, prop.targets, tol)[family.initial])
+            value = float(mc_reach(mc, prop.targets)[family.initial])
             if evaluate_property(value, prop, eta):
                 continue
             meter = CostMeter()
             start = time.perf_counter()
             conflict = construct_conflict(
-                family, r, prop, gammas[idx], scope, eta=eta, tol=tol, meter=meter
+                family, r, prop, gammas[idx], scope, eta=eta, meter=meter
             )
             elapsed = time.perf_counter() - start
             minimal_size = None

@@ -50,7 +50,6 @@ from .reach import (
     Specification,
     evaluate_property,
     mc_reach,
-    mc_reach_exact,
 )
 
 METHODS = ("onebyone", "cegis", "ar", "hybrid")
@@ -63,9 +62,7 @@ DELTA_MAX = 64.0
 class CheckSettings:
     """Numeric policy shared by a synthesis run."""
 
-    tol: float | None = None
     eta: float = DECISION_ETA
-    exact: bool = False
 
 
 @dataclass
@@ -194,10 +191,7 @@ def _member_values(state: HybridState, r: Realization) -> dict[frozenset[int], f
     mc = induce(state.family, r)
     out = {}
     for tset in _target_sets(state):
-        if state.settings.exact:
-            vals = mc_reach_exact(mc, tset)
-        else:
-            vals = mc_reach(mc, tset, state.settings.tol)
+        vals = mc_reach(mc, tset)
         state.meter.count()
         out[tset] = float(vals[state.family.initial])
     return out
@@ -305,7 +299,7 @@ def ar_run(state: HybridState) -> tuple[SynthesisResult | None, float, int]:
 
     props = _props_all(state)
     bounds = {
-        tset: compute_bounds(state.family, item.sub, tset, state.settings.tol, state.meter)
+        tset: compute_bounds(state.family, item.sub, tset, state.meter)
         for tset in _target_sets(state)
     }
     statuses = [_status(p, bounds[p.targets], state.family.initial, eta) for p in props]
@@ -401,7 +395,7 @@ def cegis_phase(
                     gamma = _gamma_for(state, item, p)
                     conflict = construct_conflict(
                         state.family, r, p, gamma, item.sub,
-                        eta=eta, tol=state.settings.tol, meter=meter,
+                        eta=eta, meter=meter,
                     )
                     item.conflicts.append(conflict)
         else:
@@ -469,7 +463,7 @@ def synthesize(
             )
     if method == "cegis" and bounds == "family":
         for tset in _target_sets(state):
-            compute_bounds(family, root.sub, tset, state.settings.tol, state.meter)
+            compute_bounds(family, root.sub, tset, state.meter)
 
     ar_steps = method in ("ar", "hybrid")
     result = None

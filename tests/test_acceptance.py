@@ -2,8 +2,8 @@
 
 Every expected number is either taken from the worked five-state example or
 computed by an independent oracle (exhaustive enumeration with the exact
-linear solver) inside the test.  Tolerances: solver tol 1e-8 (bounds get
-2*tol slack), decision tolerance eta 1e-6.
+linear solver) inside the test.  Tolerances: bounds get 2e-8 slack against
+the oracle, decision tolerance eta 1e-6.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.
 """
@@ -17,7 +17,6 @@ import pytest
 
 from mcsynth import (
     CostMeter,
-    DEFAULT_TOL,
     Objective,
     Property,
     Realization,
@@ -47,7 +46,7 @@ from conftest import (
     make_instance,
 )
 
-SLACK = 2 * DEFAULT_TOL
+SLACK = 2e-8
 
 
 @contextmanager

@@ -182,6 +182,40 @@ class TestComputeBounds:
             assert (vals <= bounds.ub + 2e-8).all()
 
 
+    def test_bounds_ordered_down_to_singletons(self):
+        # Min and max evaluate different policies, i.e. different linear
+        # systems, so states they agree on may differ by rounding.  On a
+        # singleton both solve the same system and agree bitwise.
+        for i in range(0, 50, 4):
+            fam = corpus_family(i)
+            targets = {goal_index(fam)}
+            stack = [fam.full_subfamily()]
+            while stack:
+                sub = stack.pop()
+                bounds = compute_bounds(fam, sub, targets)
+                assert (bounds.lb <= bounds.ub + 1e-12).all()
+                if member_count(sub) == 1:
+                    assert np.array_equal(bounds.lb, bounds.ub)
+                else:
+                    stack.extend(split_subfamily(
+                        fam, sub, bounds.min_scheduler, bounds.max_scheduler, bounds.quotient
+                    ))
+
+    def test_crossed_bounds_raise(self, toy4, monkeypatch):
+        import mcsynth.quotient as quotient_mod
+        from mcsynth.errors import InvalidBoundsError
+
+        real = quotient_mod.mdp_extreme
+
+        def skewed(qmdp, targets, mode):
+            vals, sched = real(qmdp, targets, mode)
+            return (vals - 1e-6 if mode == "max" else vals), sched
+
+        monkeypatch.setattr(quotient_mod, "mdp_extreme", skewed)
+        with pytest.raises(InvalidBoundsError, match="below lower bound"):
+            compute_bounds(toy4, toy4.full_subfamily(), TOY_TARGET)
+
+
 class TestSplitSubfamily:
     def test_toy_split_separates_initial_choice(self, toy4):
         sub = toy4.full_subfamily()

@@ -1,19 +1,23 @@
-"""Solvers: iterative and exact reachability, threshold evaluation."""
+"""Solvers: chain and MDP reachability against oracles, threshold evaluation."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcsynth import (
     Distribution,
     Mc,
     Property,
+    QuotientMdp,
     Realization,
     evaluate_property,
     induce,
     mc_reach,
     mc_reach_exact,
+    mdp_extreme,
 )
 from mcsynth.errors import ResourceCapError
 
@@ -67,24 +71,97 @@ class TestMcReach:
                 mc_reach(mc, targets), mc_reach_exact(mc, targets), atol=1e-6
             )
 
-    def test_iterates_monotone_from_below(self):
-        rng = random.Random(77)
-        for _ in range(5):
-            mc = random_mc(rng, 25)
-            log: list = []
-            mc_reach(mc, {24}, sweep_log=log)
-            for earlier, later in zip(log, log[1:]):
-                assert (later >= earlier - 1e-12).all()
-
     def test_empty_target_rejected(self, toy4):
         mc = induce(toy4, TOY_R[0])
         with pytest.raises(ValueError, match="non-empty"):
             mc_reach(mc, set())
 
-    def test_bad_tolerance_rejected(self, toy4):
-        mc = induce(toy4, TOY_R[0])
-        with pytest.raises(ValueError, match="positive"):
-            mc_reach(mc, TOY_TARGET, tol=0.0)
+    def test_gamblers_ruin_matches_closed_form(self):
+        # 400 states, fair-ish walk: a slowly mixing chain where a stop rule
+        # on the last sweep's change understates the error.
+        n, p = 400, 0.49
+        q = 1.0 - p
+        rows = [Distribution({0: 1.0})]
+        rows += [Distribution({i - 1: q, i + 1: p}) for i in range(1, n - 1)]
+        rows.append(Distribution({n - 1: 1.0}))
+        got = mc_reach(Mc(initial=n // 2, rows=tuple(rows)), {n - 1})
+        ratio = q / p
+        want = (1.0 - ratio ** np.arange(n)) / (1.0 - ratio ** (n - 1))
+        assert np.max(np.abs(got - want)) <= 1e-9
+
+
+def make_mdp(actions) -> QuotientMdp:
+    """MDP from a list, per state, of actions given as ``{target: prob}`` dicts."""
+    state_ptr, act_ptr, tgt, prob = [0], [0], [], []
+    for acts in actions:
+        for act in acts:
+            for t in sorted(act):
+                tgt.append(t)
+                prob.append(act[t])
+            act_ptr.append(len(tgt))
+        state_ptr.append(len(act_ptr) - 1)
+    return QuotientMdp(
+        family=None,
+        sub=None,
+        initial=0,
+        n_states=len(actions),
+        state_ptr=np.asarray(state_ptr, dtype=np.int64),
+        act_ptr=np.asarray(act_ptr, dtype=np.int64),
+        ent_target=np.asarray(tgt, dtype=np.int64),
+        ent_prob=np.asarray(prob, dtype=np.float64),
+        supp=(),
+    )
+
+
+def scheduler_chain(actions, sched) -> Mc:
+    rows = tuple(Distribution(acts[a]) for acts, a in zip(actions, sched))
+    return Mc(initial=0, rows=rows)
+
+
+@st.composite
+def small_mdps(draw):
+    """Up to 6 states with up to 3 actions each; state n-1 is the target."""
+    n = draw(st.integers(2, 6))
+    actions = []
+    for _ in range(n):
+        acts = []
+        for _ in range(draw(st.integers(1, 3))):
+            succ = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=3, unique=True))
+            weights = [draw(st.integers(1, 8)) for _ in succ]
+            acts.append({t: w / sum(weights) for t, w in zip(succ, weights)})
+        actions.append(acts)
+    return actions
+
+
+class TestMdpExtremeOracles:
+    def test_max_scheduler_avoids_tied_end_component(self):
+        # States 0 and 1 can bounce between each other forever; with exact
+        # values that bounce ties with the exit of state 1 at the optimum.
+        actions = [
+            [{1: 1.0}, {2: 0.3, 3: 0.7}],
+            [{0: 1.0}, {2: 0.6, 3: 0.4}],
+            [{2: 1.0}],
+            [{3: 1.0}],
+        ]
+        vals, sched = mdp_extreme(make_mdp(actions), {2}, "max")
+        assert np.allclose(vals, [0.6, 0.6, 1.0, 0.0], atol=1e-12)
+        direct = mc_reach_exact(scheduler_chain(actions, sched), {2})
+        assert np.allclose(direct, vals, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_mdps())
+    def test_matches_brute_force_over_memoryless_schedulers(self, actions):
+        n = len(actions)
+        mdp = make_mdp(actions)
+        chains = [
+            mc_reach_exact(scheduler_chain(actions, sched), {n - 1})
+            for sched in itertools.product(*(range(len(a)) for a in actions))
+        ]
+        for mode, pick in (("min", np.min), ("max", np.max)):
+            vals, sched = mdp_extreme(mdp, {n - 1}, mode)
+            assert np.allclose(vals, pick(chains, axis=0), atol=1e-9)
+            direct = mc_reach_exact(scheduler_chain(actions, sched), {n - 1})
+            assert np.allclose(direct, vals, atol=1e-9)
 
 
 class TestMcReachExact:
