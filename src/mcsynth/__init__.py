@@ -57,14 +57,13 @@ from .sketch import (
     parse_spec,
     serialize_sketch,
 )
-from .synthesis import CheckSettings, SynthesisResult, SynthStats, synthesize
+from .synthesis import SynthesisResult, SynthStats, synthesize
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundsVec",
     "CeQualityReport",
-    "CheckSettings",
     "Conflict",
     "CostMeter",
     "DECISION_ETA",

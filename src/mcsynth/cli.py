@@ -4,7 +4,7 @@ Subcommands::
 
     mcsynth synth     --sketch F --spec F --method onebyone|cegis|ar|hybrid
                       [--bounds trivial|family]
-                      [--cost-units deterministic|wallclock] [--seed N] [--json]
+                      [--cost-units deterministic|wallclock] [--json]
     mcsynth bench gen --states N --params K --domain D --seed S -o FILE
     mcsynth ce-report --sketch F --spec F --mode trivial|family
                       [--minimal-oracle] [--json]
@@ -58,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="deterministic",
         help="unit of the hybrid's CEGIS budget: model checks or seconds",
     )
-    synth.add_argument("--seed", type=int, default=0, help="reserved; recorded in output")
     synth.add_argument("--json", action="store_true", help="machine-readable output")
 
     bench = sub.add_parser("bench", help="benchmark utilities")
@@ -121,7 +120,6 @@ def _run_synth(args) -> int:
         "model_checks": result.stats.model_checks,
         "pruned": result.stats.pruned,
         "checked": result.stats.checked,
-        "seed": args.seed,
         "time_s": elapsed,
     }
     if args.json:

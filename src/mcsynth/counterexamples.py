@@ -25,7 +25,6 @@ import numpy as np
 from .errors import InvalidBoundsError, ResourceCapError
 from .model import (
     Conflict,
-    Distribution,
     Family,
     Mc,
     Realization,
@@ -52,19 +51,24 @@ def reroute(mc: Mc, expanded: Iterable[int], gamma: Sequence[float]) -> Mc:
     """
     n = mc.n_states
     top, bot = n, n + 1
-    exp = set(expanded)
-    rows = []
-    for s in range(n):
-        if s in exp:
-            rows.append(mc.rows[s])
-            continue
-        g = float(gamma[s])
-        if not 0.0 <= g <= 1.0:
-            raise ValueError(f"gamma[{s}] = {g!r} outside [0, 1]")
-        rows.append(Distribution({top: g, bot: 1.0 - g}))
-    rows.append(Distribution({top: 1.0}))
-    rows.append(Distribution({bot: 1.0}))
-    return Mc(initial=mc.initial, rows=tuple(rows))
+    keep = np.zeros(n, dtype=bool)
+    keep[list(expanded)] = True
+    other = np.flatnonzero(~keep)
+    g = np.asarray(gamma, dtype=np.float64)[other]
+    bad = ~((g >= 0.0) & (g <= 1.0))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"gamma[{other[i]}] = {float(g[i])!r} outside [0, 1]")
+    src = np.repeat(np.arange(n), np.diff(mc.row_ptr))
+    own = keep[src]
+    src = np.concatenate((src[own], other, other, [top, bot]))
+    tgt = np.concatenate((mc.ent_target[own], np.repeat([top, bot], other.size), [top, bot]))
+    prob = np.concatenate((mc.ent_prob[own], g, 1.0 - g, [1.0, 1.0]))
+    live = prob > 0.0  # gamma 0 or 1 leaves a one-entry shortcut
+    src, tgt, prob = src[live], tgt[live], prob[live]
+    order = np.argsort(src, kind="stable")
+    row_ptr = np.searchsorted(src[order], np.arange(n + 3))
+    return Mc(mc.initial, row_ptr, tgt[order], prob[order])
 
 
 def _scope_multi(family: Family, scope: Subfamily | None) -> frozenset[int]:
@@ -91,13 +95,14 @@ def reachable_via_holes(
     multi = _scope_multi(family, scope)
     expanded: set[int] = set()
     horizon: set[int] = set()
+    ptr, tgt = mc.row_ptr.tolist(), mc.ent_target.tolist()
     seen = {mc.initial}
     queue = deque([mc.initial])
     while queue:
         s = queue.popleft()
         if all(k in rel for k in family.templates[s].keys if k in multi):
             expanded.add(s)
-            for t in mc.rows[s].keys:
+            for t in tgt[ptr[s] : ptr[s + 1]]:
                 if t not in seen:
                     seen.add(t)
                     queue.append(t)

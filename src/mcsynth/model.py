@@ -3,19 +3,24 @@
 States and parameters are interned to dense integer indices; every type here
 is immutable after construction and safe to share between threads.  Human
 readable names live only at the I/O boundary (see :mod:`mcsynth.sketch`).
+Transition rows of member chains, rerouted chains and quotient MDPs share one
+flat layout, normalised by :func:`flat_rows`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 PROB_SUM_TOL = 1e-9
 
 
 class Distribution:
-    """Finite probability distribution over integer keys.
+    """Finite probability distribution over integer keys (a template row).
 
     Entries with zero probability are dropped so the support is exactly the
     stored keys.  Probabilities must lie in [0, 1] and sum to 1 within
@@ -48,19 +53,6 @@ class Distribution:
     def items(self) -> Iterator[tuple[int, float]]:
         return zip(self.keys, self.probs)
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return self.keys
-
-    def get(self, key: int) -> float:
-        for k, p in zip(self.keys, self.probs):
-            if k == key:
-                return p
-        return 0.0
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Distribution):
             return NotImplemented
@@ -74,31 +66,65 @@ class Distribution:
         return f"Distribution({{{body}}})"
 
 
-@dataclass(frozen=True)
-class Mc:
-    """Markov chain: one distribution over state indices per state.
+def flat_rows(
+    n_rows: int, row: np.ndarray, target: np.ndarray, prob: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Normalise raw ``(row, target, prob)`` entries into ``(row_ptr, target, prob)``.
 
-    A state ``s`` is absorbing iff its row is ``[s -> 1]``.
+    This is the one rule for what a transition row is: entries sorted by
+    target, one entry per target holding the sum of its raw probabilities
+    (added in input order), no zero entries.  Row ``i`` is
+    ``target[row_ptr[i]:row_ptr[i + 1]]``.
+    """
+    order = np.lexsort((target, row))
+    row, target = row[order], target[order]
+    first = np.ones(row.size, dtype=bool)
+    first[1:] = (row[1:] != row[:-1]) | (target[1:] != target[:-1])
+    summed = np.bincount(np.cumsum(first) - 1, weights=prob[order])
+    keep = summed > 0.0
+    row = row[first][keep]
+    return np.searchsorted(row, np.arange(n_rows + 1)), target[first][keep], summed[keep]
+
+
+@dataclass(frozen=True, eq=False)
+class Mc:
+    """Markov chain as flat rows: a quotient MDP with one action per state.
+
+    The row of state ``s`` is ``ent_target[row_ptr[s]:row_ptr[s + 1]]`` with
+    probabilities ``ent_prob`` at the same positions; targets are strictly
+    increasing within a row and probabilities positive, summing to 1 within
+    ``PROB_SUM_TOL``.
     """
 
     initial: int
-    rows: tuple[Distribution, ...]
+    row_ptr: np.ndarray
+    ent_target: np.ndarray
+    ent_prob: np.ndarray
 
     def __post_init__(self):
-        n = len(self.rows)
+        n, ptr, tgt = self.n_states, self.row_ptr, self.ent_target
         if not 0 <= self.initial < n:
             raise ValueError(f"initial state {self.initial} out of range")
-        for s, row in enumerate(self.rows):
-            if row.keys[-1] >= n or row.keys[0] < 0:
-                raise ValueError(f"row of state {s} targets an unknown state")
+        if ptr[0] != 0 or ptr[-1] != tgt.size or self.ent_prob.size != tgt.size:
+            raise ValueError("row pointers must run from 0 to the entry count")
+        sizes = np.diff(ptr)
+        if not (sizes > 0).all():
+            raise ValueError(f"row of state {int(np.argmin(sizes))} is empty")
+        if tgt.min() < 0 or tgt.max() >= n:
+            raise ValueError("a row targets an unknown state")
+        rising = np.diff(tgt) > 0
+        rising[ptr[1:-1] - 1] = True  # row boundaries
+        if not rising.all():
+            raise ValueError("targets must be strictly increasing within a row")
+        if not (self.ent_prob > 0.0).all():
+            raise ValueError("row probabilities must be positive")
+        sums = np.add.reduceat(self.ent_prob, ptr[:-1])
+        if not (np.abs(sums - 1.0) <= PROB_SUM_TOL).all():
+            raise ValueError("row probabilities must sum to 1")
 
     @property
     def n_states(self) -> int:
-        return len(self.rows)
-
-    def is_absorbing(self, s: int) -> bool:
-        row = self.rows[s]
-        return row.keys == (s,) and row.probs == (1.0,)
+        return self.row_ptr.size - 1
 
 
 @dataclass(frozen=True)
@@ -152,6 +178,14 @@ class Family:
     def full_subfamily(self) -> "Subfamily":
         return Subfamily(self.domains)
 
+    @cached_property
+    def _template_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All template entries as flat ``(state, param, prob)`` arrays."""
+        state = [s for s, tmpl in enumerate(self.templates) for _ in tmpl.keys]
+        param = [k for tmpl in self.templates for k in tmpl.keys]
+        prob = [p for tmpl in self.templates for p in tmpl.probs]
+        return np.asarray(state), np.asarray(param), np.asarray(prob, dtype=np.float64)
+
 
 @dataclass(frozen=True)
 class Realization:
@@ -167,13 +201,9 @@ class Realization:
 
 
 class Subfamily:
-    """A hyper-rectangle of realizations: one restricted domain per parameter.
+    """A hyper-rectangle of realizations: one restricted domain per parameter."""
 
-    Reachability bounds computed for this subfamily are cached here, keyed by
-    target set; the cache is write-once per key (first store wins).
-    """
-
-    __slots__ = ("domains", "_bounds")
+    __slots__ = ("domains",)
 
     def __init__(self, domains: Sequence[Sequence[int]]):
         doms = tuple(tuple(d) for d in domains)
@@ -183,7 +213,6 @@ class Subfamily:
             if any(a >= b for a, b in zip(dom, dom[1:])):
                 raise ValueError(f"restricted domain of parameter {k} must be strictly increasing")
         self.domains = doms
-        self._bounds: dict = {}
 
     def multi_valued(self) -> tuple[int, ...]:
         return tuple(k for k, dom in enumerate(self.domains) if len(dom) > 1)
@@ -192,17 +221,6 @@ class Subfamily:
         doms = list(self.domains)
         doms[param] = tuple(values)
         return Subfamily(doms)
-
-    def cached_bounds(self, targets: frozenset):
-        return self._bounds.get(targets)
-
-    def store_bounds(self, bounds):
-        """Idempotently cache ``bounds`` under its target set; first store wins."""
-        return self._bounds.setdefault(bounds.targets, bounds)
-
-    def bounds_snapshot(self) -> dict:
-        """Copy of the bounds cache, for handing down to refined subfamilies."""
-        return dict(self._bounds)
 
     def __repr__(self) -> str:
         return f"Subfamily({self.domains!r})"
@@ -249,14 +267,9 @@ def induce(family: Family, r: Realization) -> Mc:
     summed, so every row remains a valid distribution.
     """
     validate_realization(family, r)
-    rows = []
-    for tmpl in family.templates:
-        acc: dict[int, float] = {}
-        for k, p in tmpl.items():
-            tgt = r.values[k]
-            acc[tgt] = acc.get(tgt, 0.0) + p
-        rows.append(Distribution(acc))
-    return Mc(initial=family.initial, rows=tuple(rows))
+    state, param, prob = family._template_entries
+    rows = flat_rows(family.n_states, state, np.asarray(r.values)[param], prob)
+    return Mc(family.initial, *rows)
 
 
 def generalization(r: Realization, params: Iterable[int], scope: Subfamily) -> list[Realization]:

@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidBoundsError, ResourceCapError
-from .model import Family, Subfamily, member_count
+from .model import Family, Subfamily, flat_rows, member_count
 from .reach import mdp_extreme
 
 ACTION_CAP = 10**6
@@ -96,11 +96,7 @@ def build_quotient(family: Family, sub: Subfamily) -> QuotientMdp:
     for k, dom in enumerate(sub.domains):
         if any(v not in family.domains[k] for v in dom):
             raise ValueError(f"restricted domain of parameter {k} leaves the declared domain")
-    state_ptr = [0]
-    act_ptr = [0]
-    ent_target: list[int] = []
-    ent_prob: list[float] = []
-    supp = []
+    counts, entries, targets, probs, supp = [], [], [], [], []
     for s, tmpl in enumerate(family.templates):
         params = tmpl.keys
         supp.append(params)
@@ -109,24 +105,28 @@ def build_quotient(family: Family, sub: Subfamily) -> QuotientMdp:
             raise ResourceCapError(
                 f"state {s} would get {count} quotient actions (cap {ACTION_CAP})"
             )
-        for combo in itertools.product(*(sub.domains[k] for k in params)):
-            acc: dict[int, float] = {}
-            for value, prob in zip(combo, tmpl.probs):
-                acc[value] = acc.get(value, 0.0) + prob
-            for tgt in sorted(acc):
-                ent_target.append(tgt)
-                ent_prob.append(acc[tgt])
-            act_ptr.append(len(ent_target))
-        state_ptr.append(len(act_ptr) - 1)
+        counts.append(count)
+        entries.append(len(params))
+        targets.extend(itertools.chain.from_iterable(
+            itertools.product(*(sub.domains[k] for k in params))
+        ))
+        probs.extend(tmpl.probs * count)
+    act_len = np.repeat(entries, counts)
+    act_ptr, ent_target, ent_prob = flat_rows(
+        act_len.size,
+        np.repeat(np.arange(act_len.size), act_len),
+        np.asarray(targets, dtype=np.int64),
+        np.asarray(probs, dtype=np.float64),
+    )
     return QuotientMdp(
         family=family,
         sub=sub,
         initial=family.initial,
         n_states=family.n_states,
-        state_ptr=np.asarray(state_ptr, dtype=np.int64),
-        act_ptr=np.asarray(act_ptr, dtype=np.int64),
-        ent_target=np.asarray(ent_target, dtype=np.int64),
-        ent_prob=np.asarray(ent_prob, dtype=np.float64),
+        state_ptr=np.concatenate(([0], np.cumsum(counts))),
+        act_ptr=act_ptr,
+        ent_target=ent_target,
+        ent_prob=ent_prob,
         supp=tuple(supp),
     )
 
@@ -137,15 +137,12 @@ def compute_bounds(
     targets: Iterable[int],
     meter=None,
 ) -> BoundsVec:
-    """Min/max reachability bounds for ``sub``, cached on the subfamily.
+    """Min/max reachability bounds for ``sub``.
 
     Raises :class:`InvalidBoundsError` if the upper bound falls more than
     ``BOUNDS_SLACK`` below the lower bound anywhere.
     """
     key = frozenset(int(t) for t in targets)
-    cached = sub.cached_bounds(key)
-    if cached is not None:
-        return cached
     qmdp = build_quotient(family, sub)
     lb, min_sched = mdp_extreme(qmdp, key, "min")
     ub, max_sched = mdp_extreme(qmdp, key, "max")
@@ -157,7 +154,7 @@ def compute_bounds(
         raise InvalidBoundsError(
             f"upper bound {ub[s]!r} below lower bound {lb[s]!r} at state {s}"
         )
-    bounds = BoundsVec(
+    return BoundsVec(
         lb=lb,
         ub=ub,
         min_scheduler=min_sched,
@@ -166,7 +163,6 @@ def compute_bounds(
         scope=sub,
         quotient=qmdp,
     )
-    return sub.store_bounds(bounds)
 
 
 def _reachable_under(qmdp: QuotientMdp, scheduler: np.ndarray) -> np.ndarray:

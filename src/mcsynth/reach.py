@@ -12,7 +12,6 @@ satisfaction.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
@@ -155,15 +154,6 @@ def _backward_distance(
     return np.asarray(dist)
 
 
-def _chain_entries(mc: Mc) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows of ``mc`` as flat ``(src, tgt, prob)`` entry arrays."""
-    rows = mc.rows
-    tgt = np.fromiter(itertools.chain.from_iterable(r.keys for r in rows), np.int64)
-    prob = np.fromiter(itertools.chain.from_iterable(r.probs for r in rows), np.float64)
-    src = np.repeat(np.arange(len(rows)), [len(r.keys) for r in rows])
-    return src, tgt, prob
-
-
 def _fixed_values(
     n: int, targets: frozenset[int], zero: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -202,34 +192,18 @@ def _solve(
     values[unknown] = np.clip(np.linalg.solve(system, rhs), 0.0, 1.0)
 
 
-def _mc_prepare(mc: Mc, targets: frozenset[int]):
-    """Dense matrix, solved-value skeleton and unknown-state index."""
-    n = mc.n_states
-    dense = np.zeros((n, n))
-    for s, row in enumerate(mc.rows):
-        dense[s, list(row.keys)] = row.probs
-    src, tgt, _ = _chain_entries(mc)
-    can_reach = _backward_distance(n, src, tgt, targets) >= 0
-    values = np.zeros(n)
-    tlist = sorted(targets)
-    values[tlist] = 1.0
-    unknown = np.array(
-        [s for s in range(n) if can_reach[s] and s not in targets], dtype=np.intp
-    )
-    return dense, values, unknown
-
-
 def mc_reach(mc: Mc, targets: Iterable[int]) -> np.ndarray:
     """Per-state probability of eventually reaching ``targets``.
 
     Target states are exactly 1, states that cannot reach the target in the
     underlying graph exactly 0; the rest come from one direct solve.
     """
-    tset = _check_targets(mc.n_states, targets)
-    src, tgt, prob = _chain_entries(mc)
-    zero = _backward_distance(mc.n_states, src, tgt, tset) < 0
-    values, unknown = _fixed_values(mc.n_states, tset, zero)
-    _solve(src, tgt, prob, values, unknown)
+    n = mc.n_states
+    tset = _check_targets(n, targets)
+    src = np.repeat(np.arange(n), np.diff(mc.row_ptr))
+    zero = _backward_distance(n, src, mc.ent_target, tset) < 0
+    values, unknown = _fixed_values(n, tset, zero)
+    _solve(src, mc.ent_target, mc.ent_prob, values, unknown)
     return values
 
 
@@ -238,12 +212,17 @@ def mc_reach_exact(mc: Mc, targets: Iterable[int]) -> np.ndarray:
 
     Limited to ``EXACT_STATE_CAP`` states; exact up to floating rounding.
     """
-    if mc.n_states > EXACT_STATE_CAP:
-        raise ResourceCapError(
-            f"exact solver limited to {EXACT_STATE_CAP} states, got {mc.n_states}"
-        )
-    tset = _check_targets(mc.n_states, targets)
-    dense, values, unknown = _mc_prepare(mc, tset)
+    n = mc.n_states
+    if n > EXACT_STATE_CAP:
+        raise ResourceCapError(f"exact solver limited to {EXACT_STATE_CAP} states, got {n}")
+    tset = _check_targets(n, targets)
+    src = np.repeat(np.arange(n), np.diff(mc.row_ptr))
+    dense = np.zeros((n, n))
+    dense[src, mc.ent_target] = mc.ent_prob
+    can_reach = _backward_distance(n, src, mc.ent_target, tset) >= 0
+    values = np.zeros(n)
+    values[sorted(tset)] = 1.0
+    unknown = np.array([s for s in range(n) if can_reach[s] and s not in tset], dtype=np.intp)
     if unknown.size == 0:
         return values
     q = dense[np.ix_(unknown, unknown)]

@@ -106,13 +106,15 @@ def ce_quality_report(
     scope = family.full_subfamily()
     multi = scope.multi_valued()
     total = len(multi)
-    gammas = {}
+    bounds, gammas = {}, {}
     for idx, prop in enumerate(spec.properties):
         if mode == "trivial":
             gammas[idx] = trivial_gamma(family.n_states, prop)
-        else:
-            bounds = compute_bounds(family, scope, prop.targets)
-            gammas[idx] = bounds.lb if prop.op == "<=" else bounds.ub
+            continue
+        if prop.targets not in bounds:
+            bounds[prop.targets] = compute_bounds(family, scope, prop.targets)
+        vec = bounds[prop.targets]
+        gammas[idx] = vec.lb if prop.op == "<=" else vec.ub
 
     rows = []
     for r in iterate_unpruned(scope):

@@ -58,13 +58,6 @@ DELTA_MIN = 1.0 / 64.0
 DELTA_MAX = 64.0
 
 
-@dataclass(frozen=True)
-class CheckSettings:
-    """Numeric policy shared by a synthesis run."""
-
-    eta: float = DECISION_ETA
-
-
 @dataclass
 class SynthStats:
     cegis_iterations: int = 0
@@ -97,13 +90,15 @@ class WorkItem:
     checked members that violated nothing, as realizations (no property
     excludes them, so they are no conflicts).  ``remaining`` counts the
     members no entry covers; CEGIS recounts it when its budget stops it
-    inside the subfamily.
+    inside the subfamily.  ``bounds`` maps target sets to the bounds its
+    conflicts reroute with: its own (the primed root of ``cegis``) or its
+    split parent's, which hold for every member of the half as well.
     """
 
     sub: Subfamily
     conflicts: list = field(default_factory=list)
     remaining: int = 0
-    inherited: dict = field(default_factory=dict)
+    bounds: dict = field(default_factory=dict)
 
 
 @dataclass(eq=False)
@@ -112,7 +107,6 @@ class HybridState:
 
     family: Family
     spec: Specification
-    settings: CheckSettings
     queue: deque
     meter: CostMeter
     stats: SynthStats
@@ -134,18 +128,15 @@ class HybridState:
 def new_state(
     family: Family,
     spec: Specification,
-    settings: CheckSettings | None = None,
     trivial_bounds: bool = False,
     wallclock: bool = False,
 ) -> HybridState:
     """Fresh synthesis state whose queue holds the whole family."""
-    settings = settings or CheckSettings()
     root = family.full_subfamily()
     item = WorkItem(sub=root, remaining=member_count(root))
     state = HybridState(
         family=family,
         spec=spec,
-        settings=settings,
         queue=deque([item]),
         meter=CostMeter(),
         stats=SynthStats(),
@@ -163,11 +154,11 @@ def _initial_working(obj: Objective) -> Property:
     return Property(op="<=", threshold=1.0, targets=obj.targets)
 
 
-def _tightened_working(obj: Objective, value: float, eta: float) -> Property:
+def _tightened_working(obj: Objective, value: float) -> Property:
     if obj.direction == "max":
-        thr = max(0.0, value * (1.0 - obj.epsilon) - eta)
+        thr = max(0.0, value * (1.0 - obj.epsilon) - DECISION_ETA)
         return Property(op=">=", threshold=min(1.0, thr), targets=obj.targets)
-    thr = min(1.0, value * (1.0 + obj.epsilon) + eta)
+    thr = min(1.0, value * (1.0 + obj.epsilon) + DECISION_ETA)
     return Property(op="<=", threshold=max(0.0, thr), targets=obj.targets)
 
 
@@ -204,12 +195,11 @@ def _base_values(state: HybridState, values: dict[frozenset[int], float]) -> tup
 def _maybe_improve(state: HybridState, r: Realization, values) -> None:
     """Record ``r`` as the incumbent if it satisfies everything and improves."""
     obj = state.spec.objective
-    eta = state.settings.eta
     for p in state.spec.properties:
-        if not evaluate_property(values[p.targets], p, eta):
+        if not evaluate_property(values[p.targets], p):
             return
     v = values[obj.targets]
-    if state.working is not None and not evaluate_property(v, state.working, eta):
+    if state.working is not None and not evaluate_property(v, state.working):
         return
     if state.incumbent is not None:
         best = state.incumbent[1]
@@ -217,7 +207,7 @@ def _maybe_improve(state: HybridState, r: Realization, values) -> None:
         if not improved:
             return
     state.incumbent = (r, v)
-    state.working = _tightened_working(obj, v, eta)
+    state.working = _tightened_working(obj, v)
 
 
 def _finish(state: HybridState, result: SynthesisResult) -> SynthesisResult:
@@ -243,10 +233,11 @@ def _close(state: HybridState) -> SynthesisResult:
     return _finish(state, SynthesisResult(verdict="infeasible"))
 
 
-def _status(prop: Property, bounds: BoundsVec, initial: int, eta: float) -> str:
+def _status(prop: Property, bounds: BoundsVec, initial: int) -> str:
     """Decide a whole subfamily against ``prop``: sat, viol, or open."""
     lo = float(bounds.lb[initial])
     hi = float(bounds.ub[initial])
+    eta = DECISION_ETA
     if prop.op == "<=":
         if hi <= prop.threshold + eta:
             return "sat"
@@ -261,10 +252,8 @@ def _status(prop: Property, bounds: BoundsVec, initial: int, eta: float) -> str:
 
 
 def _gamma_for(state: HybridState, item: WorkItem, prop: Property):
-    """Rerouting vector for conflicts in ``item``: own bounds, inherited, or trivial."""
-    if state.trivial_bounds:
-        return trivial_gamma(state.family.n_states, prop)
-    bounds = item.sub.cached_bounds(prop.targets) or item.inherited.get(prop.targets)
+    """Rerouting vector for conflicts in ``item``: its bounds, or trivial."""
+    bounds = None if state.trivial_bounds else item.bounds.get(prop.targets)
     if bounds is None:
         return trivial_gamma(state.family.n_states, prop)
     return bounds.lb if prop.op == "<=" else bounds.ub
@@ -284,7 +273,6 @@ def ar_run(state: HybridState) -> tuple[SynthesisResult | None, float, int]:
             break
     else:
         return None, 0.0, 0
-    eta = state.settings.eta
     cost0 = state.meter.total
     state.stats.ar_iterations += 1
 
@@ -302,7 +290,7 @@ def ar_run(state: HybridState) -> tuple[SynthesisResult | None, float, int]:
         tset: compute_bounds(state.family, item.sub, tset, state.meter)
         for tset in _target_sets(state)
     }
-    statuses = [_status(p, bounds[p.targets], state.family.initial, eta) for p in props]
+    statuses = [_status(p, bounds[p.targets], state.family.initial) for p in props]
     cost = state.meter.total - cost0
 
     if any(st == "viol" for st in statuses):
@@ -324,12 +312,10 @@ def ar_run(state: HybridState) -> tuple[SynthesisResult | None, float, int]:
     left, right = split_subfamily(
         state.family, item.sub, chosen.min_scheduler, chosen.max_scheduler, chosen.quotient
     )
-    inherited = dict(item.inherited)
-    inherited.update(item.sub.bounds_snapshot())
     for half in (left, right):
         # each half keeps only the cubes that intersect it
         conflicts = [c for c in item.conflicts if cube_pins(c, half) is not None]
-        state.queue.append(WorkItem(half, conflicts, count_unpruned(half, conflicts), dict(inherited)))
+        state.queue.append(WorkItem(half, conflicts, count_unpruned(half, conflicts), bounds))
     return None, 0.0, cost
 
 
@@ -341,8 +327,7 @@ def cegis_phase(
     """Run CEGIS over the queued subfamilies until a verdict or the budget.
 
     Subfamilies are processed FIFO; every violating candidate contributes one
-    conflict per violated property, built with the subfamily's cached (or
-    inherited) bounds.  A partially processed subfamily stays at the head of
+    conflict per violated property, rerouted with the work item's bounds.  A partially processed subfamily stays at the head of
     the queue with its conflict store intact.  ``budget`` is in the run's cost
     units (:meth:`HybridState.clock`) and is checked between candidates, so
     the last candidate may overshoot it; with a zero budget nothing is
@@ -351,7 +336,6 @@ def cegis_phase(
     efficiency per model check, and the cost in model checks.
     """
     meter = state.meter
-    eta = state.settings.eta
     cost0 = meter.total
     start = state.clock()
     eliminated = 0
@@ -377,7 +361,7 @@ def cegis_phase(
             state.stats.cegis_iterations += 1
             violated = [
                 p for p in _props_all(state)
-                if not evaluate_property(values[p.targets], p, eta)
+                if not evaluate_property(values[p.targets], p)
             ]
             if not violated:
                 if not state.optimizing:
@@ -394,8 +378,7 @@ def cegis_phase(
                 for p in violated:
                     gamma = _gamma_for(state, item, p)
                     conflict = construct_conflict(
-                        state.family, r, p, gamma, item.sub,
-                        eta=eta, meter=meter,
+                        state.family, r, p, gamma, item.sub, meter=meter
                     )
                     item.conflicts.append(conflict)
         else:
@@ -423,7 +406,6 @@ def synthesize(
     family: Family,
     spec: Specification,
     method: str = "hybrid",
-    settings: CheckSettings | None = None,
     bounds: str = "family",
     cost_units: str = "deterministic",
     member_cap: int | None = None,
@@ -436,7 +418,7 @@ def synthesize(
     default ``MEMBER_CAP``), and ``hybrid`` alternates one AR step with a
     CEGIS phase whose budget is the step's cost times delta.  ``bounds``
     selects the rerouting vectors of every conflict: ``"family"`` uses the
-    subfamily's cached or inherited quotient bounds, ``"trivial"`` the
+    quotient bounds of the subfamily or of its split parent, ``"trivial"`` the
     bound-free vectors.  ``cost_units`` measures budgets in model checks
     (``"deterministic"``, reproducible) or seconds (``"wallclock"``).
 
@@ -451,7 +433,7 @@ def synthesize(
     if cost_units not in ("deterministic", "wallclock"):
         raise ValueError(f"unknown cost units {cost_units!r}")
     state = new_state(
-        family, spec, settings,
+        family, spec,
         trivial_bounds=bounds == "trivial", wallclock=cost_units == "wallclock",
     )
     root = state.queue[0]
@@ -462,8 +444,10 @@ def synthesize(
                 f"family has {root.remaining} members, one-by-one cap is {cap}"
             )
     if method == "cegis" and bounds == "family":
-        for tset in _target_sets(state):
-            compute_bounds(family, root.sub, tset, state.meter)
+        root.bounds = {
+            tset: compute_bounds(family, root.sub, tset, state.meter)
+            for tset in _target_sets(state)
+        }
 
     ar_steps = method in ("ar", "hybrid")
     result = None

@@ -14,10 +14,12 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from mcsynth import (
     Family,
+    Mc,
     Property,
     Realization,
     Specification,
@@ -86,6 +88,29 @@ CORPUS_CONFIGS = [
     (11, 5, 2, 55), (13, 2, 3, 56), (15, 3, 4, 57), (17, 6, 2, 58),
     (19, 5, 3, 59), (21, 4, 4, 60),
 ]
+
+
+def make_mc(rows, initial: int = 0) -> Mc:
+    """Chain from one ``{target: prob}`` dict per state; zero entries are dropped."""
+    ptr, tgt, prob = [0], [], []
+    for row in rows:
+        for t in sorted(row):
+            if row[t] > 0.0:
+                tgt.append(t)
+                prob.append(row[t])
+        ptr.append(len(tgt))
+    return Mc(
+        initial,
+        np.asarray(ptr, dtype=np.int64),
+        np.asarray(tgt, dtype=np.int64),
+        np.asarray(prob, dtype=np.float64),
+    )
+
+
+def chain_row(mc: Mc, s: int) -> dict[int, float]:
+    """Row ``s`` of ``mc`` as a ``{target: prob}`` dict in target order."""
+    lo, hi = mc.row_ptr[s], mc.row_ptr[s + 1]
+    return dict(zip(mc.ent_target[lo:hi].tolist(), mc.ent_prob[lo:hi].tolist()))
 
 
 def corpus_family(i: int) -> Family:

@@ -24,7 +24,7 @@ from mcsynth import (
     evaluate_property,
 )
 
-from conftest import TOY_R, TOY_TARGET, corpus_family, enumerate_values, goal_index
+from conftest import TOY_R, TOY_TARGET, chain_row, corpus_family, enumerate_values, goal_index
 
 SAFETY = Property(op="<=", threshold=0.3, targets=TOY_TARGET)
 
@@ -57,8 +57,8 @@ class TestReroute:
         mc = induce(toy4, TOY_R[0])
         rerouted = reroute(mc, {0}, toy_lb)
         n = mc.n_states
-        assert rerouted.is_absorbing(n)
-        assert rerouted.is_absorbing(n + 1)
+        assert chain_row(rerouted, n) == {n: 1.0}
+        assert chain_row(rerouted, n + 1) == {n + 1: 1.0}
 
     def test_gamma_out_of_range_rejected(self, toy4):
         mc = induce(toy4, TOY_R[0])

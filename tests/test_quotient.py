@@ -16,7 +16,7 @@ from mcsynth import (
     split_subfamily,
 )
 
-from conftest import TOY_R, TOY_TARGET, corpus_family, goal_index
+from conftest import TOY_R, TOY_TARGET, chain_row, corpus_family, goal_index, make_mc
 
 
 def sub_singleton(toy4, member):
@@ -53,8 +53,8 @@ class TestBuildQuotient:
             for s in range(toy4.n_states):
                 assert q.n_actions(s) == 1
                 tgt, prb = q.action_row(s, 0)
-                assert tuple(tgt) == mc.rows[s].keys
-                assert np.allclose(prb, mc.rows[s].probs)
+                assert tuple(tgt) == tuple(chain_row(mc, s))
+                assert np.allclose(prb, list(chain_row(mc, s).values()))
 
     def test_every_member_is_embedded(self, toy4):
         q = build_quotient(toy4, toy4.full_subfamily())
@@ -65,7 +65,8 @@ class TestBuildQuotient:
                     (tuple(q.action_row(s, a)[0]), tuple(q.action_row(s, a)[1]))
                     for a in range(q.n_actions(s))
                 ]
-                assert (mc.rows[s].keys, mc.rows[s].probs) in rows
+                row = chain_row(mc, s)
+                assert (tuple(row), tuple(row.values())) in rows
 
     def test_decode_action_round_trips(self, toy4):
         q = build_quotient(toy4, toy4.full_subfamily())
@@ -124,13 +125,11 @@ class TestMdpExtreme:
 
     @staticmethod
     def _scheduler_chain(q, sched):
-        from mcsynth.model import Distribution, Mc
-
         rows = []
         for s in range(q.n_states):
             tgt, prb = q.action_row(s, int(sched[s]))
-            rows.append(Distribution(dict(zip(map(int, tgt), map(float, prb)))))
-        return Mc(initial=q.initial, rows=tuple(rows))
+            rows.append(dict(zip(map(int, tgt), map(float, prb))))
+        return make_mc(rows, initial=q.initial)
 
     def test_scheduler_attains_value(self, toy4):
         q = build_quotient(toy4, toy4.full_subfamily())
@@ -164,12 +163,6 @@ class TestComputeBounds:
         bounds = compute_bounds(toy4, sub, TOY_TARGET)
         assert bounds.lb[0] == pytest.approx(0.2, abs=2e-8)
         assert bounds.ub[0] == pytest.approx(0.2, abs=2e-8)
-
-    def test_bounds_cached_on_subfamily(self, toy4):
-        sub = toy4.full_subfamily()
-        first = compute_bounds(toy4, sub, TOY_TARGET)
-        second = compute_bounds(toy4, sub, TOY_TARGET)
-        assert first is second
 
     def test_sandwich_on_random_family(self):
         fam = corpus_family(2)

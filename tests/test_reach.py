@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mcsynth import (
-    Distribution,
     Mc,
     Property,
     QuotientMdp,
@@ -21,7 +20,7 @@ from mcsynth import (
 )
 from mcsynth.errors import ResourceCapError
 
-from conftest import TOY_R, TOY_TARGET, TOY_VALUES, corpus_family
+from conftest import TOY_R, TOY_TARGET, TOY_VALUES, corpus_family, make_mc
 
 
 def random_mc(rng: random.Random, n: int) -> Mc:
@@ -33,9 +32,9 @@ def random_mc(rng: random.Random, n: int) -> Mc:
         weights = [rng.randint(1, 8) for _ in succs]
         # integer-ratio rows: float rounding stays far below the 1e-9 sum check
         total = sum(weights)
-        rows.append(Distribution({t: w / total for t, w in zip(succs, weights)}))
-    rows.append(Distribution({n - 1: 1.0}))
-    return Mc(initial=0, rows=tuple(rows))
+        rows.append({t: w / total for t, w in zip(succs, weights)})
+    rows.append({n - 1: 1.0})
+    return make_mc(rows)
 
 
 class TestMcReach:
@@ -81,10 +80,10 @@ class TestMcReach:
         # on the last sweep's change understates the error.
         n, p = 400, 0.49
         q = 1.0 - p
-        rows = [Distribution({0: 1.0})]
-        rows += [Distribution({i - 1: q, i + 1: p}) for i in range(1, n - 1)]
-        rows.append(Distribution({n - 1: 1.0}))
-        got = mc_reach(Mc(initial=n // 2, rows=tuple(rows)), {n - 1})
+        rows = [{0: 1.0}]
+        rows += [{i - 1: q, i + 1: p} for i in range(1, n - 1)]
+        rows.append({n - 1: 1.0})
+        got = mc_reach(make_mc(rows, initial=n // 2), {n - 1})
         ratio = q / p
         want = (1.0 - ratio ** np.arange(n)) / (1.0 - ratio ** (n - 1))
         assert np.max(np.abs(got - want)) <= 1e-9
@@ -114,8 +113,7 @@ def make_mdp(actions) -> QuotientMdp:
 
 
 def scheduler_chain(actions, sched) -> Mc:
-    rows = tuple(Distribution(acts[a]) for acts, a in zip(actions, sched))
-    return Mc(initial=0, rows=rows)
+    return make_mc([acts[a] for acts, a in zip(actions, sched)])
 
 
 @st.composite
@@ -170,18 +168,18 @@ class TestMcReachExact:
         assert mc_reach_exact(mc, TOY_TARGET)[0] == pytest.approx(0.2, abs=1e-12)
 
     def test_absorbing_non_target_initial(self):
-        mc = Mc(initial=0, rows=(Distribution({0: 1.0}), Distribution({1: 1.0})))
+        mc = make_mc([{0: 1.0}, {1: 1.0}])
         assert mc_reach_exact(mc, {1})[0] == 0.0
 
     def test_certain_chain(self):
-        mc = Mc(initial=0, rows=(Distribution({1: 1.0}), Distribution({1: 1.0})))
+        mc = make_mc([{1: 1.0}, {1: 1.0}])
         assert mc_reach_exact(mc, {1})[0] == 1.0
 
     def test_state_cap_enforced(self):
         n = 2001
-        rows = tuple(Distribution({min(s + 1, n - 1): 1.0}) for s in range(n))
+        rows = [{min(s + 1, n - 1): 1.0} for s in range(n)]
         with pytest.raises(ResourceCapError):
-            mc_reach_exact(Mc(initial=0, rows=rows), {n - 1})
+            mc_reach_exact(make_mc(rows), {n - 1})
 
 
 class TestEvaluate:

@@ -86,7 +86,9 @@ class TestCegis:
     def test_conflicts_never_cover_satisfying_members(self, toy4):
         state = new_state(toy4, SAFE_03)
         remaining = state.queue[0]
-        compute_bounds(toy4, remaining.sub, TOY_TARGET, meter=state.meter)
+        remaining.bounds = {
+            TOY_TARGET: compute_bounds(toy4, remaining.sub, TOY_TARGET, meter=state.meter)
+        }
         result, _sigma, _cost = cegis_phase(state)
         assert result.verdict == "feasible"
         prop = SAFE_03.properties[0]
