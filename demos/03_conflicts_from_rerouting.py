@@ -1,11 +1,11 @@
 """Conflicts: how bounds shrink the set of relevant parameters.
 
-A violating member is rerouted: states outside the expanded set jump straight
-to a fresh target with the probability given by a bound vector.  With the
-family's lower bounds the violation shows after expanding just the initial
-state, so only X is relevant and both members agreeing on X are pruned at
-once.  With the trivial all-zeros vector the whole path must be expanded and
-nothing generalizes.
+A violating member is checked with every state outside the expanded set
+pinned to the value a bound vector gives it, as if it jumped straight to a
+fresh target with that probability.  With the family's lower bounds the
+violation shows after expanding just the initial state, so only X is relevant
+and both members agreeing on X are pruned at once.  With the trivial all-zeros
+vector the whole path must be expanded and nothing generalizes.
 """
 
 from pathlib import Path
@@ -43,7 +43,7 @@ for label, gamma in [
     pruned = generalization(r0, conflict.params, scope)
     print(
         f"gamma = {label}: conflict {name(conflict)} "
-        f"({meter.total} rerouted checks, prunes {len(pruned)} member(s))"
+        f"({meter.total} checks, prunes {len(pruned)} member(s))"
     )
 
 minimal = minimal_conflict_oracle(family, r0, prop, scope)

@@ -9,14 +9,7 @@ quotient-MDP abstraction refinement, or an adaptive hybrid of the latter two;
 all four are settings of one loop, :func:`mcsynth.synthesis.synthesize`.
 """
 
-from .counterexamples import (
-    choose_to_expand,
-    construct_conflict,
-    minimal_conflict_oracle,
-    reachable_via_holes,
-    reroute,
-    trivial_gamma,
-)
+from .counterexamples import construct_conflict, minimal_conflict_oracle, trivial_gamma
 from .errors import (
     InvalidBoundsError,
     McsynthError,
@@ -85,7 +78,6 @@ __all__ = [
     "SynthesisResult",
     "build_quotient",
     "ce_quality_report",
-    "choose_to_expand",
     "compute_bounds",
     "construct_conflict",
     "count_unpruned",
@@ -102,8 +94,6 @@ __all__ = [
     "parse_property",
     "parse_sketch",
     "parse_spec",
-    "reachable_via_holes",
-    "reroute",
     "serialize_sketch",
     "split_subfamily",
     "synthesize",

@@ -1,13 +1,14 @@
-"""Conflict construction by rerouting and greedy state expansion.
+"""Conflict construction by greedy state expansion against a bound vector.
 
-A violating member chain is shrunk to a small set of *relevant* parameters:
-states whose parameters are all relevant keep their concrete behaviour, every
-other state is rerouted straight to a fresh target sink with the probability
-given by a bound vector.  If the rerouted chain already violates the property,
-so does every member that agrees with the violator on the relevant
-parameters.  Expansion is greedy: always the horizon state with the fewest
-not-yet-relevant parameters, so the loop needs at most one model check per
-multi-valued parameter plus one.
+A violating member chain is shrunk to a small set of *relevant* parameters.
+States whose parameters are all relevant (the expanded states) keep their
+concrete behaviour; every other state is pinned to the value a bound vector
+gamma gives it, as if it were rerouted to a fresh target with that
+probability, and only the expanded states are solved for.  If the member
+violates the property even so, every member that agrees with it on the
+relevant parameters does too.  Expansion is greedy: always the horizon state
+with the fewest not-yet-relevant parameters, so the loop needs at most one
+model check per multi-valued parameter plus one.
 
 Parameters whose restricted domain in the enclosing scope is a singleton are
 always treated as relevant: they cannot vary inside the scope, so including
@@ -17,8 +18,7 @@ their states costs no generality.
 from __future__ import annotations
 
 import itertools
-from collections import deque
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +26,6 @@ from .errors import InvalidBoundsError, ResourceCapError
 from .model import (
     Conflict,
     Family,
-    Mc,
     Realization,
     Subfamily,
     generalization,
@@ -40,92 +39,15 @@ ORACLE_MEMBER_CAP = 4096
 ORACLE_PARAM_CAP = 16
 
 
-def reroute(mc: Mc, expanded: Iterable[int], gamma: Sequence[float]) -> Mc:
-    """Replace all non-expanded states by a probabilistic shortcut.
-
-    Two absorbing sinks are appended: index ``n`` (the new target) and
-    ``n+1``.  Expanded states keep their rows; a non-expanded state ``s``
-    moves to the new target with probability ``gamma[s]`` and to the other
-    sink otherwise.  With every state expanded the result behaves exactly
-    like ``mc`` for reachability.
-    """
-    n = mc.n_states
-    top, bot = n, n + 1
-    keep = np.zeros(n, dtype=bool)
-    keep[list(expanded)] = True
-    other = np.flatnonzero(~keep)
-    g = np.asarray(gamma, dtype=np.float64)[other]
+def _checked_gamma(gamma: Sequence[float], n_states: int) -> np.ndarray:
+    g = np.asarray(gamma, dtype=np.float64)
+    if g.ndim != 1 or g.size != n_states:
+        raise ValueError(f"gamma has shape {g.shape}, expected one value per state ({n_states})")
     bad = ~((g >= 0.0) & (g <= 1.0))
     if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"gamma[{other[i]}] = {float(g[i])!r} outside [0, 1]")
-    src = np.repeat(np.arange(n), np.diff(mc.row_ptr))
-    own = keep[src]
-    src = np.concatenate((src[own], other, other, [top, bot]))
-    tgt = np.concatenate((mc.ent_target[own], np.repeat([top, bot], other.size), [top, bot]))
-    prob = np.concatenate((mc.ent_prob[own], g, 1.0 - g, [1.0, 1.0]))
-    live = prob > 0.0  # gamma 0 or 1 leaves a one-entry shortcut
-    src, tgt, prob = src[live], tgt[live], prob[live]
-    order = np.argsort(src, kind="stable")
-    row_ptr = np.searchsorted(src[order], np.arange(n + 3))
-    return Mc(mc.initial, row_ptr, tgt[order], prob[order])
-
-
-def _scope_multi(family: Family, scope: Subfamily | None) -> frozenset[int]:
-    if scope is None:
-        return frozenset(family.multi_valued())
-    return frozenset(scope.multi_valued())
-
-
-def reachable_via_holes(
-    mc: Mc,
-    family: Family,
-    params: Iterable[int],
-    scope: Subfamily | None = None,
-) -> tuple[set[int], set[int]]:
-    """Split the reachable states of ``mc`` into expanded set and horizon.
-
-    A state is expandable when every multi-valued parameter in its template
-    is in ``params`` (singleton-domain parameters are always relevant).  The
-    expanded set ``C`` is what BFS from the initial state reaches through
-    expandable states only; the horizon collects the reachable fringe states
-    that still carry irrelevant parameters.
-    """
-    rel = set(params)
-    multi = _scope_multi(family, scope)
-    expanded: set[int] = set()
-    horizon: set[int] = set()
-    ptr, tgt = mc.row_ptr.tolist(), mc.ent_target.tolist()
-    seen = {mc.initial}
-    queue = deque([mc.initial])
-    while queue:
-        s = queue.popleft()
-        if all(k in rel for k in family.templates[s].keys if k in multi):
-            expanded.add(s)
-            for t in tgt[ptr[s] : ptr[s + 1]]:
-                if t not in seen:
-                    seen.add(t)
-                    queue.append(t)
-        else:
-            horizon.add(s)
-    return expanded, horizon
-
-
-def choose_to_expand(
-    horizon: Iterable[int],
-    params: Iterable[int],
-    family: Family,
-    scope: Subfamily | None = None,
-) -> int:
-    """Horizon state with the fewest irrelevant multi-valued parameters."""
-    rel = set(params)
-    multi = _scope_multi(family, scope)
-    hs = sorted(horizon)
-    if not hs:
-        raise InvalidBoundsError("horizon is empty, nothing left to expand")
-    def missing(s: int) -> int:
-        return sum(1 for k in family.templates[s].keys if k in multi and k not in rel)
-    return min(hs, key=lambda s: (missing(s), s))
+        s = int(np.argmax(bad))
+        raise ValueError(f"gamma[{s}] = {float(g[s])!r} outside [0, 1]")
+    return g
 
 
 def construct_conflict(
@@ -144,17 +66,38 @@ def construct_conflict(
     bounds of ``scope`` itself or the trivial all-zeros / all-ones vector
     qualify.  Every member of the returned conflict's generalization within
     ``scope`` violates ``prop``.
+
+    Each step checks the member with every non-expanded state pinned to its
+    ``gamma`` value.  The expanded set and the horizon only grow with the
+    relevant set, so one walk from the initial state serves every step: after
+    each pick it resumes from the horizon states that became expandable.
     """
     if not realization_in(scope, r):
         raise ValueError("realization lies outside the scope")
     mc = induce(family, r)
-    new_targets = set(prop.targets) | {mc.n_states}
+    n = mc.n_states
+    g = _checked_gamma(gamma, n)
+    multi = frozenset(scope.multi_valued())
+    # per state, the multi-valued parameters of its template
+    holes = [[k for k in tmpl.keys if k in multi] for tmpl in family.templates]
+    ptr, tgt = mc.row_ptr.tolist(), mc.ent_target.tolist()
     rel: set[int] = set()
-    multi = _scope_multi(family, scope)
+    expanded = np.zeros(n, dtype=bool)
+    horizon: set[int] = set()
+    seen = {mc.initial}
+    walk = [mc.initial]
     while True:
-        expanded, horizon = reachable_via_holes(mc, family, rel, scope)
-        rerouted = reroute(mc, expanded, gamma)
-        value = float(mc_reach(rerouted, new_targets)[mc.initial])
+        while walk:
+            s = walk.pop()
+            if all(k in rel for k in holes[s]):
+                expanded[s] = True
+                for t in tgt[ptr[s] : ptr[s + 1]]:
+                    if t not in seen:
+                        seen.add(t)
+                        walk.append(t)
+            else:
+                horizon.add(s)
+        value = float(mc_reach(mc, prop.targets, fixed=(~expanded, g))[mc.initial])
         if meter is not None:
             meter.count()
         if not evaluate_property(value, prop, eta):
@@ -169,8 +112,11 @@ def construct_conflict(
             raise InvalidBoundsError(
                 "rerouting never exhibited the violation; gamma is inconsistent"
             )
-        pick = choose_to_expand(horizon, rel, family, scope)
-        rel |= {k for k in family.templates[pick].keys if k in multi}
+        # the fewest not-yet-relevant parameters, ties to the lowest index
+        pick = min(horizon, key=lambda s: (sum(k not in rel for k in holes[s]), s))
+        rel.update(holes[pick])
+        walk = [s for s in horizon if all(k in rel for k in holes[s])]
+        horizon.difference_update(walk)
 
 
 def trivial_gamma(n_states: int, prop: Property) -> np.ndarray:
@@ -195,7 +141,7 @@ def minimal_conflict_oracle(
         raise ResourceCapError(
             f"oracle limited to {ORACLE_MEMBER_CAP} members, scope has {member_count(scope)}"
         )
-    multi = sorted(_scope_multi(family, scope))
+    multi = scope.multi_valued()
     if len(multi) > ORACLE_PARAM_CAP:
         raise ResourceCapError(
             f"oracle limited to {ORACLE_PARAM_CAP} multi-valued parameters"

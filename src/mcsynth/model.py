@@ -3,14 +3,14 @@
 States and parameters are interned to dense integer indices; every type here
 is immutable after construction and safe to share between threads.  Human
 readable names live only at the I/O boundary (see :mod:`mcsynth.sketch`).
-Transition rows of member chains, rerouted chains and quotient MDPs share one
-flat layout, normalised by :func:`flat_rows`.
+Transition rows of member chains and quotient MDPs share one flat layout,
+normalised by :func:`flat_rows`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -86,6 +86,16 @@ def flat_rows(
     return np.searchsorted(row, np.arange(n_rows + 1)), target[first][keep], summed[keep]
 
 
+def predecessors(n: int, src: np.ndarray, tgt: np.ndarray) -> tuple[list[int], list[int]]:
+    """Flat entries grouped by target for backward searches in Python.
+
+    Returns ``(sources, ptr)``: the entries into state ``t`` come from
+    ``sources[ptr[t]:ptr[t + 1]]``.
+    """
+    order = np.argsort(tgt, kind="stable")
+    return src[order].tolist(), np.searchsorted(tgt[order], np.arange(n + 1)).tolist()
+
+
 @dataclass(frozen=True, eq=False)
 class Mc:
     """Markov chain as flat rows: a quotient MDP with one action per state.
@@ -93,13 +103,14 @@ class Mc:
     The row of state ``s`` is ``ent_target[row_ptr[s]:row_ptr[s + 1]]`` with
     probabilities ``ent_prob`` at the same positions; targets are strictly
     increasing within a row and probabilities positive, summing to 1 within
-    ``PROB_SUM_TOL``.
+    ``PROB_SUM_TOL``.  ``ent_source`` holds the state of each entry.
     """
 
     initial: int
     row_ptr: np.ndarray
     ent_target: np.ndarray
     ent_prob: np.ndarray
+    ent_source: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n, ptr, tgt = self.n_states, self.row_ptr, self.ent_target
@@ -121,10 +132,16 @@ class Mc:
         sums = np.add.reduceat(self.ent_prob, ptr[:-1])
         if not (np.abs(sums - 1.0) <= PROB_SUM_TOL).all():
             raise ValueError("row probabilities must sum to 1")
+        object.__setattr__(self, "ent_source", np.repeat(np.arange(n), sizes))
 
     @property
     def n_states(self) -> int:
         return self.row_ptr.size - 1
+
+    @cached_property
+    def in_edges(self) -> tuple[list[int], list[int]]:
+        """:func:`predecessors` of the chain, kept for every solve on it."""
+        return predecessors(self.n_states, self.ent_source, self.ent_target)
 
 
 @dataclass(frozen=True)

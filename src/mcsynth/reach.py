@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .errors import ResourceCapError
-from .model import Mc
+from .model import Mc, predecessors
 
 if TYPE_CHECKING:  # pragma: no cover
     from .quotient import QuotientMdp
@@ -131,24 +131,26 @@ def _check_targets(n: int, targets: Iterable[int]) -> frozenset[int]:
 
 
 def _backward_distance(
-    n: int, src: np.ndarray, tgt: np.ndarray, targets: frozenset[int]
+    preds: tuple[list[int], list[int]],
+    targets: frozenset[int],
+    blocked: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Fewest edges from each of the ``n`` states into ``targets``; -1 if none.
+    """Fewest edges from each state into ``targets``; -1 if none.
 
-    ``src`` and ``tgt`` are the flat entry arrays: chains pass one entry per
-    transition, MDPs the entries of all actions.
+    ``preds`` comes from :func:`~mcsynth.model.predecessors`: chains give one
+    entry per transition, MDPs the entries of all actions.  No path passes
+    through a ``blocked`` state; those read -2 unless they are targets.
     """
-    order = np.argsort(tgt, kind="stable")
-    preds = src[order].tolist()
-    ptr = np.searchsorted(tgt[order], np.arange(n + 1)).tolist()
-    dist = [-1] * n
+    sources, ptr = preds
+    n = len(ptr) - 1
+    dist = [-1] * n if blocked is None else np.where(blocked, -2, -1).tolist()
     queue = deque(sorted(targets))
     for t in queue:
         dist[t] = 0
     while queue:
         t = queue.popleft()
-        for s in preds[ptr[t] : ptr[t + 1]]:
-            if dist[s] < 0:
+        for s in sources[ptr[t] : ptr[t + 1]]:
+            if dist[s] == -1:
                 dist[s] = dist[t] + 1
                 queue.append(s)
     return np.asarray(dist)
@@ -192,18 +194,36 @@ def _solve(
     values[unknown] = np.clip(np.linalg.solve(system, rhs), 0.0, 1.0)
 
 
-def mc_reach(mc: Mc, targets: Iterable[int]) -> np.ndarray:
+def mc_reach(
+    mc: Mc,
+    targets: Iterable[int],
+    fixed: tuple[np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
     """Per-state probability of eventually reaching ``targets``.
 
     Target states are exactly 1, states that cannot reach the target in the
     underlying graph exactly 0; the rest come from one direct solve.
+
+    ``fixed = (mask, given)`` pins every non-target state under ``mask`` to
+    its value in ``given`` (within [0, 1]) and ignores its row, as if it
+    jumped to a target with that probability and to a sink otherwise.  An
+    unpinned state is then 0 when no path through unpinned states leads to a
+    target or to a pinned state of positive value; the other unpinned,
+    non-target states are the unknowns of the solve.
     """
     n = mc.n_states
     tset = _check_targets(n, targets)
-    src = np.repeat(np.arange(n), np.diff(mc.row_ptr))
-    zero = _backward_distance(n, src, mc.ent_target, tset) < 0
+    roots, mask = tset, None
+    if fixed is not None:
+        mask, given = fixed
+        roots = tset | frozenset(np.flatnonzero(mask & (given > 0.0)).tolist())
+    zero = _backward_distance(mc.in_edges, roots, mask) < 0
     values, unknown = _fixed_values(n, tset, zero)
-    _solve(src, mc.ent_target, mc.ent_prob, values, unknown)
+    if fixed is not None:
+        values[mask] = given[mask]
+        values[sorted(tset)] = 1.0  # a target stays a target under the mask
+        unknown &= ~mask
+    _solve(mc.ent_source, mc.ent_target, mc.ent_prob, values, unknown)
     return values
 
 
@@ -216,10 +236,9 @@ def mc_reach_exact(mc: Mc, targets: Iterable[int]) -> np.ndarray:
     if n > EXACT_STATE_CAP:
         raise ResourceCapError(f"exact solver limited to {EXACT_STATE_CAP} states, got {n}")
     tset = _check_targets(n, targets)
-    src = np.repeat(np.arange(n), np.diff(mc.row_ptr))
     dense = np.zeros((n, n))
-    dense[src, mc.ent_target] = mc.ent_prob
-    can_reach = _backward_distance(n, src, mc.ent_target, tset) >= 0
+    dense[mc.ent_source, mc.ent_target] = mc.ent_prob
+    can_reach = _backward_distance(mc.in_edges, tset) >= 0
     values = np.zeros(n)
     values[sorted(tset)] = 1.0
     unknown = np.array([s for s in range(n) if can_reach[s] and s not in tset], dtype=np.intp)
@@ -297,7 +316,7 @@ def mdp_extreme(
         policy[zero] = _first_action(stays, state_ptr)[zero]
         reduce = np.minimum.reduceat
     else:
-        dist = _backward_distance(n, ent_src, tgt, tset)
+        dist = _backward_distance(predecessors(n, ent_src, tgt), tset)
         values, unknown = _fixed_values(n, tset, dist < 0)
         closer = np.logical_or.reduceat(dist[tgt] == dist[ent_src] - 1, act_ptr[:-1])
         policy[unknown] = _first_action(closer, state_ptr)[unknown]

@@ -327,13 +327,14 @@ def cegis_phase(
     """Run CEGIS over the queued subfamilies until a verdict or the budget.
 
     Subfamilies are processed FIFO; every violating candidate contributes one
-    conflict per violated property, rerouted with the work item's bounds.  A partially processed subfamily stays at the head of
-    the queue with its conflict store intact.  ``budget`` is in the run's cost
-    units (:meth:`HybridState.clock`) and is checked between candidates, so
-    the last candidate may overshoot it; with a zero budget nothing is
-    examined.  ``conflicts=False`` (enumeration) stores nothing, so it must
-    run without a budget.  Returns the result (or ``None``), the pruning
-    efficiency per model check, and the cost in model checks.
+    conflict per violated property, rerouted with the work item's bounds.  A
+    partially processed subfamily stays at the head of the queue with its
+    conflict store intact.  ``budget`` is in the run's cost units
+    (:meth:`HybridState.clock`) and is checked between candidates, so the
+    last candidate may overshoot it; with a zero budget nothing is examined.
+    ``conflicts=False`` (enumeration) stores nothing, so it must run without
+    a budget.  Returns the result (or ``None``), the pruning efficiency per
+    model check, and the cost in model checks.
     """
     meter = state.meter
     cost0 = meter.total

@@ -132,6 +132,21 @@ class TestModuleEntryPoint:
         assert json.loads(proc.stdout)["verdict"] == "feasible"
 
 
+DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+
+class TestDemos:
+    def test_demos_present(self):
+        assert len(DEMOS) >= 5
+
+    @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+    def test_demo_runs(self, demo):
+        proc = subprocess.run(
+            [sys.executable, str(demo)], capture_output=True, text=True, env=_env_with_src()
+        )
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestImportFootprint:
     def test_synthesis_loads_no_scipy(self, tmp_path):
         """Importing scipy's sparse solvers doubles the peak memory of ``import mcsynth``."""

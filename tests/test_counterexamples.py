@@ -1,4 +1,9 @@
-"""Rerouting, greedy conflict construction, and the exhaustive oracle."""
+"""Rerouting, greedy conflict construction, and the exhaustive oracle.
+
+``reroute``, ``reachable_via_holes``, ``choose_to_expand`` and
+``reference_conflict`` are the reference rerouting from ``conftest``;
+``construct_conflict`` must reproduce its conflicts and model-check counts.
+"""
 
 import random
 
@@ -7,9 +12,9 @@ import pytest
 
 from mcsynth import (
     CostMeter,
+    InvalidBoundsError,
     Property,
     Realization,
-    choose_to_expand,
     compute_bounds,
     construct_conflict,
     generalization,
@@ -18,13 +23,23 @@ from mcsynth import (
     mc_reach_exact,
     member_count,
     minimal_conflict_oracle,
-    reachable_via_holes,
-    reroute,
+    parse_sketch,
     trivial_gamma,
     evaluate_property,
 )
 
-from conftest import TOY_R, TOY_TARGET, chain_row, corpus_family, enumerate_values, goal_index
+from conftest import (
+    TOY_R,
+    TOY_TARGET,
+    chain_row,
+    choose_to_expand,
+    corpus_family,
+    enumerate_values,
+    goal_index,
+    reachable_via_holes,
+    reference_conflict,
+    reroute,
+)
 
 SAFETY = Property(op="<=", threshold=0.3, targets=TOY_TARGET)
 
@@ -179,6 +194,139 @@ class TestConstructConflict:
         conflict = construct_conflict(fam, r, prop, bounds.ub, scope)
         for m in generalization(r, conflict.params, scope):
             assert not evaluate_property(values[m.values], prop)
+
+
+class TestGammaValidation:
+    @pytest.mark.parametrize(
+        "gamma, match",
+        [
+            ([0.5, float("nan"), 0.5, 1.0, 0.0], r"gamma\[1\] = nan"),
+            ([0.5, 0.5, 1.5, 1.0, 0.0], r"gamma\[2\] = 1.5"),
+            ([0.5] * 6, r"gamma has shape \(6,\)"),
+            ([0.5] * 4, r"gamma has shape \(4,\)"),
+        ],
+        ids=["nan", "above-one", "too-long", "too-short"],
+    )
+    def test_bad_gamma_rejected_up_front(self, toy4, gamma, match):
+        meter = CostMeter()
+        with pytest.raises(ValueError, match=match):
+            construct_conflict(toy4, TOY_R[0], SAFETY, gamma, toy4.full_subfamily(), meter=meter)
+        assert meter.total == 0
+
+
+def _outcome(build, family, r, prop, gamma, scope):
+    """Conflict parameters and model checks, or the error raised and its checks."""
+    meter = CostMeter()
+    try:
+        conflict = build(family, r, prop, gamma, scope, meter=meter)
+    except (ValueError, InvalidBoundsError) as err:
+        return type(err).__name__, str(err), meter.total
+    return conflict.params, conflict.reference, meter.total
+
+
+class TestAgainstReferenceRerouting:
+    def test_corpus_conflicts_match_reference(self):
+        rng = random.Random(61)
+        kinds = {"conflict": 0, "error": 0}
+        for i in range(0, 48, 2):
+            fam = corpus_family(i)
+            targets = frozenset({goal_index(fam)})
+            values = enumerate_values(fam, targets)
+            distinct = sorted(set(round(v, 12) for v in values.values()))
+            if len(distinct) < 2:
+                continue
+            mid = len(distinct) // 2
+            thr = (distinct[mid - 1] + distinct[mid]) / 2
+            scope = fam.full_subfamily()
+            bounds = compute_bounds(fam, scope, targets)
+            for op in ("<=", ">="):
+                prop = Property(op=op, threshold=thr, targets=targets)
+                gammas = [
+                    bounds.lb if prop.is_safety else bounds.ub,
+                    trivial_gamma(fam.n_states, prop),
+                    np.array([rng.random() for _ in range(fam.n_states)]),
+                ]
+                by_verdict = {True: [], False: []}
+                for v, val in values.items():
+                    by_verdict[evaluate_property(val, prop)].append(Realization(v))
+                members = [rng.choice(rs) for rs in by_verdict.values() if rs]
+                for r in members:
+                    for gamma in gammas:
+                        want = _outcome(reference_conflict, fam, r, prop, gamma, scope)
+                        got = _outcome(construct_conflict, fam, r, prop, gamma, scope)
+                        assert got == want, (i, op, r)
+                        kinds["conflict" if isinstance(want[0], frozenset) else "error"] += 1
+        assert kinds["conflict"] >= 150 and kinds["error"] >= 50
+
+
+# A target carrying a multi-valued parameter: Z only decides where t goes
+# next, which cannot change reachability of t.
+TARGET_HOLE_TEXT = """
+{
+  "format": "mc-family/1",
+  "states": ["s0", "t", "f"],
+  "initial": "s0",
+  "parameters": {"X": ["t", "f"], "Z": ["t", "f"], "F'": ["f"]},
+  "transitions": {
+    "s0": {"X": 1.0},
+    "t": {"Z": 1.0},
+    "f": {"F'": 1.0}
+  }
+}
+"""
+
+# s1 and s2 form a cycle with no exit, expandable from the start; X and Y
+# decide whether s0's other half reaches t.
+CLOSED_CYCLE_TEXT = """
+{
+  "format": "mc-family/1",
+  "states": ["s0", "s1", "s2", "s3", "t", "f"],
+  "initial": "s0",
+  "parameters": {
+    "X": ["s3", "f"], "Y": ["t", "f"],
+    "A'": ["s1"], "B'": ["s2"], "C'": ["s1"], "T'": ["t"], "F'": ["f"]
+  },
+  "transitions": {
+    "s0": {"A'": 0.5, "X": 0.5},
+    "s1": {"B'": 1.0},
+    "s2": {"C'": 1.0},
+    "s3": {"Y": 1.0},
+    "t": {"T'": 1.0},
+    "f": {"F'": 1.0}
+  }
+}
+"""
+
+
+class TestPinnedStateEdgeCases:
+    def _both(self, text, values, threshold):
+        fam = parse_sketch(text)
+        t = fam.state_names.index("t")
+        prop = Property(op="<=", threshold=threshold, targets=frozenset({t}))
+        r = Realization(tuple(fam.state_names.index(v) for v in values))
+        gamma = trivial_gamma(fam.n_states, prop)
+        scope = fam.full_subfamily()
+        want = _outcome(reference_conflict, fam, r, prop, gamma, scope)
+        got = _outcome(construct_conflict, fam, r, prop, gamma, scope)
+        return fam, got, want
+
+    def test_target_on_horizon_counts_as_reached(self):
+        # After X is expanded, t sits on the horizon with gamma 0; as a target
+        # it is worth 1, so the second check already shows the violation.
+        fam, got, want = self._both(TARGET_HOLE_TEXT, ("t", "t", "f"), 0.5)
+        assert got == want
+        assert got[0] == frozenset({fam.param_names.index("X")})
+        assert got[2] == 2
+
+    def test_expanded_cycle_without_exit_is_zero(self):
+        # With X relevant the closed cycle s1-s2 is expanded; only s3 (gamma
+        # 0) lies beyond, so the cycle and s0 are 0 and need no solve.
+        fam, got, want = self._both(
+            CLOSED_CYCLE_TEXT, ("s3", "t", "s1", "s2", "s1", "t", "f"), 0.4
+        )
+        assert got == want
+        assert got[0] == frozenset({fam.param_names.index("X"), fam.param_names.index("Y")})
+        assert got[2] == 3
 
 
 class TestMinimalConflictOracle:

@@ -20,7 +20,7 @@ from mcsynth import (
 )
 from mcsynth.errors import ResourceCapError
 
-from conftest import TOY_R, TOY_TARGET, TOY_VALUES, corpus_family, make_mc
+from conftest import TOY_R, TOY_TARGET, TOY_VALUES, corpus_family, make_mc, reroute
 
 
 def random_mc(rng: random.Random, n: int) -> Mc:
@@ -87,6 +87,31 @@ class TestMcReach:
         ratio = q / p
         want = (1.0 - ratio ** np.arange(n)) / (1.0 - ratio ** (n - 1))
         assert np.max(np.abs(got - want)) <= 1e-9
+
+
+class TestMcReachFixed:
+    def test_pinned_states_match_rerouted_chain(self):
+        """Pinning states to gamma solves the rerouted chain without building it."""
+        rng = random.Random(7)
+        for _ in range(100):
+            n = rng.randint(3, 30)
+            mc = random_mc(rng, n)
+            targets = {n - 1} | ({rng.randrange(n)} if rng.random() < 0.3 else set())
+            expanded = {s for s in range(n) if rng.random() < 0.6}
+            gamma = np.array([rng.choice([0.0, 1.0, rng.random()]) for _ in range(n)])
+            mask = np.ones(n, dtype=bool)
+            mask[sorted(expanded)] = False
+            got = mc_reach(mc, targets, fixed=(mask, gamma))
+            want = mc_reach_exact(reroute(mc, expanded, gamma), targets | {n})[:n]
+            assert np.allclose(got, want, atol=1e-12, rtol=0.0)
+            for s in np.flatnonzero(mask):
+                assert got[s] == (1.0 if s in targets else gamma[s])
+
+    def test_nothing_pinned_is_the_plain_solve(self, toy4):
+        mc = induce(toy4, TOY_R[1])
+        plain = mc_reach(mc, TOY_TARGET)
+        pinned = mc_reach(mc, TOY_TARGET, fixed=(np.zeros(mc.n_states, dtype=bool), np.zeros(5)))
+        assert np.array_equal(plain, pinned)
 
 
 def make_mdp(actions) -> QuotientMdp:

@@ -1,9 +1,9 @@
 """Flat transition rows: chain validation and bitwise agreement with dict references.
 
-Member chains, rerouted chains and quotient actions are all built by
-:func:`mcsynth.model.flat_rows` or by ``reroute``; the references below
-accumulate each row in a dict, in template order, the way the rows are
-defined, and must match to the last bit.
+Member chains and quotient actions are built by
+:func:`mcsynth.model.flat_rows`, rerouted chains by the reference ``reroute``
+in ``conftest``; the references below accumulate each row in a dict, in
+template order, the way the rows are defined, and must match to the last bit.
 """
 
 import itertools
@@ -12,9 +12,9 @@ import random
 import numpy as np
 import pytest
 
-from mcsynth import Mc, Realization, Subfamily, build_quotient, induce, reroute
+from mcsynth import Mc, Realization, Subfamily, build_quotient, induce
 
-from conftest import corpus_family
+from conftest import corpus_family, reroute
 
 
 def chain(ptr, tgt, prob, initial=0) -> Mc:
