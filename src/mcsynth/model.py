@@ -217,6 +217,13 @@ class Realization:
         }
 
 
+def _check_restricted(k: int, dom: tuple[int, ...]) -> None:
+    if not dom:
+        raise ValueError(f"restricted domain of parameter {k} is empty")
+    if any(a >= b for a, b in zip(dom, dom[1:])):
+        raise ValueError(f"restricted domain of parameter {k} must be strictly increasing")
+
+
 class Subfamily:
     """A hyper-rectangle of realizations: one restricted domain per parameter."""
 
@@ -225,19 +232,19 @@ class Subfamily:
     def __init__(self, domains: Sequence[Sequence[int]]):
         doms = tuple(tuple(d) for d in domains)
         for k, dom in enumerate(doms):
-            if not dom:
-                raise ValueError(f"restricted domain of parameter {k} is empty")
-            if any(a >= b for a, b in zip(dom, dom[1:])):
-                raise ValueError(f"restricted domain of parameter {k} must be strictly increasing")
+            _check_restricted(k, dom)
         self.domains = doms
 
     def multi_valued(self) -> tuple[int, ...]:
         return tuple(k for k, dom in enumerate(self.domains) if len(dom) > 1)
 
     def restricted(self, param: int, values: Sequence[int]) -> "Subfamily":
-        doms = list(self.domains)
-        doms[param] = tuple(values)
-        return Subfamily(doms)
+        """This subfamily with the domain of ``param`` replaced; only that domain is checked."""
+        dom = tuple(values)
+        _check_restricted(param, dom)
+        out = object.__new__(Subfamily)
+        out.domains = self.domains[:param] + (dom,) + self.domains[param + 1 :]
+        return out
 
     def __repr__(self) -> str:
         return f"Subfamily({self.domains!r})"

@@ -5,14 +5,18 @@ template into one action per combination of local parameter values drawn from
 the subfamily's restricted domains.  Model checking it for the minimal and
 maximal reachability yields per-state bounds valid for every member; the two
 optimal schedulers drive the choice of the parameter to split on.
+
+A synthesis run builds the *root* quotient, over the family's full domains,
+once (:func:`root_quotient`).  Besides its rows the root keeps each action's
+raw choice, the ``(param, value)`` of every template entry, as flat arrays.
+The quotient of a subfamily is a *mask* of root actions, those whose every
+choice lies in the subfamily's domains (:func:`build_quotient`), and
+:func:`split_subfamily` reads the schedulers' choices from the same arrays.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
-from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -29,10 +33,18 @@ BOUNDS_SLACK = 1e-9
 class QuotientMdp:
     """Flattened action-row representation of the quotient of a subfamily.
 
-    Actions of state ``s`` enumerate the value combinations of the parameters
-    in its template, lexicographically by parameter index and domain-value
-    order; entries of action ``a`` live in
-    ``ent_target[act_ptr[a]:act_ptr[a+1]]``.
+    Actions of state ``s`` are ``state_ptr[s]:state_ptr[s + 1]``; they
+    enumerate the value combinations of the parameters in its template,
+    lexicographically by parameter index and domain-value order.  Entries of
+    action ``a`` live in ``ent_target[act_ptr[a]:act_ptr[a+1]]``.  Its raw
+    choice lives in ``choice_param`` / ``choice_value`` at
+    ``choice_ptr[a]:choice_ptr[a+1]``: per template entry, in template order,
+    the parameter and the value the action gives it.  A quotient built by
+    hand, without a family, may leave the choice arrays out.
+
+    ``act_state`` (the state of each action), ``ent_act`` and ``ent_src``
+    (the action and state of each entry) serve every solve on the quotient;
+    they are derived from the pointers unless given.
     """
 
     family: Family
@@ -43,23 +55,33 @@ class QuotientMdp:
     act_ptr: np.ndarray
     ent_target: np.ndarray
     ent_prob: np.ndarray
-    supp: tuple[tuple[int, ...], ...]
+    choice_ptr: np.ndarray | None = field(default=None, repr=False)
+    choice_param: np.ndarray | None = field(default=None, repr=False)
+    choice_value: np.ndarray | None = field(default=None, repr=False)
+    act_state: np.ndarray | None = field(default=None, repr=False)
+    ent_act: np.ndarray | None = field(default=None, repr=False)
+    ent_src: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.act_state is None:
+            act_state = np.repeat(np.arange(self.n_states), np.diff(self.state_ptr))
+            object.__setattr__(self, "act_state", act_state)
+        if self.ent_act is None:
+            ent_act = np.repeat(np.arange(self.act_state.size), np.diff(self.act_ptr))
+            object.__setattr__(self, "ent_act", ent_act)
+        if self.ent_src is None:
+            object.__setattr__(self, "ent_src", self.act_state[self.ent_act])
 
     def n_actions(self, s: int) -> int:
         return int(self.state_ptr[s + 1] - self.state_ptr[s])
 
     def decode_action(self, s: int, action: int) -> dict[int, int]:
         """Map a local action index back to its parameter-value choice."""
-        params = self.supp[s]
-        sizes = [len(self.sub.domains[k]) for k in params]
-        if not 0 <= action < math.prod(sizes):
+        if not 0 <= action < self.n_actions(s):
             raise ValueError(f"action {action} out of range at state {s}")
-        choice = {}
-        rem = action
-        for k, size in zip(reversed(params), reversed(sizes)):
-            rem, digit = divmod(rem, size)
-            choice[k] = self.sub.domains[k][digit]
-        return choice
+        a = int(self.state_ptr[s]) + action
+        c0, c1 = int(self.choice_ptr[a]), int(self.choice_ptr[a + 1])
+        return dict(zip(self.choice_param[c0:c1].tolist(), self.choice_value[c0:c1].tolist()))
 
     def action_row(self, s: int, action: int) -> tuple[np.ndarray, np.ndarray]:
         a = int(self.state_ptr[s]) + action
@@ -84,50 +106,116 @@ class BoundsVec:
     quotient: QuotientMdp
 
 
-def build_quotient(family: Family, sub: Subfamily) -> QuotientMdp:
-    """Materialize the quotient MDP of ``sub``.
+def _ptr(lengths) -> np.ndarray:
+    return np.concatenate(([0], np.cumsum(lengths)))
 
-    The action count at a state is the product of the restricted-domain sizes
-    of the parameters in its template; a per-state cap guards degenerate
-    sketches.
+
+def _segments(ptr: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the segments ``ptr[i]:ptr[i + 1]`` for ``i`` in ``picks``, concatenated.
+
+    Also returns the length of each picked segment.
     """
-    if len(sub.domains) != family.n_params:
-        raise ValueError("subfamily does not match the family's parameters")
-    for k, dom in enumerate(sub.domains):
-        if any(v not in family.domains[k] for v in dom):
-            raise ValueError(f"restricted domain of parameter {k} leaves the declared domain")
-    counts, entries, targets, probs, supp = [], [], [], [], []
+    starts = ptr[picks]
+    lens = ptr[picks + 1] - starts
+    return np.arange(lens.sum()) + np.repeat(starts - _ptr(lens)[:-1], lens), lens
+
+
+def root_quotient(family: Family) -> QuotientMdp:
+    """The quotient of the whole family, with the raw choice of every action.
+
+    The action count at a state is the product of the domain sizes of the
+    parameters in its template; more than ``ACTION_CAP`` at any state raises
+    :class:`ResourceCapError`.
+    """
+    sizes = [len(dom) for dom in family.domains]
+    counts, strides = [], []
     for s, tmpl in enumerate(family.templates):
-        params = tmpl.keys
-        supp.append(params)
-        count = math.prod(len(sub.domains[k]) for k in params)
+        # the last template entry varies fastest, as in itertools.product
+        count, local = 1, []
+        for k in reversed(tmpl.keys):
+            local.append(count)
+            count *= sizes[k]
         if count > ACTION_CAP:
             raise ResourceCapError(
                 f"state {s} would get {count} quotient actions (cap {ACTION_CAP})"
             )
         counts.append(count)
-        entries.append(len(params))
-        targets.extend(itertools.chain.from_iterable(
-            itertools.product(*(sub.domains[k] for k in params))
-        ))
-        probs.extend(tmpl.probs * count)
-    act_len = np.repeat(entries, counts)
+        strides.extend(reversed(local))
+    tmpl_state, tmpl_param, tmpl_prob = family._template_entries
+    tmpl_ptr = _ptr(np.bincount(tmpl_state, minlength=family.n_states))
+    state_ptr = _ptr(np.asarray(counts, dtype=np.int64))
+    act_state = np.repeat(np.arange(family.n_states), counts)
+    local_index = np.arange(act_state.size) - state_ptr[act_state]
+    choice_ptr = _ptr(np.diff(tmpl_ptr)[act_state])
+    choice_act = np.repeat(np.arange(act_state.size), np.diff(choice_ptr))
+    entry = np.arange(choice_act.size) - choice_ptr[choice_act] + tmpl_ptr[act_state[choice_act]]
+    choice_param = tmpl_param[entry]
+    digit = local_index[choice_act] // np.asarray(strides)[entry] % np.asarray(sizes)[choice_param]
+    dom_values = np.asarray([v for dom in family.domains for v in dom], dtype=np.int64)
+    choice_value = dom_values[_ptr(sizes)[choice_param] + digit]
     act_ptr, ent_target, ent_prob = flat_rows(
-        act_len.size,
-        np.repeat(np.arange(act_len.size), act_len),
-        np.asarray(targets, dtype=np.int64),
-        np.asarray(probs, dtype=np.float64),
+        act_state.size, choice_act, choice_value, tmpl_prob[entry]
     )
+    return QuotientMdp(
+        family=family,
+        sub=family.full_subfamily(),
+        initial=family.initial,
+        n_states=family.n_states,
+        state_ptr=state_ptr,
+        act_ptr=act_ptr,
+        ent_target=ent_target,
+        ent_prob=ent_prob,
+        choice_ptr=choice_ptr,
+        choice_param=choice_param,
+        choice_value=choice_value,
+        act_state=act_state,
+    )
+
+
+def build_quotient(family: Family, sub: Subfamily, root: QuotientMdp | None = None) -> QuotientMdp:
+    """Materialize the quotient MDP of ``sub`` as a mask of ``root``'s actions.
+
+    ``root`` is the family's root quotient (built here when omitted, see
+    :func:`root_quotient`) or the quotient of any subfamily containing
+    ``sub``.  The actions kept are those whose every choice lies in ``sub``'s
+    domains, in root order, so actions and rows are those of ``sub``'s own
+    product of domains.
+    """
+    if root is None:
+        root = root_quotient(family)
+    if len(sub.domains) != family.n_params:
+        raise ValueError("subfamily does not match the family's parameters")
+    for k, (dom, outer) in enumerate(zip(sub.domains, root.sub.domains)):
+        if dom is not outer and any(v not in outer for v in dom):
+            raise ValueError(f"restricted domain of parameter {k} leaves the declared domain")
+    allowed = np.zeros((family.n_params, family.n_states), dtype=bool)
+    allowed[
+        np.repeat(np.arange(family.n_params), [len(dom) for dom in sub.domains]),
+        [v for dom in sub.domains for v in dom],
+    ] = True
+    choice_len = np.diff(root.choice_ptr)
+    keep = np.logical_and.reduceat(
+        allowed[root.choice_param, root.choice_value], root.choice_ptr[:-1]
+    )
+    act_len = np.diff(root.act_ptr)[keep]
+    act_state = root.act_state[keep]
+    ent_keep = keep[root.ent_act]
+    choice_keep = np.repeat(keep, choice_len)
     return QuotientMdp(
         family=family,
         sub=sub,
         initial=family.initial,
         n_states=family.n_states,
-        state_ptr=np.concatenate(([0], np.cumsum(counts))),
-        act_ptr=act_ptr,
-        ent_target=ent_target,
-        ent_prob=ent_prob,
-        supp=tuple(supp),
+        state_ptr=np.searchsorted(act_state, np.arange(family.n_states + 1)),
+        act_ptr=_ptr(act_len),
+        ent_target=root.ent_target[ent_keep],
+        ent_prob=root.ent_prob[ent_keep],
+        choice_ptr=_ptr(choice_len[keep]),
+        choice_param=root.choice_param[choice_keep],
+        choice_value=root.choice_value[choice_keep],
+        act_state=act_state,
+        ent_act=np.repeat(np.arange(act_state.size), act_len),
+        ent_src=root.ent_src[ent_keep],
     )
 
 
@@ -136,14 +224,23 @@ def compute_bounds(
     sub: Subfamily,
     targets: Iterable[int],
     meter=None,
+    quotient: QuotientMdp | None = None,
 ) -> BoundsVec:
     """Min/max reachability bounds for ``sub``.
+
+    ``quotient`` is reused as is when it is ``sub``'s own (its ``sub`` is
+    this very object); otherwise it is a quotient of a subfamily containing
+    ``sub``, such as the family's root, that :func:`build_quotient` masks
+    down to ``sub``.  Without one the root is built first.
 
     Raises :class:`InvalidBoundsError` if the upper bound falls more than
     ``BOUNDS_SLACK`` below the lower bound anywhere.
     """
     key = frozenset(int(t) for t in targets)
-    qmdp = build_quotient(family, sub)
+    if quotient is not None and quotient.sub is sub:
+        qmdp = quotient
+    else:
+        qmdp = build_quotient(family, sub, quotient)
     lb, min_sched = mdp_extreme(qmdp, key, "min")
     ub, max_sched = mdp_extreme(qmdp, key, "max")
     if meter is not None:
@@ -166,17 +263,19 @@ def compute_bounds(
 
 
 def _reachable_under(qmdp: QuotientMdp, scheduler: np.ndarray) -> np.ndarray:
-    seen = np.zeros(qmdp.n_states, dtype=bool)
+    """States reachable from the initial state in the chain ``scheduler`` induces."""
+    pos, lens = _segments(qmdp.act_ptr, qmdp.state_ptr[:-1] + scheduler)
+    succ, ptr = qmdp.ent_target[pos].tolist(), _ptr(lens).tolist()
+    seen = [False] * qmdp.n_states
     seen[qmdp.initial] = True
-    queue = deque([qmdp.initial])
-    while queue:
-        s = queue.popleft()
-        tgt, _ = qmdp.action_row(s, int(scheduler[s]))
-        for t in tgt:
+    stack = [qmdp.initial]
+    while stack:
+        s = stack.pop()
+        for t in succ[ptr[s] : ptr[s + 1]]:
             if not seen[t]:
                 seen[t] = True
-                queue.append(int(t))
-    return seen
+                stack.append(t)
+    return np.asarray(seen)
 
 
 def split_subfamily(
@@ -199,33 +298,35 @@ def split_subfamily(
         raise ValueError("cannot split a singleton subfamily")
     if qmdp is None:
         qmdp = build_quotient(family, sub)
-    multi = sub.multi_valued()
-    joint = _reachable_under(qmdp, min_sched) & _reachable_under(qmdp, max_sched)
+    first, n_acts = qmdp.state_ptr[:-1], np.diff(qmdp.state_ptr)
+    for sched in (min_sched, max_sched):
+        bad = np.flatnonzero((sched < 0) | (sched >= n_acts))
+        if bad.size:
+            s = int(bad[0])
+            raise ValueError(f"action {int(sched[s])} out of range at state {s}")
+    lo, _ = _segments(qmdp.choice_ptr, first + min_sched)
+    hi, lens = _segments(qmdp.choice_ptr, first + max_sched)
+    # both picks of a state choose for the same template entries, in order
+    state = np.repeat(np.arange(qmdp.n_states), lens)
+    params, values = qmdp.choice_param[hi], qmdp.choice_value[hi]
+    max_reach = _reachable_under(qmdp, max_sched)
+    joint = (_reachable_under(qmdp, min_sched) & max_reach)[state]
+    # single-valued parameters never differ, so only multi-valued ones score
+    scores = np.bincount(
+        params[joint & (qmdp.choice_value[lo] != values)], minlength=family.n_params
+    )
 
-    scores = {k: 0 for k in multi}
-    for s in range(qmdp.n_states):
-        if not joint[s]:
-            continue
-        lo = qmdp.decode_action(s, int(min_sched[s]))
-        hi = qmdp.decode_action(s, int(max_sched[s]))
-        for k in qmdp.supp[s]:
-            if k in scores and lo[k] != hi[k]:
-                scores[k] += 1
-
-    best = max(scores.values(), default=0)
-    if best > 0:
-        param = min(k for k, v in scores.items() if v == best)
+    if scores.max() > 0:
+        param = int(np.argmax(scores))
         dom = sub.domains[param]
-        votes = {v: 0 for v in dom}
-        max_reach = _reachable_under(qmdp, max_sched)
-        for s in range(qmdp.n_states):
-            if max_reach[s] and param in qmdp.supp[s]:
-                votes[qmdp.decode_action(s, int(max_sched[s]))[param]] += 1
-        pivot = min(votes, key=lambda v: (-votes[v], v))
+        votes = np.bincount(
+            values[max_reach[state] & (params == param)], minlength=qmdp.n_states
+        )[list(dom)]
+        pivot = dom[int(np.argmax(votes))]
         left_vals = (pivot,)
         right_vals = tuple(v for v in dom if v != pivot)
     else:
-        param = min(multi, key=lambda k: (-len(sub.domains[k]), k))
+        param = min(sub.multi_valued(), key=lambda k: (-len(sub.domains[k]), k))
         dom = sub.domains[param]
         half = (len(dom) + 1) // 2
         left_vals, right_vals = dom[:half], dom[half:]

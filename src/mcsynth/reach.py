@@ -305,9 +305,7 @@ def mdp_extreme(
     tset = _check_targets(n, targets)
     tgt, prob = mdp.ent_target, mdp.ent_prob
     act_first = state_ptr[:-1]
-    act_state = np.repeat(np.arange(n), n_acts)
-    ent_act = np.repeat(np.arange(act_state.size), np.diff(act_ptr))
-    ent_src = act_state[ent_act]
+    act_state, ent_act, ent_src = mdp.act_state, mdp.ent_act, mdp.ent_src
 
     policy = np.zeros(n, dtype=np.int64)
     if mode == "min":

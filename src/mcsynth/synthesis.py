@@ -4,9 +4,10 @@ Every method decides the same question: does the family contain a member
 satisfying the specification (optionally: which member is optimal)?  The
 queue starts with the whole family.  Abstraction refinement (AR, ``ar_run``)
 analyses one queued subfamily with quotient bounds and prunes, accepts or
-splits it; CEGIS (``cegis_phase``) checks the members of queued subfamilies
-one at a time and prunes the generalization of a conflict for every violated
-property.  The methods of :func:`synthesize` are settings of that loop:
+splits it; its quotients are masks of the family's root quotient, which a
+run builds once (:attr:`HybridState.root`).  CEGIS (``cegis_phase``) checks
+the members of queued subfamilies one at a time and prunes the
+generalization of a conflict for every violated property.  The methods of :func:`synthesize` are settings of that loop:
 
 ============  ====  ======================================================
 method        AR    CEGIS
@@ -28,6 +29,7 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .counterexamples import construct_conflict, trivial_gamma
 from .errors import ResourceCapError
@@ -41,7 +43,7 @@ from .model import (
     iterate_unpruned,
     member_count,
 )
-from .quotient import BoundsVec, compute_bounds, split_subfamily
+from .quotient import BoundsVec, QuotientMdp, compute_bounds, root_quotient, split_subfamily
 from .reach import (
     CostMeter,
     DECISION_ETA,
@@ -123,6 +125,11 @@ class HybridState:
     def clock(self) -> float:
         """Cost spent so far in the run's units: model checks, or seconds."""
         return time.perf_counter() if self.wallclock else self.meter.total
+
+    @cached_property
+    def root(self) -> QuotientMdp:
+        """The family's root quotient, built on first use; every bound masks it."""
+        return root_quotient(self.family)
 
 
 def new_state(
@@ -251,6 +258,15 @@ def _status(prop: Property, bounds: BoundsVec, initial: int) -> str:
     return "open"
 
 
+def _bounds(state: HybridState, sub: Subfamily) -> dict[frozenset[int], BoundsVec]:
+    """Quotient bounds of ``sub`` per target set, all on one mask of the root."""
+    bounds, qmdp = {}, state.root
+    for tset in _target_sets(state):
+        bounds[tset] = compute_bounds(state.family, sub, tset, state.meter, qmdp)
+        qmdp = bounds[tset].quotient
+    return bounds
+
+
 def _gamma_for(state: HybridState, item: WorkItem, prop: Property):
     """Rerouting vector for conflicts in ``item``: its bounds, or trivial."""
     bounds = None if state.trivial_bounds else item.bounds.get(prop.targets)
@@ -286,10 +302,7 @@ def ar_run(state: HybridState) -> tuple[SynthesisResult | None, float, int]:
         return None, 1.0 / max(cost, 1), cost
 
     props = _props_all(state)
-    bounds = {
-        tset: compute_bounds(state.family, item.sub, tset, state.meter)
-        for tset in _target_sets(state)
-    }
+    bounds = _bounds(state, item.sub)
     statuses = [_status(p, bounds[p.targets], state.family.initial) for p in props]
     cost = state.meter.total - cost0
 
@@ -445,10 +458,7 @@ def synthesize(
                 f"family has {root.remaining} members, one-by-one cap is {cap}"
             )
     if method == "cegis" and bounds == "family":
-        root.bounds = {
-            tset: compute_bounds(family, root.sub, tset, state.meter)
-            for tset in _target_sets(state)
-        }
+        root.bounds = _bounds(state, root.sub)
 
     ar_steps = method in ("ar", "hybrid")
     result = None

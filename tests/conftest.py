@@ -9,13 +9,23 @@ Random instances come from the benchmark generator; expected values are
 always produced by exhaustive enumeration with the exact linear solver, so
 the oracles stay independent of the iterative code paths under test.
 ``reference_conflict`` and its helpers build conflicts on explicitly
-rerouted chains, the reference for ``construct_conflict``.
+rerouted chains, the reference for ``construct_conflict``;
+``reference_build_quotient`` and ``reference_split_subfamily`` build each
+quotient from its own product of domains and decode actions one state at a
+time, the reference for the masked quotients and array splitting of
+:mod:`mcsynth.quotient`.  ``lane_family`` loads the benchmark's family shape.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.util
+import itertools
+import math
 import random
+import sys
 from collections import deque
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -40,7 +50,9 @@ from mcsynth import (
     mc_reach_exact,
     parse_sketch,
 )
-from mcsynth.model import realization_in
+from mcsynth.errors import ResourceCapError
+from mcsynth.model import flat_rows, member_count, realization_in
+from mcsynth.quotient import ACTION_CAP, QuotientMdp
 
 TOY4_TEXT = """
 {
@@ -266,6 +278,156 @@ def reference_conflict(
             )
         pick = choose_to_expand(horizon, rel, family, scope)
         rel |= {k for k in family.templates[pick].keys if k in multi}
+
+
+# Reference quotients: every subfamily's quotient built from its own product
+# of restricted domains, and splitting by decoding one action at a time;
+# the masked quotients and the array splitting must agree bitwise.
+
+
+def reference_build_quotient(family: Family, sub: Subfamily) -> QuotientMdp:
+    """Materialize the quotient MDP of ``sub``.
+
+    The action count at a state is the product of the restricted-domain sizes
+    of the parameters in its template; a per-state cap guards degenerate
+    sketches.
+    """
+    if len(sub.domains) != family.n_params:
+        raise ValueError("subfamily does not match the family's parameters")
+    for k, dom in enumerate(sub.domains):
+        if any(v not in family.domains[k] for v in dom):
+            raise ValueError(f"restricted domain of parameter {k} leaves the declared domain")
+    counts, entries, targets, probs, supp = [], [], [], [], []
+    for s, tmpl in enumerate(family.templates):
+        params = tmpl.keys
+        supp.append(params)
+        count = math.prod(len(sub.domains[k]) for k in params)
+        if count > ACTION_CAP:
+            raise ResourceCapError(
+                f"state {s} would get {count} quotient actions (cap {ACTION_CAP})"
+            )
+        counts.append(count)
+        entries.append(len(params))
+        targets.extend(itertools.chain.from_iterable(
+            itertools.product(*(sub.domains[k] for k in params))
+        ))
+        probs.extend(tmpl.probs * count)
+    act_len = np.repeat(entries, counts)
+    act_ptr, ent_target, ent_prob = flat_rows(
+        act_len.size,
+        np.repeat(np.arange(act_len.size), act_len),
+        np.asarray(targets, dtype=np.int64),
+        np.asarray(probs, dtype=np.float64),
+    )
+    return QuotientMdp(
+        family=family,
+        sub=sub,
+        initial=family.initial,
+        n_states=family.n_states,
+        state_ptr=np.concatenate(([0], np.cumsum(counts))),
+        act_ptr=act_ptr,
+        ent_target=ent_target,
+        ent_prob=ent_prob,
+    )
+
+
+def reference_decode_action(qmdp: QuotientMdp, s: int, action: int) -> dict[int, int]:
+    """Map a local action index back to its parameter-value choice."""
+    params = qmdp.family.templates[s].keys
+    sizes = [len(qmdp.sub.domains[k]) for k in params]
+    if not 0 <= action < math.prod(sizes):
+        raise ValueError(f"action {action} out of range at state {s}")
+    choice = {}
+    rem = action
+    for k, size in zip(reversed(params), reversed(sizes)):
+        rem, digit = divmod(rem, size)
+        choice[k] = qmdp.sub.domains[k][digit]
+    return choice
+
+
+def _reference_reachable_under(qmdp: QuotientMdp, scheduler: np.ndarray) -> np.ndarray:
+    seen = np.zeros(qmdp.n_states, dtype=bool)
+    seen[qmdp.initial] = True
+    queue = deque([qmdp.initial])
+    while queue:
+        s = queue.popleft()
+        tgt, _ = qmdp.action_row(s, int(scheduler[s]))
+        for t in tgt:
+            if not seen[t]:
+                seen[t] = True
+                queue.append(int(t))
+    return seen
+
+
+def reference_split_subfamily(
+    family: Family,
+    sub: Subfamily,
+    min_sched: np.ndarray,
+    max_sched: np.ndarray,
+    qmdp: QuotientMdp | None = None,
+) -> tuple[Subfamily, Subfamily]:
+    """Partition ``sub`` into two strictly smaller subfamilies.
+
+    Each multi-valued parameter is scored by the number of states, reachable
+    under both schedulers, where the two schedulers choose different values
+    for it; the highest-scoring parameter is split into the value the max
+    scheduler picks most often versus the rest.  When every score is 0 the
+    largest restricted domain is halved by value order.  Ties resolve to the
+    smallest parameter or value index, so the split is deterministic.
+    """
+    if member_count(sub) < 2:
+        raise ValueError("cannot split a singleton subfamily")
+    if qmdp is None:
+        qmdp = reference_build_quotient(family, sub)
+    supp = [tmpl.keys for tmpl in family.templates]
+    multi = sub.multi_valued()
+    joint = _reference_reachable_under(qmdp, min_sched) & _reference_reachable_under(qmdp, max_sched)
+
+    scores = {k: 0 for k in multi}
+    for s in range(qmdp.n_states):
+        if not joint[s]:
+            continue
+        lo = reference_decode_action(qmdp, s, int(min_sched[s]))
+        hi = reference_decode_action(qmdp, s, int(max_sched[s]))
+        for k in supp[s]:
+            if k in scores and lo[k] != hi[k]:
+                scores[k] += 1
+
+    best = max(scores.values(), default=0)
+    if best > 0:
+        param = min(k for k, v in scores.items() if v == best)
+        dom = sub.domains[param]
+        votes = {v: 0 for v in dom}
+        max_reach = _reference_reachable_under(qmdp, max_sched)
+        for s in range(qmdp.n_states):
+            if max_reach[s] and param in supp[s]:
+                votes[reference_decode_action(qmdp, s, int(max_sched[s]))[param]] += 1
+        pivot = min(votes, key=lambda v: (-votes[v], v))
+        left_vals = (pivot,)
+        right_vals = tuple(v for v in dom if v != pivot)
+    else:
+        param = min(multi, key=lambda k: (-len(sub.domains[k]), k))
+        dom = sub.domains[param]
+        half = (len(dom) + 1) // 2
+        left_vals, right_vals = dom[:half], dom[half:]
+
+    return sub.restricted(param, left_vals), sub.restricted(param, right_vals)
+
+
+@functools.cache
+def _load_benchmark_families():
+    path = Path(__file__).resolve().parent.parent / "benchmark" / "families.py"
+    spec = importlib.util.spec_from_file_location("benchmark_families", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def lane_family(n_states: int, n_params: int, rho: float, seed: int) -> Family:
+    """A family of the benchmark's lane shape (``benchmark/families.py``)."""
+    model = _load_benchmark_families().lane_family(n_states, n_params, rho, random.Random(seed))
+    return parse_sketch(model.sketch_text())
 
 
 def corpus_family(i: int) -> Family:

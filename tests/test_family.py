@@ -326,3 +326,19 @@ class TestValidation:
         for states, params, domain, _seed in CORPUS_CONFIGS:
             assert states <= 40
             assert domain**params <= 512
+
+
+class TestRestricted:
+    def test_replaced_domain_is_checked(self, toy4):
+        sub = toy4.full_subfamily()
+        with pytest.raises(ValueError, match="parameter 1 is empty"):
+            sub.restricted(1, ())
+        with pytest.raises(ValueError, match="parameter 0 must be strictly increasing"):
+            sub.restricted(0, (2, 1))
+
+    def test_other_domains_are_kept(self, toy4):
+        sub = toy4.full_subfamily()
+        half = sub.restricted(1, [4])
+        assert half.domains == ((1, 2), (4,), (3,), (4,))
+        assert all(a is b for k, (a, b) in enumerate(zip(half.domains, sub.domains)) if k != 1)
+        assert sub.domains[1] == (3, 4)

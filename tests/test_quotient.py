@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mcsynth import (
+    Property,
+    Specification,
     Subfamily,
     build_quotient,
     compute_bounds,
@@ -14,13 +17,81 @@ from mcsynth import (
     mdp_extreme,
     member_count,
     split_subfamily,
+    synthesize,
 )
+from mcsynth.errors import ResourceCapError
+from mcsynth.model import Distribution, Family
+from mcsynth.quotient import root_quotient
 
-from conftest import TOY_R, TOY_TARGET, chain_row, corpus_family, goal_index, make_mc
+from conftest import (
+    TOY_R,
+    TOY_TARGET,
+    chain_row,
+    corpus_family,
+    goal_index,
+    lane_family,
+    make_instance,
+    make_mc,
+    reference_build_quotient,
+    reference_decode_action,
+    reference_split_subfamily,
+)
 
 
 def sub_singleton(toy4, member):
     return Subfamily(tuple((v,) for v in member.values))
+
+
+def over_cap_family() -> Family:
+    n_params = 7
+    # one state referencing 7 parameters with 8-value domains: 8**7 actions
+    return Family(
+        state_names=tuple(f"s{i}" for i in range(9)),
+        initial=0,
+        param_names=tuple(f"p{k}" for k in range(n_params)),
+        domains=tuple(tuple(range(1, 9)) for _ in range(n_params)),
+        templates=(
+            Distribution({k: 1.0 / n_params for k in range(n_params - 1)}
+                         | {n_params - 1: 1.0 - (n_params - 1) / n_params}),
+        ) + tuple(Distribution({k % n_params: 1.0}) for k in range(8)),
+    )
+
+
+# corpus families with 2-, 3- and 4-value domains, and binary lane families
+MASK_FAMILIES = [corpus_family(i) for i in (0, 4, 9, 13, 15, 21, 24, 38)] + [
+    lane_family(n, m, rho, seed)
+    for n, m, rho, seed in ((12, 4, 0.7, 1), (24, 6, 0.6, 2), (40, 8, 0.7, 3))
+]
+
+
+@st.composite
+def subfamilies(draw, family: Family, within: Subfamily | None = None) -> Subfamily:
+    """A random subfamily of ``within`` (the whole family by default)."""
+    outer = (within or family.full_subfamily()).domains
+    return Subfamily([
+        sorted(draw(st.lists(st.sampled_from(dom), min_size=1, unique=True)))
+        for dom in outer
+    ])
+
+
+def two_target_instance():
+    """An infeasible instance, and its spec plus an always-met second target set."""
+    family, spec, _values = make_instance(3, "infeasible")
+    always = Property(op=">=", threshold=0.0, targets=frozenset({family.initial}))
+    return family, spec, Specification(properties=spec.properties + (always,))
+
+
+def assert_bitwise_equal(got, want):
+    for name in ("state_ptr", "act_ptr", "ent_target", "ent_prob"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def split_key(halves):
+    """``(param, left, right)`` of a split: the one domain the halves differ in."""
+    left, right = halves
+    (param,) = [k for k, (a, b) in enumerate(zip(left.domains, right.domains)) if a != b]
+    return param, left.domains[param], right.domains[param]
 
 
 class TestBuildQuotient:
@@ -75,21 +146,7 @@ class TestBuildQuotient:
         assert choice0[1] == 3 and choice1[1] == 4  # Y = t then Y = f
 
     def test_action_count_cap(self):
-        from mcsynth.errors import ResourceCapError
-        from mcsynth.model import Distribution, Family
-
-        n_params = 7
-        # one state referencing 7 parameters with 8-value domains: 8**7 actions
-        fam = Family(
-            state_names=tuple(f"s{i}" for i in range(9)),
-            initial=0,
-            param_names=tuple(f"p{k}" for k in range(n_params)),
-            domains=tuple(tuple(range(1, 9)) for _ in range(n_params)),
-            templates=(
-                Distribution({k: 1.0 / n_params for k in range(n_params - 1)}
-                             | {n_params - 1: 1.0 - (n_params - 1) / n_params}),
-            ) + tuple(Distribution({k % n_params: 1.0}) for k in range(8)),
-        )
+        fam = over_cap_family()
         with pytest.raises(ResourceCapError, match="actions"):
             build_quotient(fam, fam.full_subfamily())
 
@@ -258,6 +315,18 @@ class TestSplitSubfamily:
             split_subfamily(toy4, sub, zero, zero, q)
 
 
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_out_of_range_scheduler_rejected(self, toy4, bad):
+        sub = toy4.full_subfamily()
+        q = build_quotient(toy4, sub)
+        zero = np.zeros(toy4.n_states, dtype=np.int64)
+        wild = zero.copy()
+        wild[1] = bad  # state 1 has two actions
+        for scheds in ((wild, zero), (zero, wild)):
+            with pytest.raises(ValueError, match=f"action {bad} out of range at state 1"):
+                split_subfamily(toy4, sub, *scheds, q)
+
+
 class TestRefinementProperties:
     def test_split_tightens_bounds_monotonically(self):
         for i in (0, 6, 11):
@@ -272,3 +341,119 @@ class TestRefinementProperties:
                 got = compute_bounds(fam, child, targets)
                 assert (parent.lb <= got.lb + 2e-8).all()
                 assert (parent.ub >= got.ub - 2e-8).all()
+
+
+class TestRootMask:
+    """Masks of one root quotient against quotients built per subfamily."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_masked_quotient_matches_reference(self, data):
+        fam = data.draw(st.sampled_from(MASK_FAMILIES))
+        root = root_quotient(fam)
+        sub = data.draw(subfamilies(fam))
+        q = build_quotient(fam, sub, root)
+        assert_bitwise_equal(q, reference_build_quotient(fam, sub))
+        # masking a quotient of a containing subfamily gives the same rows
+        inner = data.draw(subfamilies(fam, sub))
+        assert_bitwise_equal(build_quotient(fam, inner, q), reference_build_quotient(fam, inner))
+
+    def test_root_matches_reference_of_full_family(self):
+        for fam in MASK_FAMILIES:
+            want = reference_build_quotient(fam, fam.full_subfamily())
+            assert_bitwise_equal(root_quotient(fam), want)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_split_matches_reference_on_random_schedulers(self, data):
+        fam = data.draw(st.sampled_from(MASK_FAMILIES))
+        sub = data.draw(subfamilies(fam))
+        if member_count(sub) < 2:
+            return
+        q = build_quotient(fam, sub, root_quotient(fam))
+        sizes = np.diff(q.state_ptr).tolist()
+        scheds = [
+            np.asarray([data.draw(st.integers(0, k - 1)) for k in sizes], dtype=np.int64)
+            for _ in range(2)
+        ]
+        want = reference_split_subfamily(fam, sub, *scheds, reference_build_quotient(fam, sub))
+        assert split_key(split_subfamily(fam, sub, *scheds, q)) == split_key(want)
+
+    def test_split_matches_reference_down_the_refinement_tree(self):
+        for fam in MASK_FAMILIES:
+            targets = {goal_index(fam)}
+            root = root_quotient(fam)
+            stack = [fam.full_subfamily()]
+            while stack:
+                sub = stack.pop()
+                if member_count(sub) < 2:
+                    continue
+                bounds = compute_bounds(fam, sub, targets, quotient=root)
+                scheds = (bounds.min_scheduler, bounds.max_scheduler)
+                got = split_subfamily(fam, sub, *scheds, bounds.quotient)
+                want = reference_split_subfamily(fam, sub, *scheds)
+                assert split_key(got) == split_key(want)
+                stack.extend(got)
+
+    def test_decode_action_matches_reference(self):
+        for fam in MASK_FAMILIES[:4]:
+            sub = fam.full_subfamily().restricted(0, fam.domains[0][-1:])
+            q = build_quotient(fam, sub)
+            for s in range(q.n_states):
+                for a in range(q.n_actions(s)):
+                    assert q.decode_action(s, a) == reference_decode_action(q, s, a)
+            with pytest.raises(ValueError, match="out of range"):
+                q.decode_action(0, q.n_actions(0))
+
+    def test_bounds_reuse_the_quotient_of_their_own_subfamily(self, toy4, monkeypatch):
+        import mcsynth.quotient as quotient_mod
+
+        sub = toy4.full_subfamily().restricted(0, (2,))
+        first = compute_bounds(toy4, sub, TOY_TARGET, quotient=root_quotient(toy4))
+        monkeypatch.setattr(quotient_mod, "build_quotient", None)
+        again = compute_bounds(toy4, sub, {4}, quotient=first.quotient)
+        assert again.quotient is first.quotient
+
+    def test_root_built_once_per_run(self, monkeypatch):
+        import mcsynth.synthesis as synthesis_mod
+
+        calls = []
+
+        def spy(family):
+            calls.append(family)
+            return root_quotient(family)
+
+        monkeypatch.setattr(synthesis_mod, "root_quotient", spy)
+        family, spec, two_targets = two_target_instance()
+        for method, want in (("ar", 1), ("hybrid", 1), ("cegis", 1), ("onebyone", 0)):
+            for the_spec in (spec, two_targets):
+                calls.clear()
+                result = synthesize(family, the_spec, method=method)
+                assert len(calls) == want, method
+                if method == "ar":
+                    assert result.stats.ar_iterations > 1
+
+    def test_one_mask_per_ar_step_for_every_target_set(self, monkeypatch):
+        import mcsynth.quotient as quotient_mod
+
+        calls = []
+        real = quotient_mod.build_quotient
+
+        def spy(family, sub, root=None):
+            calls.append(sub)
+            return real(family, sub, root)
+
+        monkeypatch.setattr(quotient_mod, "build_quotient", spy)
+        family, _spec, two_targets = two_target_instance()
+        result = synthesize(family, two_targets, method="ar")
+        assert len(calls) == result.stats.ar_iterations > 1
+
+    def test_root_over_action_cap(self):
+        fam = over_cap_family()
+        with pytest.raises(ResourceCapError, match="cap"):
+            root_quotient(fam)
+        prop = Property(op=">=", threshold=0.5, targets=frozenset({1}))
+        spec = Specification(properties=(prop,))
+        for method in ("ar", "hybrid"):
+            with pytest.raises(ResourceCapError, match="actions"):
+                synthesize(fam, spec, method=method)

@@ -133,7 +133,6 @@ def make_mdp(actions) -> QuotientMdp:
         act_ptr=np.asarray(act_ptr, dtype=np.int64),
         ent_target=np.asarray(tgt, dtype=np.int64),
         ent_prob=np.asarray(prob, dtype=np.float64),
-        supp=(),
     )
 
 
