@@ -4,7 +4,9 @@ States and parameters are interned to dense integer indices; every type here
 is immutable after construction and safe to share between threads.  Human
 readable names live only at the I/O boundary (see :mod:`mcsynth.sketch`).
 Transition rows of member chains and quotient MDPs share one flat layout,
-normalised by :func:`flat_rows`.
+normalised by :func:`flat_rows`.  A family also fixes the order in which
+reachability solves visit its states: chunks of the condensation of its
+union graph, sinks first (:attr:`Family._chunk_ids`).
 """
 
 from __future__ import annotations
@@ -17,14 +19,18 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 PROB_SUM_TOL = 1e-9
+# A solve chunk closes once it holds this many states.  Smaller chunks save
+# little dense work but cost one more linear solve call each; a family with
+# fewer states is one chunk, solved exactly as one system.
+SOLVE_CHUNK = 64
 
 
 class Distribution:
     """Finite probability distribution over integer keys (a template row).
 
     Entries with zero probability are dropped so the support is exactly the
-    stored keys.  Probabilities must lie in [0, 1] and sum to 1 within
-    ``PROB_SUM_TOL``.
+    stored keys.  Probabilities must lie in [0, 1] (NaN does not) and sum to
+    1 within ``PROB_SUM_TOL``.
     """
 
     __slots__ = ("keys", "probs")
@@ -34,7 +40,7 @@ class Distribution:
         pairs = []
         total = 0.0
         for key, prob in items:
-            if prob < 0.0 or prob > 1.0 + PROB_SUM_TOL:
+            if not 0.0 <= prob <= 1.0 + PROB_SUM_TOL:
                 raise ValueError(f"probability {prob!r} for key {key} outside [0, 1]")
             total += prob
             if prob > 0.0:
@@ -96,6 +102,55 @@ def predecessors(n: int, src: np.ndarray, tgt: np.ndarray) -> tuple[list[int], l
     return src[order].tolist(), np.searchsorted(tgt[order], np.arange(n + 1)).tolist()
 
 
+def strong_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Strongly connected components of the graph ``succ``, sinks first.
+
+    Iterative Tarjan: a block is emitted only after every block it reaches,
+    so the list is a reverse topological order of the condensation.  Each
+    block lists its states in increasing order.
+    """
+    n = len(succ)
+    index, low = [-1] * n, [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    blocks: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    block = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        block.append(w)
+                        if w == v:
+                            break
+                    blocks.append(sorted(block))
+    return blocks
+
+
 @dataclass(frozen=True, eq=False)
 class Mc:
     """Markov chain as flat rows: a quotient MDP with one action per state.
@@ -104,12 +159,17 @@ class Mc:
     probabilities ``ent_prob`` at the same positions; targets are strictly
     increasing within a row and probabilities positive, summing to 1 within
     ``PROB_SUM_TOL``.  ``ent_source`` holds the state of each entry.
+
+    ``chunk`` holds, per state, the solve chunk of the family the chain was
+    induced from (see :attr:`Family._chunk_ids`); ``None`` solves the chain
+    as one chunk.
     """
 
     initial: int
     row_ptr: np.ndarray
     ent_target: np.ndarray
     ent_prob: np.ndarray
+    chunk: np.ndarray | None = field(default=None, repr=False)
     ent_source: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -121,6 +181,8 @@ class Mc:
         sizes = np.diff(ptr)
         if not (sizes > 0).all():
             raise ValueError(f"row of state {int(np.argmin(sizes))} is empty")
+        if self.chunk is not None and self.chunk.shape != (n,):
+            raise ValueError("chunk ids must give one chunk per state")
         if tgt.min() < 0 or tgt.max() >= n:
             raise ValueError("a row targets an unknown state")
         rising = np.diff(tgt) > 0
@@ -202,6 +264,39 @@ class Family:
         param = [k for tmpl in self.templates for k in tmpl.keys]
         prob = [p for tmpl in self.templates for p in tmpl.probs]
         return np.asarray(state), np.asarray(param), np.asarray(prob, dtype=np.float64)
+
+    def _blocks(self) -> list[list[int]]:
+        """Strongly connected components of the union graph, sinks first.
+
+        The union graph has an edge from each state to every value of every
+        parameter in its template, so every member chain and every quotient
+        of the family is a subgraph of it.  Not cached: a family keeps only
+        the one array of :attr:`_chunk_ids`, not a list per block.
+        """
+        succ = [
+            sorted({v for k in tmpl.keys for v in self.domains[k]}) for tmpl in self.templates
+        ]
+        return strong_components(succ)
+
+    @cached_property
+    def _chunk_ids(self) -> np.ndarray | None:
+        """Per state, the solve chunk it belongs to; ``None`` for one chunk.
+
+        Chunks merge consecutive blocks of :meth:`_blocks`, sinks first, and
+        close once they hold ``SOLVE_CHUNK`` states.  Every transition of a
+        member or quotient leads into the same or a lower chunk, so solving
+        chunks in increasing order finds each chunk's exits already solved.
+        """
+        if self.n_states < SOLVE_CHUNK:
+            return None
+        ids = np.empty(self.n_states, dtype=np.intp)
+        chunk = size = 0
+        for block in self._blocks():
+            ids[block] = chunk
+            size += len(block)
+            if size >= SOLVE_CHUNK:
+                chunk, size = chunk + 1, 0
+        return ids if ids.any() else None
 
 
 @dataclass(frozen=True)
@@ -293,7 +388,7 @@ def induce(family: Family, r: Realization) -> Mc:
     validate_realization(family, r)
     state, param, prob = family._template_entries
     rows = flat_rows(family.n_states, state, np.asarray(r.values)[param], prob)
-    return Mc(family.initial, *rows)
+    return Mc(family.initial, *rows, chunk=family._chunk_ids)
 
 
 def generalization(r: Realization, params: Iterable[int], scope: Subfamily) -> list[Realization]:

@@ -4,10 +4,12 @@ Every solver runs a qualitative prob-0 precomputation first: target states
 are pinned to exactly 1 and states that cannot reach the target to exactly 0,
 which leaves a nonsingular linear system ``(I - Q) x = c`` on the remaining
 states.  Chains solve that system once, directly; quotient MDPs run policy
-iteration, evaluating each policy with the same solve.  Values are exact up
-to floating rounding.  Boundary precision at thresholds is handled by the
-decision tolerance ``eta`` of :func:`evaluate_property`; ties resolve toward
-satisfaction.
+iteration, evaluating each policy with the same solve.  The solve runs chunk
+by chunk along the condensation of the family's union graph, sinks first,
+one dense system per chunk (:func:`_solve`); a family below ``SOLVE_CHUNK``
+states is one chunk.  Values are exact up to floating rounding.  Boundary
+precision at thresholds is handled by the decision tolerance ``eta`` of
+:func:`evaluate_property`; ties resolve toward satisfaction.
 """
 
 from __future__ import annotations
@@ -168,17 +170,10 @@ def _fixed_values(
     return values, unknown
 
 
-def _solve(
+def _solve_dense(
     src: np.ndarray, tgt: np.ndarray, prob: np.ndarray, values: np.ndarray, unknown: np.ndarray
 ) -> None:
-    """Set ``values[unknown]`` to the reachability values of one chain.
-
-    The entries hold one row per state: a chain's, or the actions a policy
-    picks.  ``values`` holds the fixed values outside ``unknown``; the rows
-    of the unknown states give ``(I - Q) x = c``, solved with one
-    ``np.linalg.solve``.  The system is nonsingular when every unknown state
-    leaves the unknown set with probability 1.
-    """
+    """Set ``values[unknown]`` from the rows of the unknown states, in one dense solve."""
     m = int(np.count_nonzero(unknown))
     if m == 0:
         return
@@ -194,6 +189,46 @@ def _solve(
     values[unknown] = np.clip(np.linalg.solve(system, rhs), 0.0, 1.0)
 
 
+def _solve(
+    src: np.ndarray,
+    tgt: np.ndarray,
+    prob: np.ndarray,
+    values: np.ndarray,
+    unknown: np.ndarray,
+    chunk: np.ndarray | None = None,
+) -> None:
+    """Set ``values[unknown]`` to the reachability values of one chain.
+
+    The entries hold one row per state: a chain's, or the actions a policy
+    picks.  ``values`` holds the fixed values outside ``unknown``; the rows
+    of the unknown states give ``(I - Q) x = c``, which is nonsingular when
+    every unknown state leaves the unknown set with probability 1.
+
+    ``chunk`` gives each state its solve chunk, numbered so that every entry
+    leads into the same or a lower chunk (:attr:`Family._chunk_ids`).  The
+    unknown states of each chunk, lowest first, are then one dense
+    ``np.linalg.solve``, with the entries that leave the chunk, into fixed
+    or already solved states, moved to the right-hand side.  Without
+    ``chunk`` all unknown states are one system.
+    """
+    if chunk is None:
+        _solve_dense(src, tgt, prob, values, unknown)
+        return
+    own = unknown[src]
+    src, tgt, prob = src[own], tgt[own], prob[own]
+    # the stable sort keeps each row's entries together and in order
+    order = np.argsort(chunk[src], kind="stable")
+    src, tgt, prob = src[order], tgt[order], prob[order]
+    ent_chunk = chunk[src]
+    # every unknown state has a row, so the chunks met are those of its entries
+    cuts = (np.flatnonzero(ent_chunk[1:] != ent_chunk[:-1]) + 1).tolist()
+    block = np.zeros(unknown.size, dtype=bool)
+    for lo, hi in zip([0] + cuts, cuts + [src.size]):
+        block[src[lo:hi]] = True
+        _solve_dense(src[lo:hi], tgt[lo:hi], prob[lo:hi], values, block)
+        block[src[lo:hi]] = False
+
+
 def mc_reach(
     mc: Mc,
     targets: Iterable[int],
@@ -202,7 +237,8 @@ def mc_reach(
     """Per-state probability of eventually reaching ``targets``.
 
     Target states are exactly 1, states that cannot reach the target in the
-    underlying graph exactly 0; the rest come from one direct solve.
+    underlying graph exactly 0; the rest come from the direct solve of
+    :func:`_solve`, chunk by chunk when the chain carries its family's chunks.
 
     ``fixed = (mask, given)`` pins every non-target state under ``mask`` to
     its value in ``given`` (within [0, 1]) and ignores its row, as if it
@@ -223,7 +259,7 @@ def mc_reach(
         values[mask] = given[mask]
         values[sorted(tset)] = 1.0  # a target stays a target under the mask
         unknown &= ~mask
-    _solve(mc.ent_source, mc.ent_target, mc.ent_prob, values, unknown)
+    _solve(mc.ent_source, mc.ent_target, mc.ent_prob, values, unknown, mc.chunk)
     return values
 
 
@@ -306,6 +342,7 @@ def mdp_extreme(
     tgt, prob = mdp.ent_target, mdp.ent_prob
     act_first = state_ptr[:-1]
     act_state, ent_act, ent_src = mdp.act_state, mdp.ent_act, mdp.ent_src
+    chunk = None if mdp.family is None else mdp.family._chunk_ids
 
     policy = np.zeros(n, dtype=np.int64)
     if mode == "min":
@@ -322,7 +359,7 @@ def mdp_extreme(
 
     while True:
         picked = ent_act == (act_first + policy)[ent_src]
-        _solve(ent_src[picked], tgt[picked], prob[picked], values, unknown)
+        _solve(ent_src[picked], tgt[picked], prob[picked], values, unknown, chunk)
         act_vals = np.add.reduceat(prob * values[tgt], act_ptr[:-1])
         best = reduce(act_vals, act_first)
         gain = np.abs(best - act_vals[act_first + policy])

@@ -13,9 +13,11 @@ import time
 from dataclasses import dataclass
 
 from .counterexamples import construct_conflict, minimal_conflict_oracle, trivial_gamma
-from .model import Family, Realization, induce, iterate_unpruned
-from .quotient import compute_bounds
+from .errors import ResourceCapError
+from .model import Family, Realization, induce, iterate_unpruned, member_count
+from .quotient import compute_bounds, root_quotient
 from .reach import CostMeter, DECISION_ETA, Specification, evaluate_property, mc_reach
+from .synthesis import MEMBER_CAP
 
 
 @dataclass(frozen=True)
@@ -99,11 +101,20 @@ def ce_quality_report(
 
     ``mode`` picks the rerouting vectors: ``"family"`` uses whole-family
     bounds, ``"trivial"`` the bound-free vectors.  Ratios are conflict size
-    over the number of multi-valued parameters.
+    over the number of multi-valued parameters.  Every member is checked, so
+    families over ``MEMBER_CAP`` members raise :class:`ResourceCapError`; in
+    family mode the root quotient is built once and serves every target set.
     """
     if mode not in ("family", "trivial"):
         raise ValueError(f"unknown report mode {mode!r}")
     scope = family.full_subfamily()
+    members = member_count(scope)
+    if members > MEMBER_CAP:
+        raise ResourceCapError(f"family has {members} members, report cap is {MEMBER_CAP}")
+    root = None
+    if mode == "family":
+        root = root_quotient(family)
+        scope = root.sub  # compute_bounds then solves the root as scope's own quotient
     multi = scope.multi_valued()
     total = len(multi)
     bounds, gammas = {}, {}
@@ -112,7 +123,7 @@ def ce_quality_report(
             gammas[idx] = trivial_gamma(family.n_states, prop)
             continue
         if prop.targets not in bounds:
-            bounds[prop.targets] = compute_bounds(family, scope, prop.targets)
+            bounds[prop.targets] = compute_bounds(family, scope, prop.targets, quotient=root)
         vec = bounds[prop.targets]
         gammas[idx] = vec.lb if prop.op == "<=" else vec.ub
 

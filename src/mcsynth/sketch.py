@@ -122,9 +122,11 @@ def parse_sketch(text: str) -> Family:
         for pname, prob in row.items():
             if pname not in param_index:
                 raise SketchError(f"unknown parameter {pname!r}", location=loc)
-            if not isinstance(prob, (int, float)) or prob < 0 or prob > 1:
+            # json gives bool (an int subclass) for true and false, and reads
+            # NaN and Infinity, which fail the range test
+            if type(prob) not in (int, float) or not 0 <= prob <= 1:
                 raise SketchError(
-                    f"probability {prob!r} of {pname!r} outside [0, 1]", location=loc
+                    f"probability {prob!r} of {pname!r} is not a number in [0, 1]", location=loc
                 )
             entries[param_index[pname]] = float(prob)
             total += float(prob)

@@ -13,7 +13,9 @@ rerouted chains, the reference for ``construct_conflict``;
 ``reference_build_quotient`` and ``reference_split_subfamily`` build each
 quotient from its own product of domains and decode actions one state at a
 time, the reference for the masked quotients and array splitting of
-:mod:`mcsynth.quotient`.  ``lane_family`` loads the benchmark's family shape.
+:mod:`mcsynth.quotient`.  ``reference_solve`` solves all unknown states of a
+chain as one dense system, the reference for the chunked solves of
+:mod:`mcsynth.reach`.  ``lane_family`` loads the benchmark's family shape.
 """
 
 from __future__ import annotations
@@ -172,6 +174,32 @@ def reroute(mc: Mc, expanded: Iterable[int], gamma: Sequence[float]) -> Mc:
     order = np.argsort(src, kind="stable")
     row_ptr = np.searchsorted(src[order], np.arange(n + 3))
     return Mc(mc.initial, row_ptr, tgt[order], prob[order])
+
+
+def reference_solve(
+    src: np.ndarray, tgt: np.ndarray, prob: np.ndarray, values: np.ndarray, unknown: np.ndarray
+) -> None:
+    """Set ``values[unknown]`` to the reachability values of one chain.
+
+    The entries hold one row per state: a chain's, or the actions a policy
+    picks.  ``values`` holds the fixed values outside ``unknown``; the rows
+    of the unknown states give ``(I - Q) x = c``, solved with one
+    ``np.linalg.solve``.  The system is nonsingular when every unknown state
+    leaves the unknown set with probability 1.
+    """
+    m = int(np.count_nonzero(unknown))
+    if m == 0:
+        return
+    index = np.cumsum(unknown) - 1
+    own = unknown[src]
+    s, t, p = index[src[own]], tgt[own], prob[own]
+    inner = unknown[t]
+    system = np.eye(m)
+    # Targets are unique within a row, so no (s, t) pair repeats.
+    system[s[inner], index[t[inner]]] -= p[inner]
+    outer = ~inner
+    rhs = np.bincount(s[outer], weights=p[outer] * values[t[outer]], minlength=m)
+    values[unknown] = np.clip(np.linalg.solve(system, rhs), 0.0, 1.0)
 
 
 def _scope_multi(family: Family, scope: Subfamily | None) -> frozenset[int]:

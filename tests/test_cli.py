@@ -78,6 +78,14 @@ class TestSynthCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_nan_probability_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "nan.json"
+        bad.write_text(TOY4_TEXT.replace('"s0": {"X": 1.0}', '"s0": {"X": NaN}'))
+        spec = spec_file(tmp_path, "P<=0.3 [F t]\n")
+        code = main(["synth", "--sketch", str(bad), "--spec", spec])
+        assert code == 2
+        assert "transitions.s0" in capsys.readouterr().err
+
     def test_missing_file_exit_two(self, tmp_path):
         spec = spec_file(tmp_path, "P<=0.3 [F t]\n")
         assert main(["synth", "--sketch", str(tmp_path / "nope.json"), "--spec", spec]) == 2
@@ -149,7 +157,10 @@ class TestDemos:
 
 class TestImportFootprint:
     def test_synthesis_loads_no_scipy(self, tmp_path):
-        """Importing scipy's sparse solvers doubles the peak memory of ``import mcsynth``."""
+        """Importing scipy's sparse solvers doubles the peak memory of ``import mcsynth``.
+
+        networkx, an oracle of the tests, would cost memory the same way.
+        """
         sketch = tmp_path / "toy4.json"
         sketch.write_text(TOY4_TEXT)
         script = (
@@ -157,7 +168,7 @@ class TestImportFootprint:
             f"family = mcsynth.parse_sketch(open({str(sketch)!r}).read())\n"
             "spec = mcsynth.parse_spec('P<=0.3 [F t]', family)\n"
             "assert mcsynth.synthesize(family, spec).verdict == 'feasible'\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'networkx')))\n"
         )
         proc = subprocess.run(
             [sys.executable, "-c", script], capture_output=True, text=True, env=_env_with_src()
@@ -218,3 +229,13 @@ class TestCeReportCommand:
         code = main(["ce-report", "--sketch", sketch_file, "--spec", spec])
         assert code == 0
         assert "no violating" in capsys.readouterr().out
+
+    def test_member_cap_exit_three(self, tmp_path, capsys):
+        from mcsynth import generate_benchmark, serialize_sketch
+
+        sketch = tmp_path / "big.json"
+        sketch.write_text(serialize_sketch(generate_benchmark(30, 24, 2, 1)))  # 2**24 members
+        spec = spec_file(tmp_path, "P<=0.5 [F goal]\n")
+        code = main(["ce-report", "--sketch", str(sketch), "--spec", spec])
+        assert code == 3
+        assert "resource cap" in capsys.readouterr().err

@@ -45,6 +45,11 @@ class TestDistribution:
         with pytest.raises(ValueError):
             Distribution({})
 
+    @pytest.mark.parametrize("entries", [{0: math.nan}, {0: 1.0, 1: math.nan}])
+    def test_nan_rejected(self, entries):
+        with pytest.raises(ValueError, match="outside"):
+            Distribution(entries)
+
 
 class TestInduce:
     def test_toy_r0_sums_parameters_to_same_target(self, toy4):

@@ -4,7 +4,11 @@ import json
 
 import pytest
 
-from mcsynth import Property, Specification, ce_quality_report
+import mcsynth.quotient
+import mcsynth.report
+from mcsynth import Property, Specification, ce_quality_report, generate_benchmark, member_count
+from mcsynth.errors import ResourceCapError
+from mcsynth.synthesis import MEMBER_CAP
 
 from conftest import TOY_TARGET
 
@@ -59,3 +63,33 @@ class TestCeQualityReport:
         report = ce_quality_report(toy4, SPEC, mode="family")
         multi = len(toy4.multi_valued())
         assert all(row.model_checks <= multi + 1 for row in report.rows)
+
+    def test_over_member_cap_refused(self):
+        family = generate_benchmark(30, 24, 2, 1)
+        assert member_count(family.full_subfamily()) > MEMBER_CAP
+        goal = family.state_names.index("goal")
+        prop = Property(op="<=", threshold=0.5, targets=frozenset({goal}))
+        spec = Specification(properties=(prop,))
+        for mode in ("family", "trivial"):
+            with pytest.raises(ResourceCapError, match="members"):
+                ce_quality_report(family, spec, mode=mode)
+
+    def test_root_quotient_built_once(self, toy4, monkeypatch):
+        built = []
+        real = mcsynth.quotient.root_quotient
+
+        def spy(family):
+            built.append(family)
+            return real(family)
+
+        monkeypatch.setattr(mcsynth.report, "root_quotient", spy)
+        monkeypatch.setattr(mcsynth.quotient, "root_quotient", spy)
+        # two target sets: each gets its own bounds, both on the one root
+        props = (
+            Property(op="<=", threshold=0.3, targets=TOY_TARGET),
+            Property(op="<=", threshold=0.5, targets=frozenset({4})),
+            Property(op=">=", threshold=0.5, targets=TOY_TARGET),
+        )
+        report = ce_quality_report(toy4, Specification(properties=props), mode="family")
+        assert built == [toy4]
+        assert report.rows

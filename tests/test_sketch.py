@@ -42,6 +42,19 @@ class TestParseSketch:
         with pytest.raises(SketchError, match=r"transitions.s1.*sum"):
             parse_sketch(text)
 
+    @pytest.mark.parametrize(
+        "row",
+        [
+            '{"X": 1.0, "T\'": NaN}',  # would sum to NaN and drop the entry
+            '{"X": true}',  # would read as probability 1
+            '{"X": NaN}',  # would leave an empty distribution
+        ],
+    )
+    def test_nan_and_bool_probabilities_rejected(self, row):
+        text = TOY4_TEXT.replace('"s0": {"X": 1.0}', f'"s0": {row}')
+        with pytest.raises(SketchError, match=r"transitions.s0.*not a number in \[0, 1\]"):
+            parse_sketch(text)
+
     def test_unknown_domain_value_rejected(self):
         text = TOY4_TEXT.replace('"Y": ["t", "f"]', '"Y": ["t", "nosuch"]')
         with pytest.raises(SketchError, match="parameters.Y"):
