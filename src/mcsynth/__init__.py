@@ -19,7 +19,6 @@ from .errors import (
 )
 from .model import (
     Conflict,
-    Distribution,
     Family,
     Mc,
     Realization,
@@ -60,7 +59,6 @@ __all__ = [
     "Conflict",
     "CostMeter",
     "DECISION_ETA",
-    "Distribution",
     "Family",
     "InvalidBoundsError",
     "Mc",

@@ -86,7 +86,7 @@ def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SketchError(str(exc), location=path) from exc
 
 

@@ -79,7 +79,8 @@ def construct_conflict(
     g = _checked_gamma(gamma, n)
     multi = frozenset(scope.multi_valued())
     # per state, the multi-valued parameters of its template
-    holes = [[k for k in tmpl.keys if k in multi] for tmpl in family.templates]
+    tmpl_ptr, tmpl_param = family.tmpl_ptr.tolist(), family.tmpl_param.tolist()
+    holes = [[k for k in tmpl_param[a:b] if k in multi] for a, b in zip(tmpl_ptr, tmpl_ptr[1:])]
     ptr, tgt = mc.row_ptr.tolist(), mc.ent_target.tolist()
     rel: set[int] = set()
     expanded = np.zeros(n, dtype=bool)

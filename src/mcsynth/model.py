@@ -3,10 +3,11 @@
 States and parameters are interned to dense integer indices; every type here
 is immutable after construction and safe to share between threads.  Human
 readable names live only at the I/O boundary (see :mod:`mcsynth.sketch`).
-Transition rows of member chains and quotient MDPs share one flat layout,
-normalised by :func:`flat_rows`.  A family also fixes the order in which
-reachability solves visit its states: chunks of the condensation of its
-union graph, sinks first (:attr:`Family._chunk_ids`).
+Sketch templates, member chains and quotient MDPs share one flat row layout:
+:func:`check_rows` is the one check of a stored row, and :func:`flat_rows`
+turns raw template entries into transition rows.  A family also fixes the
+order in which reachability solves visit its states: chunks of the
+condensation of its union graph, sinks first (:attr:`Family._chunk_ids`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -23,53 +24,6 @@ PROB_SUM_TOL = 1e-9
 # little dense work but cost one more linear solve call each; a family with
 # fewer states is one chunk, solved exactly as one system.
 SOLVE_CHUNK = 64
-
-
-class Distribution:
-    """Finite probability distribution over integer keys (a template row).
-
-    Entries with zero probability are dropped so the support is exactly the
-    stored keys.  Probabilities must lie in [0, 1] (NaN does not) and sum to
-    1 within ``PROB_SUM_TOL``.
-    """
-
-    __slots__ = ("keys", "probs")
-
-    def __init__(self, entries: Mapping[int, float] | Iterable[tuple[int, float]]):
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        pairs = []
-        total = 0.0
-        for key, prob in items:
-            if not 0.0 <= prob <= 1.0 + PROB_SUM_TOL:
-                raise ValueError(f"probability {prob!r} for key {key} outside [0, 1]")
-            total += prob
-            if prob > 0.0:
-                pairs.append((int(key), float(prob)))
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        if not pairs:
-            raise ValueError("distribution has empty support")
-        pairs.sort()
-        seen = {k for k, _ in pairs}
-        if len(seen) != len(pairs):
-            raise ValueError("duplicate keys in distribution")
-        self.keys = tuple(k for k, _ in pairs)
-        self.probs = tuple(p for _, p in pairs)
-
-    def items(self) -> Iterator[tuple[int, float]]:
-        return zip(self.keys, self.probs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Distribution):
-            return NotImplemented
-        return self.keys == other.keys and self.probs == other.probs
-
-    def __hash__(self) -> int:
-        return hash((self.keys, self.probs))
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{k}: {p:g}" for k, p in self.items())
-        return f"Distribution({{{body}}})"
 
 
 def flat_rows(
@@ -90,6 +44,34 @@ def flat_rows(
     keep = summed > 0.0
     row = row[first][keep]
     return np.searchsorted(row, np.arange(n_rows + 1)), target[first][keep], summed[keep]
+
+
+def check_rows(
+    ptr: np.ndarray, keys: np.ndarray, prob: np.ndarray, n_keys: int, out_of_range: str
+) -> np.ndarray:
+    """Check stored rows, a chain's (keys are targets) or a template's (parameters).
+
+    Pointers span the entries, no row is empty, keys lie in ``range(n_keys)``
+    and strictly increase within a row, probabilities are positive and sum
+    to 1 within ``PROB_SUM_TOL``.  Returns the row sizes.
+    """
+    if ptr[0] != 0 or ptr[-1] != keys.size or prob.size != keys.size:
+        raise ValueError("row pointers must run from 0 to the entry count")
+    sizes = np.diff(ptr)
+    if not (sizes > 0).all():
+        raise ValueError(f"row of state {int(np.argmin(sizes))} is empty")
+    if keys.min() < 0 or keys.max() >= n_keys:
+        raise ValueError(f"a row {out_of_range}")
+    rising = np.diff(keys) > 0
+    rising[ptr[1:-1] - 1] = True  # row boundaries
+    if not rising.all():
+        raise ValueError("keys must be strictly increasing within a row")
+    if not (prob > 0.0).all():
+        raise ValueError("row probabilities must be positive")
+    sums = np.add.reduceat(prob, ptr[:-1])
+    if not (np.abs(sums - 1.0) <= PROB_SUM_TOL).all():
+        raise ValueError("row probabilities must sum to 1")
+    return sizes
 
 
 def predecessors(n: int, src: np.ndarray, tgt: np.ndarray) -> tuple[list[int], list[int]]:
@@ -173,27 +155,14 @@ class Mc:
     ent_source: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        n, ptr, tgt = self.n_states, self.row_ptr, self.ent_target
+        n = self.n_states
         if not 0 <= self.initial < n:
             raise ValueError(f"initial state {self.initial} out of range")
-        if ptr[0] != 0 or ptr[-1] != tgt.size or self.ent_prob.size != tgt.size:
-            raise ValueError("row pointers must run from 0 to the entry count")
-        sizes = np.diff(ptr)
-        if not (sizes > 0).all():
-            raise ValueError(f"row of state {int(np.argmin(sizes))} is empty")
         if self.chunk is not None and self.chunk.shape != (n,):
             raise ValueError("chunk ids must give one chunk per state")
-        if tgt.min() < 0 or tgt.max() >= n:
-            raise ValueError("a row targets an unknown state")
-        rising = np.diff(tgt) > 0
-        rising[ptr[1:-1] - 1] = True  # row boundaries
-        if not rising.all():
-            raise ValueError("targets must be strictly increasing within a row")
-        if not (self.ent_prob > 0.0).all():
-            raise ValueError("row probabilities must be positive")
-        sums = np.add.reduceat(self.ent_prob, ptr[:-1])
-        if not (np.abs(sums - 1.0) <= PROB_SUM_TOL).all():
-            raise ValueError("row probabilities must sum to 1")
+        sizes = check_rows(
+            self.row_ptr, self.ent_target, self.ent_prob, n, "targets an unknown state"
+        )
         object.__setattr__(self, "ent_source", np.repeat(np.arange(n), sizes))
 
     @property
@@ -206,21 +175,26 @@ class Mc:
         return predecessors(self.n_states, self.ent_source, self.ent_target)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Family:
     """A finite family of Markov chains over parameterized transition targets.
 
-    Each state's template is a distribution over *parameters*; assigning each
-    parameter a value from its domain (a set of state indices) turns the
-    template into an ordinary transition row.  Domains are strictly
-    increasing tuples of state indices.
+    Each state's template is a distribution over *parameters*, stored in
+    :class:`Mc`'s row layout with parameters in place of targets:
+    ``tmpl_param[tmpl_ptr[s]:tmpl_ptr[s + 1]]`` and ``tmpl_prob`` (with
+    ``tmpl_state``, the state of each entry).  Assigning each parameter a
+    value from its domain (a strictly increasing tuple of state indices)
+    turns a template into an ordinary transition row.
     """
 
     state_names: tuple[str, ...]
     initial: int
     param_names: tuple[str, ...]
     domains: tuple[tuple[int, ...], ...]
-    templates: tuple[Distribution, ...]
+    tmpl_ptr: np.ndarray
+    tmpl_param: np.ndarray
+    tmpl_prob: np.ndarray
+    tmpl_state: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n, m = len(self.state_names), len(self.param_names)
@@ -228,7 +202,7 @@ class Family:
             raise ValueError(f"initial state {self.initial} out of range")
         if len(self.domains) != m:
             raise ValueError("one domain required per parameter")
-        if len(self.templates) != n:
+        if self.tmpl_ptr.shape != (n + 1,):
             raise ValueError("one template row required per state")
         for k, dom in enumerate(self.domains):
             if not dom:
@@ -237,10 +211,17 @@ class Family:
                 raise ValueError(f"domain of {self.param_names[k]!r} references an unknown state")
             if any(a >= b for a, b in zip(dom, dom[1:])):
                 raise ValueError(f"domain of {self.param_names[k]!r} must be strictly increasing")
-        for s, tmpl in enumerate(self.templates):
-            for k in tmpl.keys:
-                if not 0 <= k < m:
-                    raise ValueError(f"template of state {s} uses an undeclared parameter")
+        sizes = check_rows(
+            self.tmpl_ptr, self.tmpl_param, self.tmpl_prob, m, "uses an undeclared parameter"
+        )
+        object.__setattr__(self, "tmpl_state", np.repeat(np.arange(n), sizes))
+
+    def _value(self) -> tuple:
+        return (self.state_names, self.initial, self.param_names, self.domains,
+                self.tmpl_ptr.tolist(), self.tmpl_param.tolist(), self.tmpl_prob.tolist())
+
+    def __eq__(self, other) -> bool:
+        return self._value() == other._value() if isinstance(other, Family) else NotImplemented
 
     @property
     def n_states(self) -> int:
@@ -257,14 +238,6 @@ class Family:
     def full_subfamily(self) -> "Subfamily":
         return Subfamily(self.domains)
 
-    @cached_property
-    def _template_entries(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All template entries as flat ``(state, param, prob)`` arrays."""
-        state = [s for s, tmpl in enumerate(self.templates) for _ in tmpl.keys]
-        param = [k for tmpl in self.templates for k in tmpl.keys]
-        prob = [p for tmpl in self.templates for p in tmpl.probs]
-        return np.asarray(state), np.asarray(param), np.asarray(prob, dtype=np.float64)
-
     def _blocks(self) -> list[list[int]]:
         """Strongly connected components of the union graph, sinks first.
 
@@ -273,8 +246,9 @@ class Family:
         of the family is a subgraph of it.  Not cached: a family keeps only
         the one array of :attr:`_chunk_ids`, not a list per block.
         """
+        ptr, param = self.tmpl_ptr.tolist(), self.tmpl_param.tolist()
         succ = [
-            sorted({v for k in tmpl.keys for v in self.domains[k]}) for tmpl in self.templates
+            sorted({v for k in param[a:b] for v in self.domains[k]}) for a, b in zip(ptr, ptr[1:])
         ]
         return strong_components(succ)
 
@@ -386,8 +360,8 @@ def induce(family: Family, r: Realization) -> Mc:
     summed, so every row remains a valid distribution.
     """
     validate_realization(family, r)
-    state, param, prob = family._template_entries
-    rows = flat_rows(family.n_states, state, np.asarray(r.values)[param], prob)
+    target = np.asarray(r.values)[family.tmpl_param]
+    rows = flat_rows(family.n_states, family.tmpl_state, target, family.tmpl_prob)
     return Mc(family.initial, *rows, chunk=family._chunk_ids)
 
 

@@ -42,7 +42,7 @@ class QuotientMdp:
     the parameter and the value the action gives it.  A quotient built by
     hand, without a family, may leave the choice arrays out.
 
-    ``act_state`` (the state of each action), ``ent_act`` and ``ent_src``
+    ``act_state`` (the state of each action), ``ent_act`` and ``ent_source``
     (the action and state of each entry) serve every solve on the quotient;
     they are derived from the pointers unless given.
     """
@@ -60,7 +60,7 @@ class QuotientMdp:
     choice_value: np.ndarray | None = field(default=None, repr=False)
     act_state: np.ndarray | None = field(default=None, repr=False)
     ent_act: np.ndarray | None = field(default=None, repr=False)
-    ent_src: np.ndarray | None = field(default=None, repr=False)
+    ent_source: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.act_state is None:
@@ -69,8 +69,8 @@ class QuotientMdp:
         if self.ent_act is None:
             ent_act = np.repeat(np.arange(self.act_state.size), np.diff(self.act_ptr))
             object.__setattr__(self, "ent_act", ent_act)
-        if self.ent_src is None:
-            object.__setattr__(self, "ent_src", self.act_state[self.ent_act])
+        if self.ent_source is None:
+            object.__setattr__(self, "ent_source", self.act_state[self.ent_act])
 
     def n_actions(self, s: int) -> int:
         return int(self.state_ptr[s + 1] - self.state_ptr[s])
@@ -128,11 +128,13 @@ def root_quotient(family: Family) -> QuotientMdp:
     :class:`ResourceCapError`.
     """
     sizes = [len(dom) for dom in family.domains]
+    tmpl_ptr = family.tmpl_ptr
+    ptr, params = tmpl_ptr.tolist(), family.tmpl_param.tolist()
     counts, strides = [], []
-    for s, tmpl in enumerate(family.templates):
+    for s in range(family.n_states):
         # the last template entry varies fastest, as in itertools.product
         count, local = 1, []
-        for k in reversed(tmpl.keys):
+        for k in reversed(params[ptr[s] : ptr[s + 1]]):
             local.append(count)
             count *= sizes[k]
         if count > ACTION_CAP:
@@ -141,20 +143,18 @@ def root_quotient(family: Family) -> QuotientMdp:
             )
         counts.append(count)
         strides.extend(reversed(local))
-    tmpl_state, tmpl_param, tmpl_prob = family._template_entries
-    tmpl_ptr = _ptr(np.bincount(tmpl_state, minlength=family.n_states))
     state_ptr = _ptr(np.asarray(counts, dtype=np.int64))
     act_state = np.repeat(np.arange(family.n_states), counts)
     local_index = np.arange(act_state.size) - state_ptr[act_state]
     choice_ptr = _ptr(np.diff(tmpl_ptr)[act_state])
     choice_act = np.repeat(np.arange(act_state.size), np.diff(choice_ptr))
     entry = np.arange(choice_act.size) - choice_ptr[choice_act] + tmpl_ptr[act_state[choice_act]]
-    choice_param = tmpl_param[entry]
+    choice_param = family.tmpl_param[entry]
     digit = local_index[choice_act] // np.asarray(strides)[entry] % np.asarray(sizes)[choice_param]
     dom_values = np.asarray([v for dom in family.domains for v in dom], dtype=np.int64)
     choice_value = dom_values[_ptr(sizes)[choice_param] + digit]
     act_ptr, ent_target, ent_prob = flat_rows(
-        act_state.size, choice_act, choice_value, tmpl_prob[entry]
+        act_state.size, choice_act, choice_value, family.tmpl_prob[entry]
     )
     return QuotientMdp(
         family=family,
@@ -215,7 +215,7 @@ def build_quotient(family: Family, sub: Subfamily, root: QuotientMdp | None = No
         choice_value=root.choice_value[choice_keep],
         act_state=act_state,
         ent_act=np.repeat(np.arange(act_state.size), act_len),
-        ent_src=root.ent_src[ent_keep],
+        ent_source=root.ent_source[ent_keep],
     )
 
 

@@ -341,7 +341,7 @@ def mdp_extreme(
     tset = _check_targets(n, targets)
     tgt, prob = mdp.ent_target, mdp.ent_prob
     act_first = state_ptr[:-1]
-    act_state, ent_act, ent_src = mdp.act_state, mdp.ent_act, mdp.ent_src
+    act_state, ent_act, ent_source = mdp.act_state, mdp.ent_act, mdp.ent_source
     chunk = None if mdp.family is None else mdp.family._chunk_ids
 
     policy = np.zeros(n, dtype=np.int64)
@@ -351,15 +351,15 @@ def mdp_extreme(
         policy[zero] = _first_action(stays, state_ptr)[zero]
         reduce = np.minimum.reduceat
     else:
-        dist = _backward_distance(predecessors(n, ent_src, tgt), tset)
+        dist = _backward_distance(predecessors(n, ent_source, tgt), tset)
         values, unknown = _fixed_values(n, tset, dist < 0)
-        closer = np.logical_or.reduceat(dist[tgt] == dist[ent_src] - 1, act_ptr[:-1])
+        closer = np.logical_or.reduceat(dist[tgt] == dist[ent_source] - 1, act_ptr[:-1])
         policy[unknown] = _first_action(closer, state_ptr)[unknown]
         reduce = np.maximum.reduceat
 
     while True:
-        picked = ent_act == (act_first + policy)[ent_src]
-        _solve(ent_src[picked], tgt[picked], prob[picked], values, unknown, chunk)
+        picked = ent_act == (act_first + policy)[ent_source]
+        _solve(ent_source[picked], tgt[picked], prob[picked], values, unknown, chunk)
         act_vals = np.add.reduceat(prob * values[tgt], act_ptr[:-1])
         best = reduce(act_vals, act_first)
         gain = np.abs(best - act_vals[act_first + policy])

@@ -29,8 +29,10 @@ import json
 import random
 import re
 
+import numpy as np
+
 from .errors import PropertyError, SketchError
-from .model import PROB_SUM_TOL, Distribution, Family
+from .model import PROB_SUM_TOL, Family
 from .reach import Objective, Property, Specification
 
 FORMAT_TAG = "mc-family/1"
@@ -109,7 +111,7 @@ def parse_sketch(text: str) -> Family:
     for name in trans_doc:
         if name not in index:
             raise SketchError(f"unknown state {name!r}", location="transitions")
-    templates = []
+    rows = []
     for name in states:
         loc = f"transitions.{name}"
         if name not in trans_doc:
@@ -128,26 +130,34 @@ def parse_sketch(text: str) -> Family:
                 raise SketchError(
                     f"probability {prob!r} of {pname!r} is not a number in [0, 1]", location=loc
                 )
-            entries[param_index[pname]] = float(prob)
+            if prob > 0:  # zero entries leave the template
+                entries[param_index[pname]] = float(prob)
             total += float(prob)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise SketchError(
                 f"probabilities of state {name!r} sum to {total!r}, expected 1",
                 location=loc,
             )
-        templates.append(Distribution(entries))
+        rows.append(sorted(entries.items()))
 
-    return Family(
-        state_names=tuple(states),
-        initial=index[initial],
-        param_names=param_names,
-        domains=tuple(domains),
-        templates=tuple(templates),
-    )
+    return _family(tuple(states), index[initial], param_names, tuple(domains), rows)
+
+
+def _family(state_names, initial, param_names, domains, rows) -> Family:
+    """A family whose template rows are ``rows``: per state, ``(param, prob)`` pairs."""
+    ptr = np.cumsum([0] + [len(row) for row in rows])
+    param = np.asarray([k for row in rows for k, _ in row])
+    prob = np.asarray([p for row in rows for _, p in row])
+    try:
+        return Family(state_names, initial, param_names, domains, ptr, param, prob)
+    except ValueError as exc:  # a sum the parser took in input order, rounded over the bound
+        raise SketchError(str(exc), location="transitions") from exc
 
 
 def serialize_sketch(family: Family) -> str:
     """Render a family back into document form (round-trips through parse)."""
+    ptr, param = family.tmpl_ptr.tolist(), family.tmpl_param.tolist()
+    prob = family.tmpl_prob.tolist()
     doc = {
         "format": FORMAT_TAG,
         "states": list(family.state_names),
@@ -158,9 +168,9 @@ def serialize_sketch(family: Family) -> str:
         },
         "transitions": {
             family.state_names[s]: {
-                family.param_names[k]: p for k, p in tmpl.items()
+                family.param_names[k]: p for k, p in zip(param[a:b], prob[a:b])
             }
-            for s, tmpl in enumerate(family.templates)
+            for s, (a, b) in enumerate(zip(ptr, ptr[1:]))
         },
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -300,18 +310,6 @@ def generate_benchmark(states: int, params: int, domain_size: int, seed: int) ->
         if len(used[s]) < 3 and rng.random() < 0.45:
             used[s].add(params if rng.random() < 0.6 else params + 1)
 
-    templates = []
-    for s in range(n_inter):
-        ks = sorted(used[s])
-        probs = _exact_probs(rng, len(ks))
-        templates.append(Distribution(dict(zip(ks, probs))))
-    templates.append(Distribution({params: 1.0}))
-    templates.append(Distribution({params + 1: 1.0}))
-
-    return Family(
-        state_names=state_names,
-        initial=0,
-        param_names=param_names,
-        domains=tuple(domains),
-        templates=tuple(templates),
-    )
+    rows = [list(zip(sorted(used[s]), _exact_probs(rng, len(used[s])))) for s in range(n_inter)]
+    rows += [[(params, 1.0)], [(params + 1, 1.0)]]
+    return _family(state_names, 0, param_names, tuple(domains), rows)

@@ -16,6 +16,8 @@ time, the reference for the masked quotients and array splitting of
 :mod:`mcsynth.quotient`.  ``reference_solve`` solves all unknown states of a
 chain as one dense system, the reference for the chunked solves of
 :mod:`mcsynth.reach`.  ``lane_family`` loads the benchmark's family shape.
+``make_family`` builds a family from one ``{param: prob}`` dict per state,
+and ``template`` / ``templates`` read its flat template rows back.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import random
 import sys
 from collections import deque
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 import pytest
@@ -133,6 +135,42 @@ def make_mc(rows, initial: int = 0) -> Mc:
     )
 
 
+def make_family(rows: Sequence[dict[int, float]], **fields) -> Family:
+    """Family from one ``{param: prob}`` dict per state, each stored in parameter order.
+
+    Every entry is kept, zero and invalid ones too, so ``Family`` checks them.
+    """
+    ptr, param, prob = [0], [], []
+    for row in rows:
+        for k in sorted(row):
+            param.append(k)
+            prob.append(row[k])
+        ptr.append(len(param))
+    return Family(
+        **fields,
+        tmpl_ptr=np.asarray(ptr, dtype=np.int64),
+        tmpl_param=np.asarray(param, dtype=np.int64),
+        tmpl_prob=np.asarray(prob, dtype=np.float64),
+    )
+
+
+class Template(NamedTuple):
+    keys: tuple[int, ...]
+    probs: tuple[float, ...]
+
+
+def template(family: Family, s: int) -> Template:
+    """The template row of state ``s``, read from the family's flat arrays."""
+    lo, hi = family.tmpl_ptr[s], family.tmpl_ptr[s + 1]
+    return Template(
+        tuple(family.tmpl_param[lo:hi].tolist()), tuple(family.tmpl_prob[lo:hi].tolist())
+    )
+
+
+def templates(family: Family) -> list[Template]:
+    return [template(family, s) for s in range(family.n_states)]
+
+
 def chain_row(mc: Mc, s: int) -> dict[int, float]:
     """Row ``s`` of ``mc`` as a ``{target: prob}`` dict in target order."""
     lo, hi = mc.row_ptr[s], mc.row_ptr[s + 1]
@@ -231,7 +269,7 @@ def reachable_via_holes(
     queue = deque([mc.initial])
     while queue:
         s = queue.popleft()
-        if all(k in rel for k in family.templates[s].keys if k in multi):
+        if all(k in rel for k in template(family, s).keys if k in multi):
             expanded.add(s)
             for t in tgt[ptr[s] : ptr[s + 1]]:
                 if t not in seen:
@@ -255,7 +293,7 @@ def choose_to_expand(
     if not hs:
         raise InvalidBoundsError("horizon is empty, nothing left to expand")
     def missing(s: int) -> int:
-        return sum(1 for k in family.templates[s].keys if k in multi and k not in rel)
+        return sum(1 for k in template(family, s).keys if k in multi and k not in rel)
     return min(hs, key=lambda s: (missing(s), s))
 
 
@@ -305,7 +343,7 @@ def reference_conflict(
                 "rerouting never exhibited the violation; gamma is inconsistent"
             )
         pick = choose_to_expand(horizon, rel, family, scope)
-        rel |= {k for k in family.templates[pick].keys if k in multi}
+        rel |= {k for k in template(family, pick).keys if k in multi}
 
 
 # Reference quotients: every subfamily's quotient built from its own product
@@ -326,7 +364,7 @@ def reference_build_quotient(family: Family, sub: Subfamily) -> QuotientMdp:
         if any(v not in family.domains[k] for v in dom):
             raise ValueError(f"restricted domain of parameter {k} leaves the declared domain")
     counts, entries, targets, probs, supp = [], [], [], [], []
-    for s, tmpl in enumerate(family.templates):
+    for s, tmpl in enumerate(templates(family)):
         params = tmpl.keys
         supp.append(params)
         count = math.prod(len(sub.domains[k]) for k in params)
@@ -361,7 +399,7 @@ def reference_build_quotient(family: Family, sub: Subfamily) -> QuotientMdp:
 
 def reference_decode_action(qmdp: QuotientMdp, s: int, action: int) -> dict[int, int]:
     """Map a local action index back to its parameter-value choice."""
-    params = qmdp.family.templates[s].keys
+    params = template(qmdp.family, s).keys
     sizes = [len(qmdp.sub.domains[k]) for k in params]
     if not 0 <= action < math.prod(sizes):
         raise ValueError(f"action {action} out of range at state {s}")
@@ -407,7 +445,7 @@ def reference_split_subfamily(
         raise ValueError("cannot split a singleton subfamily")
     if qmdp is None:
         qmdp = reference_build_quotient(family, sub)
-    supp = [tmpl.keys for tmpl in family.templates]
+    supp = [tmpl.keys for tmpl in templates(family)]
     multi = sub.multi_valued()
     joint = _reference_reachable_under(qmdp, min_sched) & _reference_reachable_under(qmdp, max_sched)
 

@@ -12,7 +12,6 @@ import pytest
 
 import mcsynth.reach as reach
 from mcsynth import (
-    Distribution,
     Family,
     Realization,
     generate_benchmark,
@@ -24,7 +23,15 @@ from mcsynth import (
 from mcsynth.model import SOLVE_CHUNK
 from mcsynth.quotient import build_quotient, root_quotient
 
-from conftest import corpus_family, goal_index, lane_family, reference_solve, reroute
+from conftest import (
+    corpus_family,
+    goal_index,
+    lane_family,
+    make_family,
+    reference_solve,
+    reroute,
+    templates,
+)
 
 LANE_400 = [(400, 6, 0.6, 1), (400, 6, 0.6, 2), (400, 8, 0.8, 3)]
 
@@ -32,7 +39,7 @@ LANE_400 = [(400, 6, 0.6, 1), (400, 6, 0.6, 2), (400, 8, 0.8, 3)]
 def union_graph(family: Family) -> nx.DiGraph:
     graph = nx.DiGraph()
     graph.add_nodes_from(range(family.n_states))
-    for s, tmpl in enumerate(family.templates):
+    for s, tmpl in enumerate(templates(family)):
         graph.add_edges_from((s, v) for k in tmpl.keys for v in family.domains[k])
     return graph
 
@@ -43,12 +50,12 @@ def line_family(n: int, back: bool) -> Family:
         tuple(v for v in (s - 1, s + 1) if 0 <= v < n and (back or v > s)) or (s,)
         for s in range(n)
     ]
-    return Family(
+    return make_family(
         state_names=tuple(f"s{s}" for s in range(n)),
         initial=0,
         param_names=tuple(f"p{s}" for s in range(n)),
         domains=tuple(domains),
-        templates=tuple(Distribution({s: 1.0}) for s in range(n)),
+        rows=tuple({s: 1.0} for s in range(n)),
     )
 
 

@@ -86,6 +86,14 @@ class TestSynthCommand:
         assert code == 2
         assert "transitions.s0" in capsys.readouterr().err
 
+    def test_non_utf8_sketch_exit_two(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(TOY4_TEXT.replace('"s0"', '"s\xe9"').encode("latin-1"))
+        spec = spec_file(tmp_path, "P<=0.3 [F t]\n")
+        assert main(["synth", "--sketch", str(bad), "--spec", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "latin1.json" in err and "utf-8" in err
+
     def test_missing_file_exit_two(self, tmp_path):
         spec = spec_file(tmp_path, "P<=0.3 [F t]\n")
         assert main(["synth", "--sketch", str(tmp_path / "nope.json"), "--spec", spec]) == 2
@@ -206,6 +214,13 @@ class TestBenchCommand:
 
 
 class TestCeReportCommand:
+    def test_non_utf8_spec_exit_two(self, tmp_path, sketch_file, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_bytes(b"# caf\xe9\nP<=0.3 [F t]\n")
+        assert main(["ce-report", "--sketch", sketch_file, "--spec", str(spec)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "spec.txt" in err and "utf-8" in err
+
     def test_text_report(self, tmp_path, sketch_file, capsys):
         spec = spec_file(tmp_path, "P<=0.3 [F t]\n")
         code = main(["ce-report", "--sketch", sketch_file, "--spec", spec, "--mode", "family"])

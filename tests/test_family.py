@@ -1,15 +1,15 @@
-"""Data model: distributions, induced chains, generalization, enumeration."""
+"""Data model: templates, induced chains, generalization, enumeration."""
 
 import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mcsynth import (
     Conflict,
-    Distribution,
     Family,
     Realization,
     Subfamily,
@@ -18,37 +18,94 @@ from mcsynth import (
     induce,
     iterate_unpruned,
     member_count,
+    parse_sketch,
 )
 
-from conftest import TOY_R, chain_row, corpus_family, CORPUS_CONFIGS
+from conftest import TOY_R, chain_row, corpus_family, make_family, template, CORPUS_CONFIGS
 
 
-class TestDistribution:
+def one_state_family(row: dict[int, float]) -> Family:
+    return make_family(
+        state_names=("a",),
+        initial=0,
+        param_names=("p", "q", "r"),
+        domains=((0,), (0,), (0,)),
+        rows=(row,),
+    )
+
+
+def flat_family(ptr, param, prob) -> Family:
+    """Two states over parameters ``p`` and ``q``, templates given as flat arrays."""
+    return Family(
+        state_names=("a", "b"),
+        initial=0,
+        param_names=("p", "q"),
+        domains=((0,), (1,)),
+        tmpl_ptr=np.asarray(ptr, dtype=np.int64),
+        tmpl_param=np.asarray(param, dtype=np.int64),
+        tmpl_prob=np.asarray(prob, dtype=np.float64),
+    )
+
+
+class TestTemplates:
     def test_probabilities_sum_to_one(self):
-        d = Distribution({0: 0.25, 2: 0.75})
-        assert d.keys == (0, 2)
-        assert math.isclose(sum(d.probs), 1.0)
+        tmpl = template(one_state_family({0: 0.25, 2: 0.75}), 0)
+        assert tmpl.keys == (0, 2)
+        assert math.isclose(sum(tmpl.probs), 1.0)
 
     def test_zero_entries_dropped(self):
-        d = Distribution({0: 0.0, 1: 1.0})
-        assert d.keys == (1,)
+        fam = parse_sketch(
+            '{"format": "mc-family/1", "states": ["a"], "initial": "a",'
+            ' "parameters": {"p": ["a"], "q": ["a"]},'
+            ' "transitions": {"a": {"p": 0.0, "q": 1.0}}}'
+        )
+        assert template(fam, 0).keys == (1,)
+
+    def test_parser_sorts_by_parameter(self):
+        fam = parse_sketch(
+            '{"format": "mc-family/1", "states": ["a"], "initial": "a",'
+            ' "parameters": {"p": ["a"], "q": ["a"]},'
+            ' "transitions": {"a": {"q": 0.75, "p": 0.25}}}'
+        )
+        assert template(fam, 0) == ((0, 1), (0.25, 0.75))
 
     def test_bad_sum_rejected(self):
-        with pytest.raises(ValueError, match="sum"):
-            Distribution({0: 0.5, 1: 0.4})
+        with pytest.raises(ValueError, match="sum to 1"):
+            one_state_family({0: 0.5, 1: 0.4})
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            Distribution({0: -0.1, 1: 1.1})
+        with pytest.raises(ValueError, match="positive"):
+            one_state_family({0: -0.1, 1: 1.1})
 
     def test_empty_support_rejected(self):
-        with pytest.raises(ValueError):
-            Distribution({})
+        with pytest.raises(ValueError, match="row of state 0 is empty"):
+            one_state_family({})
 
     @pytest.mark.parametrize("entries", [{0: math.nan}, {0: 1.0, 1: math.nan}])
     def test_nan_rejected(self, entries):
-        with pytest.raises(ValueError, match="outside"):
-            Distribution(entries)
+        with pytest.raises(ValueError, match="positive"):
+            one_state_family(entries)
+
+    @pytest.mark.parametrize("param", [[0, 0, 1], [1, 0, 1]], ids=["repeated", "unsorted"])
+    def test_parameters_strictly_increasing(self, param):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            flat_family([0, 2, 3], param, [0.5, 0.5, 1.0])
+
+    @pytest.mark.parametrize("ptr", [[0, 3], [0, 1, 2, 3]], ids=["short", "long"])
+    def test_pointer_per_state(self, ptr):
+        with pytest.raises(ValueError, match="one template row required per state"):
+            flat_family(ptr, [0, 1, 1], [0.5, 0.5, 1.0])
+
+    def test_pointers_span_the_entries(self):
+        with pytest.raises(ValueError, match="row pointers"):
+            flat_family([0, 2, 2], [0, 1, 1], [0.5, 0.5, 1.0])
+
+    def test_flat_rows_accepted_and_compared_by_value(self):
+        fam = flat_family([0, 2, 3], [0, 1, 1], [0.5, 0.5, 1.0])
+        assert fam.tmpl_state.tolist() == [0, 0, 1]
+        assert fam == flat_family([0, 2, 3], [0, 1, 1], [0.5, 0.5, 1.0])
+        assert fam != flat_family([0, 2, 3], [0, 1, 1], [0.25, 0.75, 1.0])
+        assert fam != flat_family([0, 1, 3], [0, 0, 1], [1.0, 0.5, 0.5])
 
 
 class TestInduce:
@@ -65,12 +122,12 @@ class TestInduce:
         assert mc.initial == toy4.initial
 
     def test_singleton_family_has_unique_member(self):
-        fam = Family(
+        fam = make_family(
             state_names=("a", "b"),
             initial=0,
             param_names=("p", "q"),
             domains=((1,), (1,)),
-            templates=(Distribution({0: 0.5, 1: 0.5}), Distribution({1: 1.0})),
+            rows=({0: 0.5, 1: 0.5}, {1: 1.0}),
         )
         members = list(iterate_unpruned(fam.full_subfamily()))
         assert len(members) == 1
@@ -299,32 +356,32 @@ class TestAccountingAgainstBruteForce:
 class TestValidation:
     def test_empty_domain_rejected(self):
         with pytest.raises(ValueError, match="empty domain"):
-            Family(
+            make_family(
                 state_names=("a",),
                 initial=0,
                 param_names=("p",),
                 domains=((),),
-                templates=(Distribution({0: 1.0}),),
+                rows=({0: 1.0},),
             )
 
     def test_undeclared_parameter_rejected(self):
         with pytest.raises(ValueError, match="undeclared"):
-            Family(
+            make_family(
                 state_names=("a",),
                 initial=0,
                 param_names=("p",),
                 domains=((0,),),
-                templates=(Distribution({1: 1.0}),),
+                rows=({1: 1.0},),
             )
 
     def test_domain_value_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="unknown state"):
-            Family(
+            make_family(
                 state_names=("a",),
                 initial=0,
                 param_names=("p",),
                 domains=((4,),),
-                templates=(Distribution({0: 1.0}),),
+                rows=({0: 1.0},),
             )
 
     def test_corpus_configs_stay_at_desk_scale(self):

@@ -20,7 +20,7 @@ from mcsynth import (
     synthesize,
 )
 from mcsynth.errors import ResourceCapError
-from mcsynth.model import Distribution, Family
+from mcsynth.model import Family
 from mcsynth.quotient import root_quotient
 
 from conftest import (
@@ -30,6 +30,7 @@ from conftest import (
     corpus_family,
     goal_index,
     lane_family,
+    make_family,
     make_instance,
     make_mc,
     reference_build_quotient,
@@ -45,15 +46,15 @@ def sub_singleton(toy4, member):
 def over_cap_family() -> Family:
     n_params = 7
     # one state referencing 7 parameters with 8-value domains: 8**7 actions
-    return Family(
+    return make_family(
         state_names=tuple(f"s{i}" for i in range(9)),
         initial=0,
         param_names=tuple(f"p{k}" for k in range(n_params)),
         domains=tuple(tuple(range(1, 9)) for _ in range(n_params)),
-        templates=(
-            Distribution({k: 1.0 / n_params for k in range(n_params - 1)}
-                         | {n_params - 1: 1.0 - (n_params - 1) / n_params}),
-        ) + tuple(Distribution({k % n_params: 1.0}) for k in range(8)),
+        rows=(
+            {k: 1.0 / n_params for k in range(n_params - 1)}
+            | {n_params - 1: 1.0 - (n_params - 1) / n_params},
+        ) + tuple({k % n_params: 1.0} for k in range(8)),
     )
 
 

@@ -17,7 +17,7 @@ from mcsynth import (
     serialize_sketch,
 )
 
-from conftest import TOY4_TEXT, chain_row
+from conftest import TOY4_TEXT, chain_row, templates
 
 
 class TestParseSketch:
@@ -36,6 +36,16 @@ class TestParseSketch:
     def test_round_trip_preserves_structure(self, toy4):
         again = parse_sketch(serialize_sketch(toy4))
         assert again == toy4
+
+    def test_sum_rounded_over_the_tolerance_is_a_sketch_error(self):
+        # in input order the row sums to 1 + 1e-9 - 1 ulp, sorted by parameter
+        # to 1 + 1e-9 + 1 ulp, just outside the tolerance
+        text = TOY4_TEXT.replace(
+            '"s0": {"X": 1.0}',
+            '"s0": {"F\'": 0.8193978463296819, "X": 0.0503506040341829, "Y": 0.1302515506361351}',
+        )
+        with pytest.raises(SketchError, match="sum to 1"):
+            parse_sketch(text)
 
     def test_bad_probability_sum_names_state(self):
         text = TOY4_TEXT.replace('"T\'": 0.6, "Y": 0.2, "F\'": 0.2', '"T\'": 0.6, "Y": 0.2, "F\'": 0.1')
@@ -191,7 +201,7 @@ class TestGenerateBenchmark:
     def test_every_requested_parameter_is_used(self):
         fam = generate_benchmark(10, 5, 2, 9)
         used = set()
-        for tmpl in fam.templates:
+        for tmpl in templates(fam):
             used |= set(tmpl.keys)
         assert set(range(5)) <= used
 
