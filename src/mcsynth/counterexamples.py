@@ -7,8 +7,10 @@ gamma gives it, as if it were rerouted to a fresh target with that
 probability, and only the expanded states are solved for.  If the member
 violates the property even so, every member that agrees with it on the
 relevant parameters does too.  Expansion is greedy: always the horizon state
-with the fewest not-yet-relevant parameters, so the loop needs at most one
-model check per multi-valued parameter plus one.
+with the fewest not-yet-relevant parameters.  That order reads the member's
+rows and templates but no value, so it is planned whole up front, and a
+bisection over its ``K + 1`` steps finds the first violating one with at most
+``ceil(log2(K + 1)) + 1`` model checks.
 
 Parameters whose restricted domain in the enclosing scope is a singleton are
 always treated as relevant: they cannot vary inside the scope, so including
@@ -22,10 +24,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import InvalidBoundsError, ResourceCapError
+from .errors import ResourceCapError
 from .model import (
     Conflict,
     Family,
+    Mc,
     Realization,
     Subfamily,
     generalization,
@@ -50,6 +53,52 @@ def _checked_gamma(gamma: Sequence[float], n_states: int) -> np.ndarray:
     return g
 
 
+def _expansion_plan(
+    family: Family, mc: Mc, multi: frozenset[int]
+) -> tuple[np.ndarray, list[int], list[frozenset[int]]]:
+    """The greedy expansion order of a member chain, planned before any check.
+
+    A walk from the initial state expands every state whose multi-valued
+    parameters are all relevant and stops at the others, the horizon.  Each
+    step makes relevant the parameters of the horizon state with the fewest
+    not-yet-relevant ones (ties to the lowest index) and resumes the walk.
+    Step ``i`` has expanded the states with ``position < counts[i]`` and
+    holds the relevant set ``rels[i]``; the last step has an empty horizon.
+    """
+    tmpl_ptr, tmpl_param = family.tmpl_ptr.tolist(), family.tmpl_param.tolist()
+    holes = [multi.intersection(tmpl_param[a:b]) for a, b in zip(tmpl_ptr, tmpl_ptr[1:])]
+    ptr, tgt = mc.row_ptr.tolist(), mc.ent_target.tolist()
+    order: list[int] = []
+    counts: list[int] = []
+    rels: list[frozenset[int]] = []
+    rel: set[int] = set()
+    horizon: set[int] = set()
+    seen = {mc.initial}
+    walk = [mc.initial]
+    while True:
+        while walk:
+            s = walk.pop()
+            if holes[s] <= rel:
+                order.append(s)
+                for t in tgt[ptr[s] : ptr[s + 1]]:
+                    if t not in seen:
+                        seen.add(t)
+                        walk.append(t)
+            else:
+                horizon.add(s)
+        counts.append(len(order))
+        rels.append(frozenset(rel))
+        if not horizon:
+            break
+        pick = min(horizon, key=lambda s: (len(holes[s] - rel), s))
+        rel.update(holes[pick])
+        walk = [s for s in horizon if holes[s] <= rel]
+        horizon.difference_update(walk)
+    position = np.full(mc.n_states, mc.n_states, dtype=np.intp)
+    position[order] = np.arange(len(order))
+    return position, counts, rels
+
+
 def construct_conflict(
     family: Family,
     r: Realization,
@@ -67,57 +116,38 @@ def construct_conflict(
     qualify.  Every member of the returned conflict's generalization within
     ``scope`` violates ``prop``.
 
-    Each step checks the member with every non-expanded state pinned to its
-    ``gamma`` value.  The expanded set and the horizon only grow with the
-    relevant set, so one walk from the initial state serves every step: after
-    each pick it resumes from the horizon states that became expandable.
+    Step ``i`` checks the member with every state outside the expansion of
+    the first ``i`` steps pinned to its ``gamma`` value.  A bisection over
+    the planned steps ``0..K`` finds a violating one in at most
+    ``ceil(log2(K + 1)) + 1`` checks; with a sound ``gamma`` the value moves
+    monotonically (up to rounding) toward the member's, so it is the first
+    one.  Step ``K`` checks the member itself: if the bisection ends there
+    unchecked, one more check decides, and a member that satisfies ``prop``
+    has no conflict.
     """
     if not realization_in(scope, r):
         raise ValueError("realization lies outside the scope")
     mc = induce(family, r)
-    n = mc.n_states
-    g = _checked_gamma(gamma, n)
-    multi = frozenset(scope.multi_valued())
-    # per state, the multi-valued parameters of its template
-    tmpl_ptr, tmpl_param = family.tmpl_ptr.tolist(), family.tmpl_param.tolist()
-    holes = [[k for k in tmpl_param[a:b] if k in multi] for a, b in zip(tmpl_ptr, tmpl_ptr[1:])]
-    ptr, tgt = mc.row_ptr.tolist(), mc.ent_target.tolist()
-    rel: set[int] = set()
-    expanded = np.zeros(n, dtype=bool)
-    horizon: set[int] = set()
-    seen = {mc.initial}
-    walk = [mc.initial]
-    while True:
-        while walk:
-            s = walk.pop()
-            if all(k in rel for k in holes[s]):
-                expanded[s] = True
-                for t in tgt[ptr[s] : ptr[s + 1]]:
-                    if t not in seen:
-                        seen.add(t)
-                        walk.append(t)
-            else:
-                horizon.add(s)
-        value = float(mc_reach(mc, prop.targets, fixed=(~expanded, g))[mc.initial])
+    g = _checked_gamma(gamma, mc.n_states)
+    position, counts, rels = _expansion_plan(family, mc, frozenset(scope.multi_valued()))
+
+    def violates(step: int) -> bool:
+        value = mc_reach(mc, prop.targets, fixed=(position >= counts[step], g))[mc.initial]
         if meter is not None:
             meter.count()
-        if not evaluate_property(value, prop, eta):
-            return Conflict(params=frozenset(rel), reference=r, scope=scope)
-        if not horizon:
-            # Everything reachable is expanded, so the check above saw the
-            # real chain.  Satisfaction means either the caller passed a
-            # satisfying member or gamma disagrees with direct checking.
-            direct = float(mc_reach_exact(mc, prop.targets)[mc.initial])
-            if evaluate_property(direct, prop, eta):
-                raise ValueError("member satisfies the property, no conflict exists")
-            raise InvalidBoundsError(
-                "rerouting never exhibited the violation; gamma is inconsistent"
-            )
-        # the fewest not-yet-relevant parameters, ties to the lowest index
-        pick = min(horizon, key=lambda s: (sum(k not in rel for k in holes[s]), s))
-        rel.update(holes[pick])
-        walk = [s for s in horizon if all(k in rel for k in holes[s])]
-        horizon.difference_update(walk)
+        return not evaluate_property(float(value), prop, eta)
+
+    lo, hi = 0, len(counts) - 1
+    confirmed = False
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if violates(mid):
+            hi, confirmed = mid, True
+        else:
+            lo = mid + 1
+    if not confirmed and not violates(hi):
+        raise ValueError("member satisfies the property, no conflict exists")
+    return Conflict(params=rels[hi], reference=r, scope=scope)
 
 
 def trivial_gamma(n_states: int, prop: Property) -> np.ndarray:

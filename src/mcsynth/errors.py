@@ -26,5 +26,4 @@ class ResourceCapError(McsynthError):
 
 
 class InvalidBoundsError(McsynthError):
-    """Bounds are inconsistent: a rerouting vector with the chain it was
-    applied to, or a quotient's upper bound with its lower bound."""
+    """Bounds are inconsistent: a quotient's upper bound with its lower bound."""

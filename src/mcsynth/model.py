@@ -74,6 +74,12 @@ def check_rows(
     return sizes
 
 
+def _freeze(*arrays: np.ndarray) -> None:
+    """Make ``arrays`` read-only, so a stored row cannot change after its check."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
 def predecessors(n: int, src: np.ndarray, tgt: np.ndarray) -> tuple[list[int], list[int]]:
     """Flat entries grouped by target for backward searches in Python.
 
@@ -144,7 +150,7 @@ class Mc:
 
     ``chunk`` holds, per state, the solve chunk of the family the chain was
     induced from (see :attr:`Family._chunk_ids`); ``None`` solves the chain
-    as one chunk.
+    as one chunk.  The row arrays a caller passes in become read-only.
     """
 
     initial: int
@@ -164,6 +170,7 @@ class Mc:
             self.row_ptr, self.ent_target, self.ent_prob, n, "targets an unknown state"
         )
         object.__setattr__(self, "ent_source", np.repeat(np.arange(n), sizes))
+        _freeze(self.row_ptr, self.ent_target, self.ent_prob, self.ent_source)
 
     @property
     def n_states(self) -> int:
@@ -184,7 +191,8 @@ class Family:
     ``tmpl_param[tmpl_ptr[s]:tmpl_ptr[s + 1]]`` and ``tmpl_prob`` (with
     ``tmpl_state``, the state of each entry).  Assigning each parameter a
     value from its domain (a strictly increasing tuple of state indices)
-    turns a template into an ordinary transition row.
+    turns a template into an ordinary transition row.  The template arrays a
+    caller passes in become read-only.
     """
 
     state_names: tuple[str, ...]
@@ -215,6 +223,7 @@ class Family:
             self.tmpl_ptr, self.tmpl_param, self.tmpl_prob, m, "uses an undeclared parameter"
         )
         object.__setattr__(self, "tmpl_state", np.repeat(np.arange(n), sizes))
+        _freeze(self.tmpl_ptr, self.tmpl_param, self.tmpl_prob, self.tmpl_state)
 
     def _value(self) -> tuple:
         return (self.state_names, self.initial, self.param_names, self.domains,
@@ -270,6 +279,7 @@ class Family:
             size += len(block)
             if size >= SOLVE_CHUNK:
                 chunk, size = chunk + 1, 0
+        _freeze(ids)
         return ids if ids.any() else None
 
 

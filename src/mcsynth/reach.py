@@ -132,20 +132,15 @@ def _check_targets(n: int, targets: Iterable[int]) -> frozenset[int]:
     return tset
 
 
-def _backward_distance(
-    preds: tuple[list[int], list[int]],
-    targets: frozenset[int],
-    blocked: np.ndarray | None = None,
-) -> np.ndarray:
+def _backward_distance(preds: tuple[list[int], list[int]], targets: frozenset[int]) -> np.ndarray:
     """Fewest edges from each state into ``targets``; -1 if none.
 
     ``preds`` comes from :func:`~mcsynth.model.predecessors`: chains give one
-    entry per transition, MDPs the entries of all actions.  No path passes
-    through a ``blocked`` state; those read -2 unless they are targets.
+    entry per transition, MDPs the entries of all actions.
     """
     sources, ptr = preds
     n = len(ptr) - 1
-    dist = [-1] * n if blocked is None else np.where(blocked, -2, -1).tolist()
+    dist = [-1] * n
     queue = deque(sorted(targets))
     for t in queue:
         dist[t] = 0
@@ -156,6 +151,27 @@ def _backward_distance(
                 dist[s] = dist[t] + 1
                 queue.append(s)
     return np.asarray(dist)
+
+
+def _reach_roots(mc: Mc, free: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """The ``free`` states with a path through ``free`` states into a ``root``.
+
+    The search touches free states only: it starts from those with an edge
+    into a root and walks predecessors that are free.
+    """
+    src = mc.ent_source
+    seed = np.zeros(free.size, dtype=bool)
+    seed[src[free[src] & root[mc.ent_target]]] = True
+    stack = np.flatnonzero(seed).tolist()
+    unseen = (free & ~seed).tolist()
+    sources, ptr = mc.in_edges
+    while stack:
+        t = stack.pop()
+        for s in sources[ptr[t] : ptr[t + 1]]:
+            if unseen[s]:
+                unseen[s] = False
+                stack.append(s)
+    return free & ~np.asarray(unseen, dtype=bool)
 
 
 def _fixed_values(
@@ -249,16 +265,16 @@ def mc_reach(
     """
     n = mc.n_states
     tset = _check_targets(n, targets)
-    roots, mask = tset, None
-    if fixed is not None:
+    if fixed is None:
+        values, unknown = _fixed_values(n, tset, _backward_distance(mc.in_edges, tset) < 0)
+    else:
         mask, given = fixed
-        roots = tset | frozenset(np.flatnonzero(mask & (given > 0.0)).tolist())
-    zero = _backward_distance(mc.in_edges, roots, mask) < 0
-    values, unknown = _fixed_values(n, tset, zero)
-    if fixed is not None:
-        values[mask] = given[mask]
-        values[sorted(tset)] = 1.0  # a target stays a target under the mask
-        unknown &= ~mask
+        tlist = sorted(tset)
+        values = np.where(mask, given, 0.0)
+        values[tlist] = 1.0  # a target stays a target under the mask
+        free = ~mask
+        free[tlist] = False
+        unknown = _reach_roots(mc, free, ~free & (values > 0.0))
     _solve(mc.ent_source, mc.ent_target, mc.ent_prob, values, unknown, mc.chunk)
     return values
 

@@ -9,7 +9,10 @@ Random instances come from the benchmark generator; expected values are
 always produced by exhaustive enumeration with the exact linear solver, so
 the oracles stay independent of the iterative code paths under test.
 ``reference_conflict`` and its helpers build conflicts on explicitly
-rerouted chains, the reference for ``construct_conflict``;
+rerouted chains by a linear scan over ``greedy_steps``, the reference for
+the bisected ``construct_conflict``; ``reference_pinned_reach`` runs the
+prob-0 search of a pinned solve backward from every root over the whole
+chain, the reference for the search over unpinned states in ``mc_reach``;
 ``reference_build_quotient`` and ``reference_split_subfamily`` build each
 quotient from its own product of domains and decode actions one state at a
 time, the reference for the masked quotients and array splitting of
@@ -54,6 +57,7 @@ from mcsynth import (
     mc_reach_exact,
     parse_sketch,
 )
+import mcsynth.reach as reach
 from mcsynth.errors import ResourceCapError
 from mcsynth.model import flat_rows, member_count, realization_in
 from mcsynth.quotient import ACTION_CAP, QuotientMdp
@@ -179,8 +183,9 @@ def chain_row(mc: Mc, s: int) -> dict[int, float]:
 
 # Reference rerouting: the conflict construction spelled out on whole chains.
 # Each step rebuilds the member with a target sink and a losing sink appended
-# and every non-expanded state shortcut to them, then solves it whole;
-# ``construct_conflict`` must agree with it step for step.
+# and every non-expanded state shortcut to them, then solves it whole, in a
+# linear scan over the greedy order; ``construct_conflict`` must find the
+# same conflicts with sound bound vectors.
 
 
 def reroute(mc: Mc, expanded: Iterable[int], gamma: Sequence[float]) -> Mc:
@@ -297,6 +302,45 @@ def choose_to_expand(
     return min(hs, key=lambda s: (missing(s), s))
 
 
+def greedy_steps(family: Family, r: Realization, scope: Subfamily) -> list[frozenset[int]]:
+    """The relevant set of every step of the greedy expansion order of ``r``.
+
+    Step 0 holds no relevant parameter; each later step adds those of the
+    horizon state :func:`choose_to_expand` picks.  The last step has an
+    empty horizon, so it has expanded every reachable state.
+    """
+    mc = induce(family, r)
+    multi = _scope_multi(family, scope)
+    rel: set[int] = set()
+    steps = []
+    while True:
+        steps.append(frozenset(rel))
+        _, horizon = reachable_via_holes(mc, family, rel, scope)
+        if not horizon:
+            return steps
+        pick = choose_to_expand(horizon, rel, family, scope)
+        rel |= {k for k in template(family, pick).keys if k in multi}
+
+
+def rerouted_value(
+    family: Family,
+    r: Realization,
+    prop: Property,
+    gamma: Sequence[float],
+    scope: Subfamily,
+    params: Iterable[int],
+) -> float:
+    """Initial-state value of ``r`` rerouted at the expansion of ``params``.
+
+    The states :func:`reachable_via_holes` expands keep their rows; every
+    other state jumps to a fresh target with its ``gamma`` value.
+    """
+    mc = induce(family, r)
+    expanded, _ = reachable_via_holes(mc, family, params, scope)
+    rerouted = reroute(mc, expanded, gamma)
+    return float(mc_reach(rerouted, set(prop.targets) | {mc.n_states})[mc.initial])
+
+
 def reference_conflict(
     family: Family,
     r: Realization,
@@ -308,9 +352,10 @@ def reference_conflict(
 ) -> Conflict:
     """The greedy conflict loop as rerouting defines it (reference for ``construct_conflict``).
 
-    Every step re-runs the expansion walk, builds the rerouted chain and
-    solves it whole with the two sinks; conflicts and model-check counts
-    must match :func:`mcsynth.construct_conflict` exactly.
+    A linear scan: every step of :func:`greedy_steps`, in order, builds the
+    rerouted chain and solves it whole with the two sinks, and the first
+    violating step is the conflict.  With a sound ``gamma``,
+    :func:`mcsynth.construct_conflict` must return the same conflict.
 
     ``gamma`` must lower-bound (safety) or upper-bound (liveness) the
     reachability value of every member of ``scope`` at every state; the
@@ -320,30 +365,56 @@ def reference_conflict(
     """
     if not realization_in(scope, r):
         raise ValueError("realization lies outside the scope")
-    mc = induce(family, r)
-    new_targets = set(prop.targets) | {mc.n_states}
-    rel: set[int] = set()
-    multi = _scope_multi(family, scope)
-    while True:
-        expanded, horizon = reachable_via_holes(mc, family, rel, scope)
-        rerouted = reroute(mc, expanded, gamma)
-        value = float(mc_reach(rerouted, new_targets)[mc.initial])
+    for rel in greedy_steps(family, r, scope):
+        value = rerouted_value(family, r, prop, gamma, scope, rel)
         if meter is not None:
             meter.count()
         if not evaluate_property(value, prop, eta):
-            return Conflict(params=frozenset(rel), reference=r, scope=scope)
-        if not horizon:
-            # Everything reachable is expanded, so the check above saw the
-            # real chain.  Satisfaction means either the caller passed a
-            # satisfying member or gamma disagrees with direct checking.
-            direct = float(mc_reach_exact(mc, prop.targets)[mc.initial])
-            if evaluate_property(direct, prop, eta):
-                raise ValueError("member satisfies the property, no conflict exists")
-            raise InvalidBoundsError(
-                "rerouting never exhibited the violation; gamma is inconsistent"
-            )
-        pick = choose_to_expand(horizon, rel, family, scope)
-        rel |= {k for k in template(family, pick).keys if k in multi}
+            return Conflict(params=rel, reference=r, scope=scope)
+    # The last step expanded everything reachable, so it saw the real chain.
+    # Satisfaction means either the caller passed a satisfying member or
+    # gamma disagrees with direct checking.
+    mc = induce(family, r)
+    direct = float(mc_reach_exact(mc, prop.targets)[mc.initial])
+    if evaluate_property(direct, prop, eta):
+        raise ValueError("member satisfies the property, no conflict exists")
+    raise InvalidBoundsError("rerouting never exhibited the violation; gamma is inconsistent")
+
+
+def reference_pinned_reach(
+    mc: Mc, targets: Iterable[int], fixed: tuple[np.ndarray, np.ndarray]
+) -> np.ndarray:
+    """``mc_reach(mc, targets, fixed=fixed)`` with the prob-0 search over the whole chain.
+
+    One breadth-first search runs backward from every root, a target or a
+    pinned state of positive value, over all states; it never passes through
+    a pinned non-root.  The unpinned, non-target states it reaches are the
+    unknowns, solved by the production chunked solve, so the values must
+    match :func:`mcsynth.mc_reach` bitwise.
+    """
+    mask, given = fixed
+    n = mc.n_states
+    tlist = sorted(set(targets))
+    roots = set(tlist) | set(np.flatnonzero(mask & (given > 0.0)).tolist())
+    sources, ptr = mc.in_edges
+    dist = np.where(mask, -2, -1).tolist()
+    queue = deque(sorted(roots))
+    for t in queue:
+        dist[t] = 0
+    while queue:
+        t = queue.popleft()
+        for s in sources[ptr[t] : ptr[t + 1]]:
+            if dist[s] == -1:
+                dist[s] = dist[t] + 1
+                queue.append(s)
+    values = np.zeros(n)
+    values[mask] = given[mask]
+    values[tlist] = 1.0
+    unknown = np.asarray(dist) >= 0
+    unknown[tlist] = False
+    unknown &= ~mask
+    reach._solve(mc.ent_source, mc.ent_target, mc.ent_prob, values, unknown, mc.chunk)
+    return values
 
 
 # Reference quotients: every subfamily's quotient built from its own product

@@ -1,10 +1,12 @@
 """Rerouting, greedy conflict construction, and the exhaustive oracle.
 
-``reroute``, ``reachable_via_holes``, ``choose_to_expand`` and
-``reference_conflict`` are the reference rerouting from ``conftest``;
-``construct_conflict`` must reproduce its conflicts and model-check counts.
+``reroute``, ``reachable_via_holes``, ``choose_to_expand``, ``greedy_steps``
+and ``reference_conflict`` are the reference rerouting from ``conftest``.
+With sound bound vectors ``construct_conflict`` must reproduce its conflicts
+and errors, within the bisection's budget of model checks.
 """
 
+import math
 import random
 
 import numpy as np
@@ -36,9 +38,12 @@ from conftest import (
     corpus_family,
     enumerate_values,
     goal_index,
+    greedy_steps,
+    lane_family,
     reachable_via_holes,
     reference_conflict,
     reroute,
+    rerouted_value,
 )
 
 SAFETY = Property(op="<=", threshold=0.3, targets=TOY_TARGET)
@@ -224,39 +229,119 @@ def _outcome(build, family, r, prop, gamma, scope):
     return conflict.params, conflict.reference, meter.total
 
 
+def bisection_budget(family, r, scope) -> int:
+    """At most ceil(log2(K + 1)) + 1 checks over the steps 0..K of the greedy order."""
+    k = len(greedy_steps(family, r, scope)) - 1
+    return math.ceil(math.log2(k + 1)) + 1
+
+
+def corpus_cases(seed: int):
+    """(family, member, property, sound gammas, random gamma) over the corpus.
+
+    Each family gets a threshold between its two middle member values, both
+    comparisons, and one satisfying and one violating member per comparison.
+    """
+    rng = random.Random(seed)
+    for i in range(0, 48, 2):
+        fam = corpus_family(i)
+        targets = frozenset({goal_index(fam)})
+        values = enumerate_values(fam, targets)
+        distinct = sorted(set(round(v, 12) for v in values.values()))
+        if len(distinct) < 2:
+            continue
+        mid = len(distinct) // 2
+        thr = (distinct[mid - 1] + distinct[mid]) / 2
+        bounds = compute_bounds(fam, fam.full_subfamily(), targets)
+        for op in ("<=", ">="):
+            prop = Property(op=op, threshold=thr, targets=targets)
+            sound = [bounds.lb if prop.is_safety else bounds.ub, trivial_gamma(fam.n_states, prop)]
+            noise = np.array([rng.random() for _ in range(fam.n_states)])
+            by_verdict = {True: [], False: []}
+            for v, val in values.items():
+                by_verdict[evaluate_property(val, prop)].append(Realization(v))
+            for rs in by_verdict.values():
+                if rs:
+                    yield fam, rng.choice(rs), prop, sound, noise
+
+
 class TestAgainstReferenceRerouting:
     def test_corpus_conflicts_match_reference(self):
-        rng = random.Random(61)
         kinds = {"conflict": 0, "error": 0}
-        for i in range(0, 48, 2):
-            fam = corpus_family(i)
-            targets = frozenset({goal_index(fam)})
-            values = enumerate_values(fam, targets)
-            distinct = sorted(set(round(v, 12) for v in values.values()))
-            if len(distinct) < 2:
-                continue
-            mid = len(distinct) // 2
-            thr = (distinct[mid - 1] + distinct[mid]) / 2
+        for fam, r, prop, sound, noise in corpus_cases(61):
             scope = fam.full_subfamily()
-            bounds = compute_bounds(fam, scope, targets)
-            for op in ("<=", ">="):
-                prop = Property(op=op, threshold=thr, targets=targets)
-                gammas = [
-                    bounds.lb if prop.is_safety else bounds.ub,
-                    trivial_gamma(fam.n_states, prop),
-                    np.array([rng.random() for _ in range(fam.n_states)]),
-                ]
-                by_verdict = {True: [], False: []}
-                for v, val in values.items():
-                    by_verdict[evaluate_property(val, prop)].append(Realization(v))
-                members = [rng.choice(rs) for rs in by_verdict.values() if rs]
-                for r in members:
-                    for gamma in gammas:
-                        want = _outcome(reference_conflict, fam, r, prop, gamma, scope)
-                        got = _outcome(construct_conflict, fam, r, prop, gamma, scope)
-                        assert got == want, (i, op, r)
-                        kinds["conflict" if isinstance(want[0], frozenset) else "error"] += 1
-        assert kinds["conflict"] >= 150 and kinds["error"] >= 50
+            for gamma in sound:
+                want = _outcome(reference_conflict, fam, r, prop, gamma, scope)
+                got = _outcome(construct_conflict, fam, r, prop, gamma, scope)
+                assert got[:2] == want[:2], (fam.n_states, prop.op, r)
+                kinds["conflict" if isinstance(want[0], frozenset) else "error"] += 1
+            # A random gamma bounds nothing: the conflict found need not be
+            # the scan's first violating step, but its own step violates.
+            got = _outcome(construct_conflict, fam, r, prop, noise, scope)
+            kinds["conflict" if isinstance(got[0], frozenset) else "error"] += 1
+            if isinstance(got[0], frozenset):
+                value = rerouted_value(fam, r, prop, noise, scope, got[0])
+                assert not evaluate_property(value, prop), (fam.n_states, prop.op, r)
+            else:
+                assert got[0] == "ValueError"
+                assert got[1] == "member satisfies the property, no conflict exists"
+                last = greedy_steps(fam, r, scope)[-1]
+                assert evaluate_property(rerouted_value(fam, r, prop, noise, scope, last), prop)
+        assert kinds["conflict"] >= 150 and kinds["error"] >= 50, kinds
+
+    def test_model_checks_within_bisection_budget(self):
+        cases = 0
+        for fam, r, prop, sound, noise in corpus_cases(62):
+            scope = fam.full_subfamily()
+            budget = bisection_budget(fam, r, scope)
+            for gamma in sound + [noise]:
+                assert _outcome(construct_conflict, fam, r, prop, gamma, scope)[2] <= budget
+                cases += 1
+        assert cases >= 200
+
+    def test_model_checks_logarithmic_on_long_orders(self):
+        # Ten lanes give ten greedy steps after step 0, so a linear scan from
+        # either end of the order exceeds the budget of 5 in one of the cases:
+        # gamma 1 violates from step 0 on, the trivial gamma only late.
+        fam = lane_family(60, 10, 0.7, 5)
+        goal = frozenset({goal_index(fam)})
+        scope = fam.full_subfamily()
+        rng = random.Random(3)
+        firsts = set()
+        for _ in range(4):
+            r = Realization(tuple(rng.choice(dom) for dom in fam.domains))
+            value = mc_reach(induce(fam, r), goal)[fam.initial]
+            prop = Property(op="<=", threshold=max(0.0, value - 0.05), targets=goal)
+            steps = greedy_steps(fam, r, scope)
+            assert len(steps) - 1 == 10
+            for gamma in (np.ones(fam.n_states), trivial_gamma(fam.n_states, prop)):
+                meter = CostMeter()
+                conflict = construct_conflict(fam, r, prop, gamma, scope, meter=meter)
+                assert meter.total <= 5
+                first = next(
+                    i for i, rel in enumerate(steps)
+                    if not evaluate_property(rerouted_value(fam, r, prop, gamma, scope, rel), prop)
+                )
+                assert conflict.params == steps[first]
+                firsts.add(first)
+        assert min(firsts) == 0 and max(firsts) >= 6
+
+    def test_non_monotone_gamma_still_returns_a_violating_step(self, toy4):
+        # Under r0 the steps check gamma[s0], then gamma[s1], then the member
+        # itself (0.8).  This gamma violates, satisfies, violates: the linear
+        # scan stops at step 0, the bisection skips it and lands on step 2.
+        scope = toy4.full_subfamily()
+        gamma = np.array([0.9, 0.1, 0.0, 1.0, 0.0])
+        assert [
+            rerouted_value(toy4, TOY_R[0], SAFETY, gamma, scope, rel) > SAFETY.threshold
+            for rel in greedy_steps(toy4, TOY_R[0], scope)
+        ] == [True, False, True]
+        meter = CostMeter()
+        conflict = construct_conflict(toy4, TOY_R[0], SAFETY, gamma, scope, meter=meter)
+        assert conflict.params == frozenset({0, 1})
+        assert meter.total == 2
+        value = rerouted_value(toy4, TOY_R[0], SAFETY, gamma, scope, conflict.params)
+        assert not evaluate_property(value, SAFETY)
+        assert reference_conflict(toy4, TOY_R[0], SAFETY, gamma, scope).params == frozenset()
 
 
 # A target carrying a multi-valued parameter: Z only decides where t goes
@@ -312,21 +397,24 @@ class TestPinnedStateEdgeCases:
 
     def test_target_on_horizon_counts_as_reached(self):
         # After X is expanded, t sits on the horizon with gamma 0; as a target
-        # it is worth 1, so the second check already shows the violation.
+        # it is worth 1, so step 1, the bisection's first check, violates.
+        # Step 0 (gamma 0 at s0) is the second check.
         fam, got, want = self._both(TARGET_HOLE_TEXT, ("t", "t", "f"), 0.5)
-        assert got == want
+        assert got[:2] == want[:2]
         assert got[0] == frozenset({fam.param_names.index("X")})
-        assert got[2] == 2
+        assert (got[2], want[2]) == (2, 2)
 
     def test_expanded_cycle_without_exit_is_zero(self):
         # With X relevant the closed cycle s1-s2 is expanded; only s3 (gamma
-        # 0) lies beyond, so the cycle and s0 are 0 and need no solve.
+        # 0) lies beyond, so step 1 finds the cycle and s0 at 0 with no solve.
+        # The bisection checks step 1, then confirms step 2; the scan checks
+        # all three.
         fam, got, want = self._both(
             CLOSED_CYCLE_TEXT, ("s3", "t", "s1", "s2", "s1", "t", "f"), 0.4
         )
-        assert got == want
+        assert got[:2] == want[:2]
         assert got[0] == frozenset({fam.param_names.index("X"), fam.param_names.index("Y")})
-        assert got[2] == 3
+        assert (got[2], want[2]) == (2, 3)
 
 
 class TestMinimalConflictOracle:

@@ -20,7 +20,16 @@ from mcsynth import (
 )
 from mcsynth.errors import ResourceCapError
 
-from conftest import TOY_R, TOY_TARGET, TOY_VALUES, corpus_family, make_mc, reroute
+from conftest import (
+    TOY_R,
+    TOY_TARGET,
+    TOY_VALUES,
+    corpus_family,
+    lane_family,
+    make_mc,
+    reference_pinned_reach,
+    reroute,
+)
 
 
 def random_mc(rng: random.Random, n: int) -> Mc:
@@ -106,6 +115,29 @@ class TestMcReachFixed:
             assert np.allclose(got, want, atol=1e-12, rtol=0.0)
             for s in np.flatnonzero(mask):
                 assert got[s] == (1.0 if s in targets else gamma[s])
+
+    def test_search_over_unpinned_states_matches_all_roots_reference(self):
+        """The prob-0 search over unpinned states finds the all-roots search's unknowns."""
+        rng = random.Random(11)
+        chains = [random_mc(rng, rng.randint(3, 30)) for _ in range(60)]
+        targets = [{mc.n_states - 1} for mc in chains]
+        fam = lane_family(200, 6, 0.6, 3)
+        assert fam._chunk_ids is not None and fam._chunk_ids.max() > 0
+        goal = {fam.state_names.index("goal")}
+        for _ in range(20):
+            r = Realization(tuple(rng.choice(dom) for dom in fam.domains))
+            chains.append(induce(fam, r))
+            targets.append(goal)
+        for mc, tset in zip(chains, targets):
+            n = mc.n_states
+            if rng.random() < 0.3:
+                tset = tset | {rng.randrange(n)}
+            for density in (0.1, 0.5, 0.9):
+                mask = np.array([rng.random() < density for _ in range(n)])
+                gamma = np.array([rng.choice([0.0, 1.0, rng.random()]) for _ in range(n)])
+                got = mc_reach(mc, tset, fixed=(mask, gamma))
+                want = reference_pinned_reach(mc, tset, (mask, gamma))
+                assert np.array_equal(got, want)
 
     def test_nothing_pinned_is_the_plain_solve(self, toy4):
         mc = induce(toy4, TOY_R[1])

@@ -4,6 +4,7 @@ Member chains and quotient actions are built by
 :func:`mcsynth.model.flat_rows`, rerouted chains by the reference ``reroute``
 in ``conftest``; the references below accumulate each row in a dict, in
 template order, the way the rows are defined, and must match to the last bit.
+Stored rows are read-only once checked.
 """
 
 import itertools
@@ -14,7 +15,7 @@ import pytest
 
 from mcsynth import Mc, Realization, Subfamily, build_quotient, induce
 
-from conftest import corpus_family, reroute, templates
+from conftest import corpus_family, lane_family, reroute, templates
 
 
 def chain(ptr, tgt, prob, initial=0) -> Mc:
@@ -74,6 +75,35 @@ class TestMcValidation:
     def test_row_sum_off(self):
         with pytest.raises(ValueError, match="sum to 1"):
             chain([0, 2, 3], [0, 1, 1], [0.5, 0.4, 1.0])
+
+
+class TestStoredRowsReadOnly:
+    """Rows are checked once, at construction; writing to them afterwards raises."""
+
+    @pytest.mark.parametrize("name", ["row_ptr", "ent_target", "ent_prob", "ent_source"])
+    def test_chain_arrays(self, name):
+        mc = chain([0, 2, 3], [0, 1, 0], [0.5, 0.5, 1.0])
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(mc, name)[0] = 1
+
+    @pytest.mark.parametrize("name", ["tmpl_ptr", "tmpl_param", "tmpl_prob", "tmpl_state"])
+    def test_family_arrays(self, name):
+        fam = corpus_family(0)
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(fam, name)[0] = 5
+
+    def test_caller_arrays_become_read_only(self):
+        prob = np.asarray([0.5, 0.5, 1.0])
+        chain([0, 2, 3], [0, 1, 0], prob)
+        with pytest.raises(ValueError, match="read-only"):
+            prob[0] = 5.0
+
+    def test_chunk_ids(self):
+        fam = lane_family(400, 6, 0.6, 1)
+        mc = induce(fam, Realization(tuple(dom[0] for dom in fam.domains)))
+        assert mc.chunk is fam._chunk_ids
+        with pytest.raises(ValueError, match="read-only"):
+            mc.chunk[0] = 1
 
 
 def row_of(acc: dict) -> tuple[tuple, tuple]:

@@ -347,10 +347,13 @@ class TestOptions:
 # model_checks, ar_iterations, cegis_iterations, pruned, checked), recorded
 # from the drivers before they became settings of one loop.  Enumeration now
 # reports its checked members as CEGIS iterations (it reported 0 before).
+# Conflicts bisect the greedy expansion order instead of scanning it, so the
+# model checks of the CEGIS and hybrid records that build conflicts fell;
+# every other field is as recorded before.
 GOLDEN = {
     ("toy4", "onebyone", "family"): ("feasible", (2, 4, 3, 4), None, 4, 0, 4, 0, 4),
-    ("toy4", "cegis", "family"): ("feasible", (2, 4, 3, 4), None, 10, 0, 3, 0, 3),
-    ("toy4", "cegis", "trivial"): ("feasible", (2, 4, 3, 4), None, 13, 0, 4, 0, 4),
+    ("toy4", "cegis", "family"): ("feasible", (2, 4, 3, 4), None, 9, 0, 3, 0, 3),
+    ("toy4", "cegis", "trivial"): ("feasible", (2, 4, 3, 4), None, 10, 0, 4, 0, 4),
     ("toy4", "ar", "family"): ("feasible", (2, 4, 3, 4), None, 11, 5, 0, 3, 1),
     ("toy4", "hybrid", "family"): ("feasible", (2, 4, 3, 4), None, 9, 2, 3, 1, 3),
     ("toy4-min", "onebyone", "family"): ("optimal", (2, 4, 3, 4), 0.2, 5, 0, 4, 0, 4),
@@ -374,10 +377,10 @@ GOLDEN = {
     ("instance-2", "ar", "family"): ("feasible", (6, 5, 1, 7, 8, 9), None, 5, 2, 0, 0, 1),
     ("instance-2", "hybrid", "family"): ("feasible", (6, 5, 1, 7, 8, 9), None, 3, 1, 1, 0, 1),
     ("instance-3", "onebyone", "family"): ("infeasible", None, None, 32, 0, 32, 0, 32),
-    ("instance-3", "cegis", "family"): ("infeasible", None, None, 27, 0, 5, 27, 5),
-    ("instance-3", "cegis", "trivial"): ("infeasible", None, None, 25, 0, 5, 27, 5),
+    ("instance-3", "cegis", "family"): ("infeasible", None, None, 21, 0, 5, 27, 5),
+    ("instance-3", "cegis", "trivial"): ("infeasible", None, None, 19, 0, 5, 27, 5),
     ("instance-3", "ar", "family"): ("infeasible", None, None, 10, 5, 0, 32, 0),
-    ("instance-3", "hybrid", "family"): ("infeasible", None, None, 22, 2, 4, 28, 4),
+    ("instance-3", "hybrid", "family"): ("infeasible", None, None, 18, 2, 4, 28, 4),
 }
 
 
