@@ -38,7 +38,6 @@ from .reach import (
     Specification,
     evaluate_property,
     mc_reach,
-    mc_reach_exact,
     mdp_extreme,
 )
 from .report import CeQualityReport, ce_quality_report
@@ -85,7 +84,6 @@ __all__ = [
     "induce",
     "iterate_unpruned",
     "mc_reach",
-    "mc_reach_exact",
     "mdp_extreme",
     "member_count",
     "minimal_conflict_oracle",

@@ -36,7 +36,7 @@ from .model import (
     member_count,
     realization_in,
 )
-from .reach import CostMeter, DECISION_ETA, Property, evaluate_property, mc_reach, mc_reach_exact
+from .reach import CostMeter, Property, evaluate_property, mc_reach
 
 ORACLE_MEMBER_CAP = 4096
 ORACLE_PARAM_CAP = 16
@@ -105,7 +105,6 @@ def construct_conflict(
     prop: Property,
     gamma: Sequence[float],
     scope: Subfamily,
-    eta: float = DECISION_ETA,
     meter: CostMeter | None = None,
 ) -> Conflict:
     """Greedy conflict for a member violating ``prop``.
@@ -135,7 +134,7 @@ def construct_conflict(
         value = mc_reach(mc, prop.targets, fixed=(position >= counts[step], g))[mc.initial]
         if meter is not None:
             meter.count()
-        return not evaluate_property(float(value), prop, eta)
+        return not evaluate_property(float(value), prop)
 
     lo, hi = 0, len(counts) - 1
     confirmed = False
@@ -160,13 +159,14 @@ def minimal_conflict_oracle(
     r: Realization,
     prop: Property,
     scope: Subfamily,
-    eta: float = DECISION_ETA,
 ) -> Conflict:
-    """Minimum-cardinality conflict by exhaustive subset search (test oracle).
+    """Minimum-cardinality conflict by exhaustive subset search.
 
     Enumerates parameter subsets by increasing size (lexicographic within a
     size) and certifies each candidate by model checking every member of its
-    generalization with the exact solver.  Desk scale only.
+    generalization with :func:`~mcsynth.reach.mc_reach`; no rerouting or
+    bound vector is involved, so the greedy conflicts of
+    :func:`construct_conflict` can be measured against it.  Desk scale only.
     """
     if member_count(scope) > ORACLE_MEMBER_CAP:
         raise ResourceCapError(
@@ -185,8 +185,8 @@ def minimal_conflict_oracle(
     def violates(member: Realization) -> bool:
         key = member.values
         if key not in cache:
-            value = float(mc_reach_exact(induce(family, member), prop.targets)[family.initial])
-            cache[key] = not evaluate_property(value, prop, eta)
+            value = float(mc_reach(induce(family, member), prop.targets)[family.initial])
+            cache[key] = not evaluate_property(value, prop)
         return cache[key]
 
     for size in range(len(multi) + 1):

@@ -12,6 +12,7 @@ condensation of its union graph, sinks first (:attr:`Family._chunk_ids`).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -386,29 +387,11 @@ def generalization(r: Realization, params: Iterable[int], scope: Subfamily) -> l
         raise ValueError("reference realization lies outside the scope")
     if any(not 0 <= k < len(scope.domains) for k in pinned):
         raise ValueError("conflict parameter index out of range")
-    out: list[Realization] = []
     doms = [
         (r.values[k],) if k in pinned else scope.domains[k]
         for k in range(len(scope.domains))
     ]
-    _product_into(doms, out)
-    return out
-
-
-def _product_into(doms: Sequence[Sequence[int]], out: list[Realization]) -> None:
-    m = len(doms)
-    pos = [0] * m
-    while True:
-        out.append(Realization(tuple(doms[k][pos[k]] for k in range(m))))
-        j = m - 1
-        while j >= 0:
-            pos[j] += 1
-            if pos[j] < len(doms[j]):
-                break
-            pos[j] = 0
-            j -= 1
-        if j < 0:
-            return
+    return [Realization(values) for values in itertools.product(*doms)]
 
 
 def member_count(sub: Subfamily) -> int:

@@ -7,9 +7,11 @@ states.  Chains solve that system once, directly; quotient MDPs run policy
 iteration, evaluating each policy with the same solve.  The solve runs chunk
 by chunk along the condensation of the family's union graph, sinks first,
 one dense system per chunk (:func:`_solve`); a family below ``SOLVE_CHUNK``
-states is one chunk.  Values are exact up to floating rounding.  Boundary
-precision at thresholds is handled by the decision tolerance ``eta`` of
-:func:`evaluate_property`; ties resolve toward satisfaction.
+states is one chunk.  Values are exact up to floating rounding.  Every
+threshold decision goes through :func:`evaluate_property` with the decision
+tolerance ``DECISION_ETA``; ties resolve toward satisfaction.  The test
+suite checks these solvers against its own dense reference, which shares no
+code with this module.
 """
 
 from __future__ import annotations
@@ -20,14 +22,12 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .errors import ResourceCapError
 from .model import Mc, predecessors
 
 if TYPE_CHECKING:  # pragma: no cover
     from .quotient import QuotientMdp
 
 DECISION_ETA = 1e-6
-EXACT_STATE_CAP = 2000
 # Policy iteration switches an action only when it improves a state's value
 # by more than this, so rounding noise in ties never makes it cycle.
 IMPROVE_EPS = 1e-12
@@ -114,13 +114,11 @@ class Specification:
             raise ValueError("specification is empty")
 
 
-def evaluate_property(value: float, prop: Property, eta: float = DECISION_ETA) -> bool:
-    """True iff ``value`` satisfies ``prop`` within decision tolerance ``eta``."""
-    if eta < 0.0:
-        raise ValueError("decision tolerance must be non-negative")
+def evaluate_property(value: float, prop: Property) -> bool:
+    """True iff ``value`` satisfies ``prop`` within the tolerance ``DECISION_ETA``."""
     if prop.op == "<=":
-        return value <= prop.threshold + eta
-    return value >= prop.threshold - eta
+        return value <= prop.threshold + DECISION_ETA
+    return value >= prop.threshold - DECISION_ETA
 
 
 def _check_targets(n: int, targets: Iterable[int]) -> frozenset[int]:
@@ -135,8 +133,9 @@ def _check_targets(n: int, targets: Iterable[int]) -> frozenset[int]:
 def _backward_distance(preds: tuple[list[int], list[int]], targets: frozenset[int]) -> np.ndarray:
     """Fewest edges from each state into ``targets``; -1 if none.
 
-    ``preds`` comes from :func:`~mcsynth.model.predecessors`: chains give one
-    entry per transition, MDPs the entries of all actions.
+    ``preds`` comes from :func:`~mcsynth.model.predecessors` over the entries
+    of all actions of an MDP; max mode of :func:`mdp_extreme` needs the
+    distances to start from a proper policy.
     """
     sources, ptr = preds
     n = len(ptr) - 1
@@ -261,45 +260,21 @@ def mc_reach(
     jumped to a target with that probability and to a sink otherwise.  An
     unpinned state is then 0 when no path through unpinned states leads to a
     target or to a pinned state of positive value; the other unpinned,
-    non-target states are the unknowns of the solve.
+    non-target states are the unknowns of the solve.  Without ``fixed``
+    nothing is pinned, so the targets are the only roots of that search.
     """
     n = mc.n_states
-    tset = _check_targets(n, targets)
+    tlist = sorted(_check_targets(n, targets))
     if fixed is None:
-        values, unknown = _fixed_values(n, tset, _backward_distance(mc.in_edges, tset) < 0)
+        mask, values = np.zeros(n, dtype=bool), np.zeros(n)
     else:
         mask, given = fixed
-        tlist = sorted(tset)
         values = np.where(mask, given, 0.0)
-        values[tlist] = 1.0  # a target stays a target under the mask
-        free = ~mask
-        free[tlist] = False
-        unknown = _reach_roots(mc, free, ~free & (values > 0.0))
+    values[tlist] = 1.0  # a target stays a target under the mask
+    free = ~mask
+    free[tlist] = False
+    unknown = _reach_roots(mc, free, ~free & (values > 0.0))
     _solve(mc.ent_source, mc.ent_target, mc.ent_prob, values, unknown, mc.chunk)
-    return values
-
-
-def mc_reach_exact(mc: Mc, targets: Iterable[int]) -> np.ndarray:
-    """Reachability probabilities by direct linear solve (test oracle).
-
-    Limited to ``EXACT_STATE_CAP`` states; exact up to floating rounding.
-    """
-    n = mc.n_states
-    if n > EXACT_STATE_CAP:
-        raise ResourceCapError(f"exact solver limited to {EXACT_STATE_CAP} states, got {n}")
-    tset = _check_targets(n, targets)
-    dense = np.zeros((n, n))
-    dense[mc.ent_source, mc.ent_target] = mc.ent_prob
-    can_reach = _backward_distance(mc.in_edges, tset) >= 0
-    values = np.zeros(n)
-    values[sorted(tset)] = 1.0
-    unknown = np.array([s for s in range(n) if can_reach[s] and s not in tset], dtype=np.intp)
-    if unknown.size == 0:
-        return values
-    q = dense[np.ix_(unknown, unknown)]
-    c = dense[unknown] @ values
-    x = np.linalg.solve(np.eye(unknown.size) - q, c)
-    values[unknown] = np.clip(x, 0.0, 1.0)
     return values
 
 

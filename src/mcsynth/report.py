@@ -16,7 +16,7 @@ from .counterexamples import construct_conflict, minimal_conflict_oracle, trivia
 from .errors import ResourceCapError
 from .model import Family, Realization, induce, iterate_unpruned, member_count
 from .quotient import compute_bounds, root_quotient
-from .reach import CostMeter, DECISION_ETA, Specification, evaluate_property, mc_reach
+from .reach import CostMeter, Specification, evaluate_property, mc_reach
 from .synthesis import MEMBER_CAP
 
 
@@ -95,7 +95,6 @@ def ce_quality_report(
     spec: Specification,
     mode: str = "family",
     include_minimal: bool = False,
-    eta: float = DECISION_ETA,
 ) -> CeQualityReport:
     """Build conflicts for every violating (member, property) pair.
 
@@ -132,17 +131,15 @@ def ce_quality_report(
         mc = induce(family, r)
         for idx, prop in enumerate(spec.properties):
             value = float(mc_reach(mc, prop.targets)[family.initial])
-            if evaluate_property(value, prop, eta):
+            if evaluate_property(value, prop):
                 continue
             meter = CostMeter()
             start = time.perf_counter()
-            conflict = construct_conflict(
-                family, r, prop, gammas[idx], scope, eta=eta, meter=meter
-            )
+            conflict = construct_conflict(family, r, prop, gammas[idx], scope, meter=meter)
             elapsed = time.perf_counter() - start
             minimal_size = None
             if include_minimal:
-                minimal = minimal_conflict_oracle(family, r, prop, scope, eta=eta)
+                minimal = minimal_conflict_oracle(family, r, prop, scope)
                 minimal_size = len(minimal.params)
             rows.append(
                 CeReportRow(

@@ -241,20 +241,19 @@ def _close(state: HybridState) -> SynthesisResult:
 
 
 def _status(prop: Property, bounds: BoundsVec, initial: int) -> str:
-    """Decide a whole subfamily against ``prop``: sat, viol, or open."""
+    """Decide a whole subfamily against ``prop``: sat, viol, or open.
+
+    Sat when the bracket's worse end satisfies ``prop``, viol when its
+    better end does not, in that order, so a bracket with ``lb > ub`` by
+    rounding is decided like any other.
+    """
     lo = float(bounds.lb[initial])
     hi = float(bounds.ub[initial])
-    eta = DECISION_ETA
-    if prop.op == "<=":
-        if hi <= prop.threshold + eta:
-            return "sat"
-        if lo > prop.threshold + eta:
-            return "viol"
-    else:
-        if lo >= prop.threshold - eta:
-            return "sat"
-        if hi < prop.threshold - eta:
-            return "viol"
+    worse, better = (hi, lo) if prop.is_safety else (lo, hi)
+    if evaluate_property(worse, prop):
+        return "sat"
+    if not evaluate_property(better, prop):
+        return "viol"
     return "open"
 
 
@@ -275,20 +274,20 @@ def _gamma_for(state: HybridState, item: WorkItem, prop: Property):
     return bounds.lb if prop.op == "<=" else bounds.ub
 
 
-def ar_run(state: HybridState) -> tuple[SynthesisResult | None, float, int]:
+def ar_run(state: HybridState) -> tuple[SynthesisResult | None, float]:
     """One abstraction-refinement step: analyse a single queued subfamily.
 
     Computes bounds for every target set, then prunes the subfamily, accepts
     it (feasibility mode), harvests it (optimal mode, singletons), or splits
-    it and queues both halves.  Returns the decided result (or ``None``),
-    the pruning efficiency of the step, and its cost in model checks.
+    it and queues both halves.  Returns the decided result (or ``None``)
+    and the pruning efficiency of the step.
     """
     while state.queue:
         item = state.queue.popleft()
         if item.remaining > 0:
             break
     else:
-        return None, 0.0, 0
+        return None, 0.0
     cost0 = state.meter.total
     state.stats.ar_iterations += 1
 
@@ -298,8 +297,7 @@ def ar_run(state: HybridState) -> tuple[SynthesisResult | None, float, int]:
         values = _member_values(state, r)
         state.stats.checked += 1
         _maybe_improve(state, r, values)
-        cost = state.meter.total - cost0
-        return None, 1.0 / max(cost, 1), cost
+        return None, 1.0 / max(state.meter.total - cost0, 1)
 
     props = _props_all(state)
     bounds = _bounds(state, item.sub)
@@ -308,7 +306,7 @@ def ar_run(state: HybridState) -> tuple[SynthesisResult | None, float, int]:
 
     if any(st == "viol" for st in statuses):
         state.stats.pruned += item.remaining
-        return None, item.remaining / max(cost, 1), cost
+        return None, item.remaining / max(cost, 1)
 
     if not state.optimizing and all(st == "sat" for st in statuses):
         r = next(iterate_unpruned(item.sub, item.conflicts))
@@ -317,7 +315,7 @@ def ar_run(state: HybridState) -> tuple[SynthesisResult | None, float, int]:
         result = SynthesisResult(
             verdict="feasible", realization=r, values=_base_values(state, values)
         )
-        return result, 0.0, state.meter.total - cost0
+        return result, 0.0
 
     open_props = [p for p, st in zip(props, statuses) if st == "open"]
     pick = open_props[0] if open_props else props[-1]
@@ -329,14 +327,14 @@ def ar_run(state: HybridState) -> tuple[SynthesisResult | None, float, int]:
         # each half keeps only the cubes that intersect it
         conflicts = [c for c in item.conflicts if cube_pins(c, half) is not None]
         state.queue.append(WorkItem(half, conflicts, count_unpruned(half, conflicts), bounds))
-    return None, 0.0, cost
+    return None, 0.0
 
 
 def cegis_phase(
     state: HybridState,
     budget: float | None = None,
     conflicts: bool = True,
-) -> tuple[SynthesisResult | None, float, int]:
+) -> tuple[SynthesisResult | None, float]:
     """Run CEGIS over the queued subfamilies until a verdict or the budget.
 
     Subfamilies are processed FIFO; every violating candidate contributes one
@@ -346,8 +344,8 @@ def cegis_phase(
     (:meth:`HybridState.clock`) and is checked between candidates, so the
     last candidate may overshoot it; with a zero budget nothing is examined.
     ``conflicts=False`` (enumeration) stores nothing, so it must run without
-    a budget.  Returns the result (or ``None``), the pruning efficiency per
-    model check, and the cost in model checks.
+    a budget.  Returns the result (or ``None``) and the pruning efficiency
+    per model check.
     """
     meter = state.meter
     cost0 = meter.total
@@ -384,7 +382,7 @@ def cegis_phase(
                         realization=r,
                         values=_base_values(state, values),
                     )
-                    return result, 0.0, meter.total - cost0
+                    return result, 0.0
                 _maybe_improve(state, r, values)
                 if conflicts:
                     item.conflicts.append(r)
@@ -404,9 +402,7 @@ def cegis_phase(
             break  # budget spent: the item stays at the head of the queue
         state.queue.popleft()
 
-    cost = meter.total - cost0
-    sigma = eliminated / max(cost, 1)
-    return None, sigma, cost
+    return None, eliminated / max(meter.total - cost0, 1)
 
 
 def update_delta(sigma_cegis: float, sigma_ar: float) -> float:
@@ -422,14 +418,13 @@ def synthesize(
     method: str = "hybrid",
     bounds: str = "family",
     cost_units: str = "deterministic",
-    member_cap: int | None = None,
 ) -> SynthesisResult:
     """Decide ``spec`` on ``family`` with one of the methods in ``METHODS``.
 
     All methods run the same queue loop (see the module docstring): ``ar``
     runs AR steps only, ``cegis`` one unbudgeted CEGIS phase, ``onebyone``
-    one CEGIS phase without conflicts (refused above ``member_cap`` members,
-    default ``MEMBER_CAP``), and ``hybrid`` alternates one AR step with a
+    one CEGIS phase without conflicts (refused above ``MEMBER_CAP``
+    members), and ``hybrid`` alternates one AR step with a
     CEGIS phase whose budget is the step's cost times delta.  ``bounds``
     selects the rerouting vectors of every conflict: ``"family"`` uses the
     quotient bounds of the subfamily or of its split parent, ``"trivial"`` the
@@ -451,12 +446,10 @@ def synthesize(
         trivial_bounds=bounds == "trivial", wallclock=cost_units == "wallclock",
     )
     root = state.queue[0]
-    if method == "onebyone":
-        cap = MEMBER_CAP if member_cap is None else member_cap
-        if root.remaining > cap:
-            raise ResourceCapError(
-                f"family has {root.remaining} members, one-by-one cap is {cap}"
-            )
+    if method == "onebyone" and root.remaining > MEMBER_CAP:
+        raise ResourceCapError(
+            f"family has {root.remaining} members, one-by-one cap is {MEMBER_CAP}"
+        )
     if method == "cegis" and bounds == "family":
         root.bounds = _bounds(state, root.sub)
 
@@ -466,13 +459,13 @@ def synthesize(
         budget = None
         if ar_steps:
             start = state.clock()
-            result, sigma_ar, _cost = ar_run(state)
+            result, sigma_ar = ar_run(state)
             if method == "ar" or result is not None or not state.queue:
                 continue
             budget = (state.clock() - start) * state.delta_cegis
             if not state.wallclock:
                 budget = int(budget)
-        result, sigma_cegis, _cost = cegis_phase(
+        result, sigma_cegis = cegis_phase(
             state, budget, conflicts=method != "onebyone"
         )
         if ar_steps:

@@ -6,13 +6,15 @@ loop parameters, giving four members with initial-state reachability
 values 0.8, 0.6, 0.4, 0.2 toward state ``t``.
 
 Random instances come from the benchmark generator; expected values are
-always produced by exhaustive enumeration with the exact linear solver, so
-the oracles stay independent of the iterative code paths under test.
-``reference_conflict`` and its helpers build conflicts on explicitly
-rerouted chains by a linear scan over ``greedy_steps``, the reference for
-the bisected ``construct_conflict``; ``reference_pinned_reach`` runs the
-prob-0 search of a pinned solve backward from every root over the whole
-chain, the reference for the search over unpinned states in ``mc_reach``;
+always produced by exhaustive enumeration with ``reference_reach``, a dense
+linear solve over the whole chain with its own target check and backward
+search, which calls nothing in :mod:`mcsynth.reach`, so the oracles stay
+independent of the solvers under test.  ``reference_conflict`` and its
+helpers build conflicts on explicitly rerouted chains by a linear scan over
+``greedy_steps``, the reference for the bisected ``construct_conflict``;
+``reference_pinned_reach`` runs the prob-0 search of a pinned solve
+backward from every root over the whole chain, the reference for the search
+over unpinned states in ``mc_reach``, pinned or not;
 ``reference_build_quotient`` and ``reference_split_subfamily`` build each
 quotient from its own product of domains and decode actions one state at a
 time, the reference for the masked quotients and array splitting of
@@ -39,7 +41,6 @@ import numpy as np
 import pytest
 
 from mcsynth import (
-    DECISION_ETA,
     Conflict,
     CostMeter,
     Family,
@@ -54,7 +55,6 @@ from mcsynth import (
     induce,
     iterate_unpruned,
     mc_reach,
-    mc_reach_exact,
     parse_sketch,
 )
 import mcsynth.reach as reach
@@ -245,6 +245,44 @@ def reference_solve(
     values[unknown] = np.clip(np.linalg.solve(system, rhs), 0.0, 1.0)
 
 
+def reference_reach(mc: Mc, targets: Iterable[int]) -> np.ndarray:
+    """Reachability probabilities of ``mc`` by one dense solve over the whole chain.
+
+    The reference for :func:`mcsynth.mc_reach`; it calls nothing in
+    :mod:`mcsynth.reach`.  A backward breadth-first search over the dense
+    transition matrix finds the states that can reach a target; those that
+    are no target solve ``(I - Q) x = c`` in one ``np.linalg.solve``, all
+    others are 0.  Exact up to floating rounding.
+    """
+    n = mc.n_states
+    tset = {int(t) for t in targets}
+    if not tset:
+        raise ValueError("target set must be non-empty")
+    if any(not 0 <= t < n for t in tset):
+        raise ValueError("target state index out of range")
+    dense = np.zeros((n, n))
+    dense[mc.ent_source, mc.ent_target] = mc.ent_prob
+    can_reach = np.zeros(n, dtype=bool)
+    can_reach[sorted(tset)] = True
+    queue = deque(sorted(tset))
+    while queue:
+        t = queue.popleft()
+        for s in np.flatnonzero(dense[:, t] > 0.0).tolist():
+            if not can_reach[s]:
+                can_reach[s] = True
+                queue.append(s)
+    values = np.zeros(n)
+    values[sorted(tset)] = 1.0
+    unknown = np.array([s for s in range(n) if can_reach[s] and s not in tset], dtype=np.intp)
+    if unknown.size == 0:
+        return values
+    q = dense[np.ix_(unknown, unknown)]
+    c = dense[unknown] @ values
+    x = np.linalg.solve(np.eye(unknown.size) - q, c)
+    values[unknown] = np.clip(x, 0.0, 1.0)
+    return values
+
+
 def _scope_multi(family: Family, scope: Subfamily | None) -> frozenset[int]:
     if scope is None:
         return frozenset(family.multi_valued())
@@ -347,7 +385,6 @@ def reference_conflict(
     prop: Property,
     gamma: Sequence[float],
     scope: Subfamily,
-    eta: float = DECISION_ETA,
     meter: CostMeter | None = None,
 ) -> Conflict:
     """The greedy conflict loop as rerouting defines it (reference for ``construct_conflict``).
@@ -369,14 +406,14 @@ def reference_conflict(
         value = rerouted_value(family, r, prop, gamma, scope, rel)
         if meter is not None:
             meter.count()
-        if not evaluate_property(value, prop, eta):
+        if not evaluate_property(value, prop):
             return Conflict(params=rel, reference=r, scope=scope)
     # The last step expanded everything reachable, so it saw the real chain.
     # Satisfaction means either the caller passed a satisfying member or
     # gamma disagrees with direct checking.
     mc = induce(family, r)
-    direct = float(mc_reach_exact(mc, prop.targets)[mc.initial])
-    if evaluate_property(direct, prop, eta):
+    direct = float(reference_reach(mc, prop.targets)[mc.initial])
+    if evaluate_property(direct, prop):
         raise ValueError("member satisfies the property, no conflict exists")
     raise InvalidBoundsError("rerouting never exhibited the violation; gamma is inconsistent")
 
@@ -582,10 +619,10 @@ def goal_index(family: Family) -> int:
 
 
 def enumerate_values(family: Family, targets) -> dict[tuple, float]:
-    """Oracle: initial-state value of every member, by exact linear solve."""
+    """Oracle: initial-state value of every member, by the dense :func:`reference_reach`."""
     out = {}
     for r in iterate_unpruned(family.full_subfamily()):
-        out[r.values] = float(mc_reach_exact(induce(family, r), targets)[family.initial])
+        out[r.values] = float(reference_reach(induce(family, r), targets)[family.initial])
     return out
 
 

@@ -28,7 +28,6 @@ from mcsynth import (
     induce,
     iterate_unpruned,
     mc_reach,
-    mc_reach_exact,
     member_count,
     split_subfamily,
     synthesize,
@@ -44,6 +43,7 @@ from conftest import (
     enumerate_values,
     goal_index,
     make_instance,
+    reference_reach,
 )
 
 SLACK = 2e-8
@@ -123,7 +123,7 @@ def conflict_validity_runs():
                 scope = scope.restricted(k, keep)
         targets = frozenset({goal_index(family)})
         values = {
-            r.values: float(mc_reach_exact(induce(family, r), targets)[family.initial])
+            r.values: float(reference_reach(induce(family, r), targets)[family.initial])
             for r in iterate_unpruned(scope)
         }
         thr = _gap_threshold(list(values.values()), rng.uniform(0.2, 0.8))
@@ -180,7 +180,7 @@ def test_criterion_2_bounds_soundness(corpus):
             lo = np.ones(family.n_states)
             hi = np.zeros(family.n_states)
             for r in iterate_unpruned(sub):
-                vals = mc_reach_exact(induce(family, r), targets)
+                vals = reference_reach(induce(family, r), targets)
                 np.minimum(lo, vals, out=lo)
                 np.maximum(hi, vals, out=hi)
             assert (bounds.lb - SLACK <= lo).all()

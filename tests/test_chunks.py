@@ -17,7 +17,6 @@ from mcsynth import (
     generate_benchmark,
     induce,
     mc_reach,
-    mc_reach_exact,
     mdp_extreme,
 )
 from mcsynth.model import SOLVE_CHUNK
@@ -28,6 +27,7 @@ from conftest import (
     goal_index,
     lane_family,
     make_family,
+    reference_reach,
     reference_solve,
     reroute,
     templates,
@@ -149,7 +149,7 @@ class TestChunkedSolve:
             for r in members(family, 4, i):
                 mc = induce(family, r)
                 got = mc_reach(mc, goal)
-                assert np.allclose(got, mc_reach_exact(mc, goal), atol=1e-12, rtol=0.0)
+                assert np.allclose(got, reference_reach(mc, goal), atol=1e-12, rtol=0.0)
                 want = with_reference_solve(monkeypatch, mc_reach, mc, goal)
                 assert np.allclose(got, want, atol=1e-12, rtol=0.0)
 
@@ -165,7 +165,7 @@ class TestChunkedSolve:
                 want = with_reference_solve(monkeypatch, mc_reach, mc, goal, fixed=(mask, gamma))
                 assert np.allclose(got, want, atol=1e-12, rtol=0.0)
                 expanded = np.flatnonzero(~mask)
-                exact = mc_reach_exact(reroute(mc, expanded, gamma), goal | {n})[:n]
+                exact = reference_reach(reroute(mc, expanded, gamma), goal | {n})[:n]
                 assert np.allclose(got, exact, atol=1e-12, rtol=0.0)
 
     def test_mdp_values_and_schedulers_match_reference(self, chunked_families, monkeypatch):

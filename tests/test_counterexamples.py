@@ -22,7 +22,6 @@ from mcsynth import (
     generalization,
     induce,
     mc_reach,
-    mc_reach_exact,
     member_count,
     minimal_conflict_oracle,
     parse_sketch,
@@ -42,6 +41,7 @@ from conftest import (
     lane_family,
     reachable_via_holes,
     reference_conflict,
+    reference_reach,
     reroute,
     rerouted_value,
 )
@@ -150,7 +150,7 @@ class TestConstructConflict:
         members = generalization(conflict.reference, conflict.params, scope)
         assert [m.values for m in members] == [TOY_R[0].values, TOY_R[1].values]
         for m in members:
-            value = mc_reach_exact(induce(toy4, m), TOY_TARGET)[0]
+            value = reference_reach(induce(toy4, m), TOY_TARGET)[0]
             assert not evaluate_property(value, SAFETY)
 
     def test_satisfying_member_rejected(self, toy4, toy_lb):

@@ -13,7 +13,6 @@ from mcsynth import (
     induce,
     iterate_unpruned,
     mc_reach,
-    mc_reach_exact,
     mdp_extreme,
     member_count,
     split_subfamily,
@@ -35,6 +34,7 @@ from conftest import (
     make_mc,
     reference_build_quotient,
     reference_decode_action,
+    reference_reach,
     reference_split_subfamily,
 )
 
@@ -193,7 +193,7 @@ class TestMdpExtreme:
         q = build_quotient(toy4, toy4.full_subfamily())
         for mode in ("min", "max"):
             vals, sched = mdp_extreme(q, TOY_TARGET, mode)
-            direct = mc_reach_exact(self._scheduler_chain(q, sched), TOY_TARGET)
+            direct = reference_reach(self._scheduler_chain(q, sched), TOY_TARGET)
             assert abs(direct[0] - vals[0]) <= 2e-8
 
     def test_scheduler_consistency_on_random_quotients(self):
@@ -203,7 +203,7 @@ class TestMdpExtreme:
             targets = {goal_index(fam)}
             for mode in ("min", "max"):
                 vals, sched = mdp_extreme(q, targets, mode)
-                direct = mc_reach_exact(self._scheduler_chain(q, sched), targets)
+                direct = reference_reach(self._scheduler_chain(q, sched), targets)
                 assert abs(direct[q.initial] - vals[q.initial]) <= 2e-8
 
 
@@ -228,7 +228,7 @@ class TestComputeBounds:
         targets = {goal_index(fam)}
         bounds = compute_bounds(fam, sub, targets)
         for r in iterate_unpruned(sub):
-            vals = mc_reach_exact(induce(fam, r), targets)
+            vals = reference_reach(induce(fam, r), targets)
             assert (bounds.lb - 2e-8 <= vals).all()
             assert (vals <= bounds.ub + 2e-8).all()
 

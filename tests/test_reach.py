@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import mcsynth.reach as reach
 from mcsynth import (
+    DECISION_ETA,
     Mc,
     Property,
     QuotientMdp,
@@ -15,10 +17,8 @@ from mcsynth import (
     evaluate_property,
     induce,
     mc_reach,
-    mc_reach_exact,
     mdp_extreme,
 )
-from mcsynth.errors import ResourceCapError
 
 from conftest import (
     TOY_R,
@@ -28,6 +28,7 @@ from conftest import (
     lane_family,
     make_mc,
     reference_pinned_reach,
+    reference_reach,
     reroute,
 )
 
@@ -66,7 +67,7 @@ class TestMcReach:
         rng = random.Random(4)
         mc = random_mc(rng, 5)
         got = mc_reach(mc, {4})
-        want = mc_reach_exact(mc, {4})
+        want = reference_reach(mc, {4})
         assert np.allclose(got, want, atol=1e-6)
 
     def test_agreement_on_100_random_chains(self):
@@ -76,7 +77,7 @@ class TestMcReach:
             mc = random_mc(rng, n)
             targets = {n - 1}
             assert np.allclose(
-                mc_reach(mc, targets), mc_reach_exact(mc, targets), atol=1e-6
+                mc_reach(mc, targets), reference_reach(mc, targets), atol=1e-6
             )
 
     def test_empty_target_rejected(self, toy4):
@@ -111,7 +112,7 @@ class TestMcReachFixed:
             mask = np.ones(n, dtype=bool)
             mask[sorted(expanded)] = False
             got = mc_reach(mc, targets, fixed=(mask, gamma))
-            want = mc_reach_exact(reroute(mc, expanded, gamma), targets | {n})[:n]
+            want = reference_reach(reroute(mc, expanded, gamma), targets | {n})[:n]
             assert np.allclose(got, want, atol=1e-12, rtol=0.0)
             for s in np.flatnonzero(mask):
                 assert got[s] == (1.0 if s in targets else gamma[s])
@@ -138,6 +139,22 @@ class TestMcReachFixed:
                 got = mc_reach(mc, tset, fixed=(mask, gamma))
                 want = reference_pinned_reach(mc, tset, (mask, gamma))
                 assert np.array_equal(got, want)
+
+    def test_unpinned_solve_is_the_reference_with_nothing_pinned(self):
+        """A member solve is the pinned solve with an empty mask, bitwise."""
+        rng = random.Random(13)
+        families = [corpus_family(i) for i in range(0, 50, 3)]
+        families += [lane_family(80, 6, 0.6, 2), lane_family(200, 6, 0.6, 3)]
+        families.append(lane_family(400, 6, 0.6, 1))
+        assert sum(f._chunk_ids is not None and f.n_states >= 64 for f in families) == 3
+        for fam in families:
+            n, goal = fam.n_states, fam.state_names.index("goal")
+            for _ in range(4):
+                mc = induce(fam, Realization(tuple(rng.choice(dom) for dom in fam.domains)))
+                for tset in ({goal}, {goal, rng.randrange(n)}, {fam.initial}, {rng.randrange(n)}):
+                    got = mc_reach(mc, tset)
+                    want = reference_pinned_reach(mc, tset, (np.zeros(n, dtype=bool), np.zeros(n)))
+                    assert np.array_equal(got, want)
 
     def test_nothing_pinned_is_the_plain_solve(self, toy4):
         mc = induce(toy4, TOY_R[1])
@@ -199,7 +216,7 @@ class TestMdpExtremeOracles:
         ]
         vals, sched = mdp_extreme(make_mdp(actions), {2}, "max")
         assert np.allclose(vals, [0.6, 0.6, 1.0, 0.0], atol=1e-12)
-        direct = mc_reach_exact(scheduler_chain(actions, sched), {2})
+        direct = reference_reach(scheduler_chain(actions, sched), {2})
         assert np.allclose(direct, vals, atol=1e-12)
 
     @settings(max_examples=150, deadline=None)
@@ -208,34 +225,43 @@ class TestMdpExtremeOracles:
         n = len(actions)
         mdp = make_mdp(actions)
         chains = [
-            mc_reach_exact(scheduler_chain(actions, sched), {n - 1})
+            reference_reach(scheduler_chain(actions, sched), {n - 1})
             for sched in itertools.product(*(range(len(a)) for a in actions))
         ]
         for mode, pick in (("min", np.min), ("max", np.max)):
             vals, sched = mdp_extreme(mdp, {n - 1}, mode)
             assert np.allclose(vals, pick(chains, axis=0), atol=1e-9)
-            direct = mc_reach_exact(scheduler_chain(actions, sched), {n - 1})
+            direct = reference_reach(scheduler_chain(actions, sched), {n - 1})
             assert np.allclose(direct, vals, atol=1e-9)
 
 
 class TestMcReachExact:
+    """The dense ``reference_reach`` of ``conftest``, which the other tests trust."""
+
     def test_toy_r3_initial_value(self, toy4):
         mc = induce(toy4, TOY_R[3])
-        assert mc_reach_exact(mc, TOY_TARGET)[0] == pytest.approx(0.2, abs=1e-12)
+        assert reference_reach(mc, TOY_TARGET)[0] == pytest.approx(0.2, abs=1e-12)
 
     def test_absorbing_non_target_initial(self):
         mc = make_mc([{0: 1.0}, {1: 1.0}])
-        assert mc_reach_exact(mc, {1})[0] == 0.0
+        assert reference_reach(mc, {1})[0] == 0.0
 
     def test_certain_chain(self):
         mc = make_mc([{1: 1.0}, {1: 1.0}])
-        assert mc_reach_exact(mc, {1})[0] == 1.0
+        assert reference_reach(mc, {1})[0] == 1.0
 
-    def test_state_cap_enforced(self):
-        n = 2001
-        rows = [{min(s + 1, n - 1): 1.0} for s in range(n)]
-        with pytest.raises(ResourceCapError):
-            mc_reach_exact(make_mc(rows), {n - 1})
+    def test_shares_no_code_with_the_solvers(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AssertionError("the reference called into mcsynth.reach")
+
+        for name in ("_reach_roots", "_backward_distance", "_solve", "_check_targets"):
+            monkeypatch.setattr(reach, name, broken)
+        fam = lane_family(200, 6, 0.6, 3)
+        mc = induce(fam, Realization(tuple(dom[0] for dom in fam.domains)))
+        values = reference_reach(mc, {fam.state_names.index("goal")})
+        assert ((values >= 0.0) & (values <= 1.0)).all()
+        with pytest.raises(AssertionError, match="called into"):
+            mc_reach(mc, {fam.state_names.index("goal")})
 
 
 class TestEvaluate:
@@ -259,9 +285,10 @@ class TestEvaluate:
         assert evaluate_property(0.2, prop) is False
 
     def test_eta_gives_slack(self):
-        prop = Property(op="<=", threshold=0.3, targets=frozenset({3}))
-        assert evaluate_property(0.3 + 5e-7, prop, eta=1e-6) is True
-        assert evaluate_property(0.3 + 5e-7, prop, eta=0.0) is False
+        for op, worse in (("<=", 1.0), (">=", -1.0)):
+            prop = Property(op=op, threshold=0.3, targets=frozenset({3}))
+            assert evaluate_property(0.3 + worse * 0.5 * DECISION_ETA, prop) is True
+            assert evaluate_property(0.3 + worse * 2.0 * DECISION_ETA, prop) is False
 
 
 class TestCorpusChains:

@@ -16,14 +16,13 @@ from mcsynth import (
     evaluate_property,
     generalization,
     induce,
-    mc_reach_exact,
     member_count,
     synthesize,
     trivial_gamma,
 )
 from mcsynth.synthesis import METHODS, ar_run, cegis_phase, new_state, update_delta
 
-from conftest import TOY_R, TOY_TARGET, make_instance
+from conftest import TOY_R, TOY_TARGET, make_instance, reference_reach
 
 SAFE_03 = Specification(properties=(Property(op="<=", threshold=0.3, targets=TOY_TARGET),))
 SAFE_01 = Specification(properties=(Property(op="<=", threshold=0.1, targets=TOY_TARGET),))
@@ -50,11 +49,12 @@ class TestOneByOne:
         assert result.realization == TOY_R[3]
         assert result.optimum == pytest.approx(0.2, abs=1e-6)
 
-    def test_member_cap(self, toy4):
+    def test_member_cap(self, toy4, monkeypatch):
         from mcsynth.errors import ResourceCapError
 
+        monkeypatch.setattr(mcsynth.synthesis, "MEMBER_CAP", 2)
         with pytest.raises(ResourceCapError):
-            synthesize(toy4, SAFE_03, method="onebyone", member_cap=2)
+            synthesize(toy4, SAFE_03, method="onebyone")
 
 
 class TestCegis:
@@ -72,7 +72,7 @@ class TestCegis:
 
     def test_zero_budget_is_undecided(self, toy4):
         state = new_state(toy4, SAFE_03)
-        result, sigma, _cost = cegis_phase(state, budget=0)
+        result, sigma = cegis_phase(state, budget=0)
         remaining = state.queue[0]
         assert result is None
         assert remaining.remaining == member_count(toy4.full_subfamily())
@@ -89,21 +89,21 @@ class TestCegis:
         remaining.bounds = {
             TOY_TARGET: compute_bounds(toy4, remaining.sub, TOY_TARGET, meter=state.meter)
         }
-        result, _sigma, _cost = cegis_phase(state)
+        result, _sigma = cegis_phase(state)
         assert result.verdict == "feasible"
         prop = SAFE_03.properties[0]
         for conflict in remaining.conflicts:
             for m in generalization(conflict.reference, conflict.params, conflict.scope):
-                value = mc_reach_exact(induce(toy4, m), prop.targets)[toy4.initial]
+                value = reference_reach(induce(toy4, m), prop.targets)[toy4.initial]
                 assert not evaluate_property(value, prop)
 
 
 class TestAbstractionRefinement:
     def test_toy_first_step_splits_on_initial_choice(self, toy4):
         state = new_state(toy4, SAFE_03)
-        result, sigma, cost = ar_run(state)
+        result, _sigma = ar_run(state)
         assert result is None
-        assert cost == 2
+        assert state.meter.total == 2
         assert len(state.queue) == 2
         left, right = state.queue[0].sub, state.queue[1].sub
         assert left.domains[0] == (1,) and right.domains[0] == (2,)
@@ -274,7 +274,7 @@ def _assert_store_exact(state, item, checked):
     def satisfies(values, props):
         mc = induce(state.family, Realization(values))
         return all(
-            evaluate_property(mc_reach_exact(mc, p.targets)[state.family.initial], p)
+            evaluate_property(reference_reach(mc, p.targets)[state.family.initial], p)
             for p in props
         )
 
@@ -300,7 +300,7 @@ class TestCubeStore:
 
         monkeypatch.setattr(mcsynth.synthesis, "induce", spy)
         state = new_state(fam, opt_spec)
-        result, _sigma, _cost = cegis_phase(state, budget=11)
+        result, _sigma = cegis_phase(state, budget=11)
         assert result is None
         item = state.queue[0]
         kinds = {type(e) for e in item.conflicts}
@@ -308,7 +308,7 @@ class TestCubeStore:
         _assert_store_exact(state, item, checked)
 
         queued = len(state.queue)
-        result, _sigma, _cost = ar_run(state)
+        result, _sigma = ar_run(state)
         assert result is None and len(state.queue) == queued + 1
         for child in list(state.queue)[-2:]:
             assert child.conflicts
