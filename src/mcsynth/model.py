@@ -82,13 +82,43 @@ def _freeze(*arrays: np.ndarray) -> None:
 
 
 def predecessors(n: int, src: np.ndarray, tgt: np.ndarray) -> tuple[list[int], list[int]]:
-    """Flat entries grouped by target for backward searches in Python.
+    """Flat entries grouped by target, the adjacency of a backward :func:`breadth_first`.
 
     Returns ``(sources, ptr)``: the entries into state ``t`` come from
     ``sources[ptr[t]:ptr[t + 1]]``.
     """
     order = np.argsort(tgt, kind="stable")
     return src[order].tolist(), np.searchsorted(tgt[order], np.arange(n + 1)).tolist()
+
+
+def breadth_first(
+    adjacency: tuple[list[int], list[int]], seeds: list[int], allowed: np.ndarray | None = None
+) -> np.ndarray:
+    """Breadth-first steps of each state from the nearest seed; -1 where not reached.
+
+    ``adjacency`` is ``(flat, ptr)``, the neighbours of state ``s`` being
+    ``flat[ptr[s]:ptr[s + 1]]``: successors, or :func:`predecessors` for a
+    backward walk.  Seeds are at step 0; the walk enters no other state
+    outside ``allowed``, when given.
+    """
+    flat, ptr = adjacency
+    # -2 marks the states the walk may not enter
+    steps = [-1] * (len(ptr) - 1) if allowed is None else np.where(allowed, -1, -2).tolist()
+    frontier = list(seeds)
+    for s in frontier:
+        steps[s] = 0
+    step = 0
+    while frontier:
+        step += 1
+        reached = []
+        for t in frontier:
+            for s in flat[ptr[t] : ptr[t + 1]]:
+                if steps[s] == -1:
+                    steps[s] = step
+                    reached.append(s)
+        frontier = reached
+    out = np.array(steps, dtype=np.int64)
+    return out if allowed is None else np.maximum(out, -1, out=out)
 
 
 def strong_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -179,7 +209,7 @@ class Mc:
 
     @cached_property
     def in_edges(self) -> tuple[list[int], list[int]]:
-        """:func:`predecessors` of the chain, kept for every solve on it."""
+        """:func:`predecessors` of the chain, kept for the prob-0 walk of every solve on it."""
         return predecessors(self.n_states, self.ent_source, self.ent_target)
 
 

@@ -22,7 +22,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidBoundsError, ResourceCapError
-from .model import Family, Subfamily, flat_rows, member_count
+from .model import Family, Subfamily, breadth_first, flat_rows, member_count
 from .reach import mdp_extreme
 
 ACTION_CAP = 10**6
@@ -91,7 +91,7 @@ class QuotientMdp:
 
 @dataclass(frozen=True, eq=False)
 class BoundsVec:
-    """Per-state reachability bounds valid for every member of ``scope``.
+    """Per-state reachability bounds valid for every member of ``quotient.sub``.
 
     ``lb <= ub`` pointwise up to ``BOUNDS_SLACK``; the schedulers attain the
     bounds on the quotient.
@@ -101,8 +101,6 @@ class BoundsVec:
     ub: np.ndarray
     min_scheduler: np.ndarray
     max_scheduler: np.ndarray
-    targets: frozenset[int]
-    scope: Subfamily
     quotient: QuotientMdp
 
 
@@ -256,8 +254,6 @@ def compute_bounds(
         ub=ub,
         min_scheduler=min_sched,
         max_scheduler=max_sched,
-        targets=key,
-        scope=sub,
         quotient=qmdp,
     )
 
@@ -265,17 +261,8 @@ def compute_bounds(
 def _reachable_under(qmdp: QuotientMdp, scheduler: np.ndarray) -> np.ndarray:
     """States reachable from the initial state in the chain ``scheduler`` induces."""
     pos, lens = _segments(qmdp.act_ptr, qmdp.state_ptr[:-1] + scheduler)
-    succ, ptr = qmdp.ent_target[pos].tolist(), _ptr(lens).tolist()
-    seen = [False] * qmdp.n_states
-    seen[qmdp.initial] = True
-    stack = [qmdp.initial]
-    while stack:
-        s = stack.pop()
-        for t in succ[ptr[s] : ptr[s + 1]]:
-            if not seen[t]:
-                seen[t] = True
-                stack.append(t)
-    return np.asarray(seen)
+    succ = (qmdp.ent_target[pos].tolist(), _ptr(lens).tolist())
+    return breadth_first(succ, [qmdp.initial]) >= 0
 
 
 def split_subfamily(

@@ -3,26 +3,27 @@
 Every solver runs a qualitative prob-0 precomputation first: target states
 are pinned to exactly 1 and states that cannot reach the target to exactly 0,
 which leaves a nonsingular linear system ``(I - Q) x = c`` on the remaining
-states.  Chains solve that system once, directly; quotient MDPs run policy
-iteration, evaluating each policy with the same solve.  The solve runs chunk
-by chunk along the condensation of the family's union graph, sinks first,
-one dense system per chunk (:func:`_solve`); a family below ``SOLVE_CHUNK``
-states is one chunk.  Values are exact up to floating rounding.  Every
-threshold decision goes through :func:`evaluate_property` with the decision
-tolerance ``DECISION_ETA``; ties resolve toward satisfaction.  The test
-suite checks these solvers against its own dense reference, which shares no
-code with this module.
+states.  Chains and max mode find those with one backward walk
+(:func:`~mcsynth.model.breadth_first`), min mode with a fixpoint.  Chains
+solve that system once, directly; quotient MDPs run policy iteration,
+evaluating each policy with the same solve.  The solve runs chunk by chunk
+along the condensation of the family's union graph, sinks first, one dense
+system per chunk (:func:`_solve`); a family below ``SOLVE_CHUNK`` states is
+one chunk.  Values are exact up to floating rounding.  Every threshold
+decision goes through :func:`evaluate_property` with the decision tolerance
+``DECISION_ETA``; ties resolve toward satisfaction.  The test suite checks
+these solvers against its own dense reference, which shares no code with
+this module.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .model import Mc, predecessors
+from .model import Mc, breadth_first, predecessors
 
 if TYPE_CHECKING:  # pragma: no cover
     from .quotient import QuotientMdp
@@ -130,49 +131,6 @@ def _check_targets(n: int, targets: Iterable[int]) -> frozenset[int]:
     return tset
 
 
-def _backward_distance(preds: tuple[list[int], list[int]], targets: frozenset[int]) -> np.ndarray:
-    """Fewest edges from each state into ``targets``; -1 if none.
-
-    ``preds`` comes from :func:`~mcsynth.model.predecessors` over the entries
-    of all actions of an MDP; max mode of :func:`mdp_extreme` needs the
-    distances to start from a proper policy.
-    """
-    sources, ptr = preds
-    n = len(ptr) - 1
-    dist = [-1] * n
-    queue = deque(sorted(targets))
-    for t in queue:
-        dist[t] = 0
-    while queue:
-        t = queue.popleft()
-        for s in sources[ptr[t] : ptr[t + 1]]:
-            if dist[s] == -1:
-                dist[s] = dist[t] + 1
-                queue.append(s)
-    return np.asarray(dist)
-
-
-def _reach_roots(mc: Mc, free: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """The ``free`` states with a path through ``free`` states into a ``root``.
-
-    The search touches free states only: it starts from those with an edge
-    into a root and walks predecessors that are free.
-    """
-    src = mc.ent_source
-    seed = np.zeros(free.size, dtype=bool)
-    seed[src[free[src] & root[mc.ent_target]]] = True
-    stack = np.flatnonzero(seed).tolist()
-    unseen = (free & ~seed).tolist()
-    sources, ptr = mc.in_edges
-    while stack:
-        t = stack.pop()
-        for s in sources[ptr[t] : ptr[t + 1]]:
-            if unseen[s]:
-                unseen[s] = False
-                stack.append(s)
-    return free & ~np.asarray(unseen, dtype=bool)
-
-
 def _fixed_values(
     n: int, targets: frozenset[int], zero: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -273,7 +231,12 @@ def mc_reach(
     values[tlist] = 1.0  # a target stays a target under the mask
     free = ~mask
     free[tlist] = False
-    unknown = _reach_roots(mc, free, ~free & (values > 0.0))
+    # the search touches free states only, from those with an edge into a root
+    src = mc.ent_source
+    root = ~free & (values > 0.0)
+    seed = np.zeros(n, dtype=bool)
+    seed[src[free[src] & root[mc.ent_target]]] = True
+    unknown = breadth_first(mc.in_edges, np.flatnonzero(seed).tolist(), free) >= 0
     _solve(mc.ent_source, mc.ent_target, mc.ent_prob, values, unknown, mc.chunk)
     return values
 
@@ -342,7 +305,7 @@ def mdp_extreme(
         policy[zero] = _first_action(stays, state_ptr)[zero]
         reduce = np.minimum.reduceat
     else:
-        dist = _backward_distance(predecessors(n, ent_source, tgt), tset)
+        dist = breadth_first(predecessors(n, ent_source, tgt), sorted(tset))
         values, unknown = _fixed_values(n, tset, dist < 0)
         closer = np.logical_or.reduceat(dist[tgt] == dist[ent_source] - 1, act_ptr[:-1])
         policy[unknown] = _first_action(closer, state_ptr)[unknown]

@@ -84,7 +84,8 @@ def parse_sketch(text: str) -> Family:
     index = {name: i for i, name in enumerate(states)}
 
     initial = doc["initial"]
-    if initial not in index:
+    # a list or object here would not hash, so test the type first
+    if not isinstance(initial, str) or initial not in index:
         raise SketchError(f"unknown state {initial!r}", location="initial")
 
     params_doc = doc["parameters"]
@@ -98,7 +99,7 @@ def parse_sketch(text: str) -> Family:
         if not isinstance(dom, list) or not dom:
             raise SketchError("domain must be a non-empty list", location=loc)
         for v in dom:
-            if v not in index:
+            if not isinstance(v, str) or v not in index:
                 raise SketchError(f"unknown state {v!r} in domain", location=loc)
         idx = sorted(index[v] for v in dom)
         if len(set(idx)) != len(idx):

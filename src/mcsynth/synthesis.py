@@ -115,7 +115,7 @@ class HybridState:
     delta_cegis: float = 1.0
     trivial_bounds: bool = False
     wallclock: bool = False
-    incumbent: tuple[Realization, float] | None = None
+    incumbent: SynthesisResult | None = None
     working: Property | None = None
 
     @property
@@ -209,11 +209,13 @@ def _maybe_improve(state: HybridState, r: Realization, values) -> None:
     if state.working is not None and not evaluate_property(v, state.working):
         return
     if state.incumbent is not None:
-        best = state.incumbent[1]
+        best = state.incumbent.optimum
         improved = v > best if obj.direction == "max" else v < best
         if not improved:
             return
-    state.incumbent = (r, v)
+    state.incumbent = SynthesisResult(
+        verdict="optimal", realization=r, values=_base_values(state, values), optimum=v
+    )
     state.working = _tightened_working(obj, v)
 
 
@@ -224,20 +226,8 @@ def _finish(state: HybridState, result: SynthesisResult) -> SynthesisResult:
 
 
 def _close(state: HybridState) -> SynthesisResult:
-    """Queue exhausted: report infeasibility or the optimal incumbent."""
-    if state.optimizing and state.incumbent is not None:
-        r, v = state.incumbent
-        values = _member_values(state, r)
-        return _finish(
-            state,
-            SynthesisResult(
-                verdict="optimal",
-                realization=r,
-                values=_base_values(state, values),
-                optimum=v,
-            ),
-        )
-    return _finish(state, SynthesisResult(verdict="infeasible"))
+    """Queue exhausted: report the optimal incumbent, or infeasibility without one."""
+    return _finish(state, state.incumbent or SynthesisResult(verdict="infeasible"))
 
 
 def _status(prop: Property, bounds: BoundsVec, initial: int) -> str:

@@ -1,6 +1,17 @@
-"""The public API: every change to the exported names shows in this file."""
+"""The public API: every change to the exported names shows in this file.
+
+Also a lint of the sources, with the standard ``ast`` module: every name a
+module imports is used in it.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
 
 import mcsynth
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "mcsynth").glob("*.py"))
 
 EXPORTS = [
     "BoundsVec",
@@ -51,3 +62,57 @@ def test_exported_names_are_pinned():
     assert sorted(mcsynth.__all__) == EXPORTS
     assert len(EXPORTS) == 41
     assert all(hasattr(mcsynth, name) for name in EXPORTS)
+
+
+def unused_imports(source: str) -> set[str]:
+    """Names ``source`` imports and never uses.
+
+    A use is a name read anywhere, a name inside a string annotation, or an
+    entry of ``__all__``; ``from __future__`` imports bind no name.
+    """
+    tree = ast.parse(source)
+    imported, used = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+        annotations = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            every = args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+            annotations = [a.annotation for a in every if a is not None] + [node.returns]
+        elif isinstance(node, ast.AnnAssign):
+            annotations = [node.annotation]
+        for annotation in filter(None, annotations):
+            for part in ast.walk(annotation):
+                if isinstance(part, ast.Constant) and isinstance(part.value, str):
+                    parsed = ast.parse(part.value, mode="eval")
+                    used.update(n.id for n in ast.walk(parsed) if isinstance(n, ast.Name))
+    return imported - used
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    assert unused_imports(path.read_text()) == set()
+
+
+def test_unused_import_check_catches_each_kind():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from collections import deque, OrderedDict as od\n"
+        "from typing import TYPE_CHECKING\n"
+        "if TYPE_CHECKING:\n"
+        "    from x import Quoted, Unquoted\n"
+        "def f(a: 'Quoted') -> None:\n"
+        "    return deque()\n"
+    )
+    assert unused_imports(source) == {"os", "od", "Unquoted"}
+    assert unused_imports("from m import a\n__all__ = ['a']\n") == set()

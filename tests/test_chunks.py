@@ -1,7 +1,8 @@
 """Solves chunk by chunk along the condensation of the family's union graph.
 
-networkx serves as the oracle for the strongly connected components; the
-dense ``reference_solve`` of ``conftest`` is the oracle for the values.
+networkx serves as the oracle for the strongly connected components and for
+the step counts of the one breadth-first walk; the dense ``reference_solve``
+of ``conftest`` is the oracle for the values.
 """
 
 import random
@@ -9,6 +10,7 @@ import random
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import mcsynth.reach as reach
 from mcsynth import (
@@ -19,7 +21,7 @@ from mcsynth import (
     mc_reach,
     mdp_extreme,
 )
-from mcsynth.model import SOLVE_CHUNK
+from mcsynth.model import SOLVE_CHUNK, breadth_first
 from mcsynth.quotient import build_quotient, root_quotient
 
 from conftest import (
@@ -139,6 +141,49 @@ class TestCondensation:
         family = lane_family(400, 6, 0.6, 1)
         mc = induce(family, members(family, 1, 0)[0])
         assert mc.chunk is family._chunk_ids
+
+
+@st.composite
+def walk_cases(draw):
+    """A random graph with duplicate edges and self-loops, seeds, and a mask or none."""
+    n = draw(st.integers(1, 12))
+    state = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(state, state), max_size=3 * n))
+    seeds = draw(st.lists(state, max_size=4))
+    allowed = draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n).map(np.array))
+    return n, edges, seeds, allowed
+
+
+class TestBreadthFirst:
+    @settings(max_examples=300, deadline=None)
+    @given(walk_cases())
+    def test_steps_match_networkx(self, case):
+        n, edges, seeds, allowed = case
+        edges.sort()
+        flat = [t for _, t in edges]
+        ptr = np.searchsorted([s for s, _ in edges], np.arange(n + 1)).tolist()
+        got = breadth_first((flat, ptr), seeds, allowed)
+
+        # a super-source one step before every seed; a seed is entered even
+        # when not allowed, any other state only when allowed
+        graph = nx.DiGraph()
+        graph.add_nodes_from(range(n))
+        graph.add_edges_from(("seed", s) for s in seeds)
+        graph.add_edges_from(
+            (s, t) for s, t in edges if allowed is None or allowed[t] or t in seeds
+        )
+        want = np.full(n, -1)
+        if seeds:
+            for t, d in nx.single_source_shortest_path_length(graph, "seed").items():
+                if t != "seed":
+                    want[t] = d - 1
+        assert got.dtype.kind == "i" and np.array_equal(got, want)
+
+    def test_allowed_mask_is_left_unchanged(self):
+        allowed = np.array([True, False, True])
+        steps = breadth_first(([1, 2, 0], [0, 1, 2, 3]), [0], allowed)
+        assert steps.tolist() == [0, -1, -1]
+        assert allowed.tolist() == [True, False, True]
 
 
 class TestChunkedSolve:

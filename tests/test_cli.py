@@ -86,6 +86,18 @@ class TestSynthCommand:
         assert code == 2
         assert "transitions.s0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [('"initial": "s0"', '"initial": ["s0"]'), ('"Y": ["t", "f"]', '"Y": [{"t": 1}, "f"]')],
+    )
+    def test_non_string_state_name_exit_two(self, tmp_path, capsys, old, new):
+        bad = tmp_path / "bad.json"
+        bad.write_text(TOY4_TEXT.replace(old, new))
+        spec = spec_file(tmp_path, "P<=0.3 [F t]\n")
+        assert main(["synth", "--sketch", str(bad), "--spec", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_non_utf8_sketch_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "latin1.json"
         bad.write_bytes(TOY4_TEXT.replace('"s0"', '"s\xe9"').encode("latin-1"))

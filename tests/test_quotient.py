@@ -20,11 +20,12 @@ from mcsynth import (
 )
 from mcsynth.errors import ResourceCapError
 from mcsynth.model import Family
-from mcsynth.quotient import root_quotient
+from mcsynth.quotient import _reachable_under, root_quotient
 
 from conftest import (
     TOY_R,
     TOY_TARGET,
+    _reference_reachable_under,
     chain_row,
     corpus_family,
     goal_index,
@@ -395,6 +396,21 @@ class TestRootMask:
                 want = reference_split_subfamily(fam, sub, *scheds)
                 assert split_key(got) == split_key(want)
                 stack.extend(got)
+
+    def test_reachable_states_match_reference_down_the_refinement_tree(self):
+        for fam in MASK_FAMILIES:
+            targets = {goal_index(fam)}
+            root = root_quotient(fam)
+            stack = [fam.full_subfamily()]
+            while stack:
+                sub = stack.pop()
+                bounds = compute_bounds(fam, sub, targets, quotient=root)
+                scheds = (bounds.min_scheduler, bounds.max_scheduler)
+                for sched in scheds:
+                    got = _reachable_under(bounds.quotient, sched)
+                    assert np.array_equal(got, _reference_reachable_under(bounds.quotient, sched))
+                if member_count(sub) > 1:
+                    stack.extend(split_subfamily(fam, sub, *scheds, bounds.quotient))
 
     def test_decode_action_matches_reference(self):
         for fam in MASK_FAMILIES[:4]:

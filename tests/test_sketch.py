@@ -65,6 +65,19 @@ class TestParseSketch:
         with pytest.raises(SketchError, match=r"transitions.s0.*not a number in \[0, 1\]"):
             parse_sketch(text)
 
+    @pytest.mark.parametrize("value", ['["s0"]', '{"s0": 1}', "3", "null"])
+    def test_non_string_initial_rejected(self, value):
+        # a list or object would not hash as a key of the state index
+        text = TOY4_TEXT.replace('"initial": "s0"', f'"initial": {value}')
+        with pytest.raises(SketchError, match="initial"):
+            parse_sketch(text)
+
+    @pytest.mark.parametrize("value", ['["t"]', '{"t": 1}', "3", "null"])
+    def test_non_string_domain_value_rejected(self, value):
+        text = TOY4_TEXT.replace('"Y": ["t", "f"]', f'"Y": [{value}, "f"]')
+        with pytest.raises(SketchError, match="parameters.Y"):
+            parse_sketch(text)
+
     def test_unknown_domain_value_rejected(self):
         text = TOY4_TEXT.replace('"Y": ["t", "f"]', '"Y": ["t", "nosuch"]')
         with pytest.raises(SketchError, match="parameters.Y"):
