@@ -462,46 +462,69 @@ def _branch(cubes: list, k: int) -> tuple[list, dict]:
     return rest, pinned
 
 
-def _count(sizes: list[int], cubes: list, start: int) -> int:
-    """Members over parameters ``start..`` that no cube covers (cubes non-empty)."""
+def _count(sizes: list[int], cubes: list, start: int, memo: dict) -> int:
+    """Members over parameters ``start..`` that no cube covers (cubes non-empty).
+
+    ``memo`` holds the count of every residual problem ``(start, cube set)``
+    already solved in this search; the cube set names the problem exactly,
+    so an entry never goes stale.
+    """
     if not cubes:
         return math.prod(sizes[start:])
+    key = (start, frozenset(cubes))
+    if key in memo:
+        return memo[key]
     k = min(c[0][0] for c in cubes)
     rest, pinned = _branch(cubes, k)
     free = sizes[k] - len(pinned)
     # a branch holding an emptied cube is covered whole and counts 0
-    total = sum(_count(sizes, rest + reduced, k + 1) for reduced in pinned.values() if all(reduced))
-    return math.prod(sizes[start:k]) * (total + (free * _count(sizes, rest, k + 1) if free else 0))
+    total = sum(
+        _count(sizes, rest + reduced, k + 1, memo) for reduced in pinned.values() if all(reduced)
+    )
+    if free:
+        total += free * _count(sizes, rest, k + 1, memo)
+    memo[key] = out = math.prod(sizes[start:k]) * total
+    return out
 
 
-def _least_open(doms, cubes: list, j: int, cursor: list[int] | None) -> list[int] | None:
+def _least_open(
+    doms, cubes: list, j: int, cursor: list[int] | None, covered: set
+) -> list[int] | None:
     """Domain positions, from parameter ``j`` on, of the least member no cube covers.
 
     With a ``cursor`` (tight mode) the member must not precede ``cursor[j:]``,
     and every parameter is branched on, since later pins may force a larger
     value there.  Off the cursor path, parameters no cube pins take their
     least value.  ``None`` when every candidate is covered.
+
+    Off the cursor path a ``None`` answer depends on the cube set alone: the
+    cubes cover every member over the parameters they pin.  ``covered``
+    collects these cube sets for the rest of the search, so none is searched
+    twice (as when several free values share the same cubes).  A found
+    member ends the search, so no other answer is ever asked for again.
     """
     if not cubes:
         return cursor[j:] if cursor is not None else [0] * (len(doms) - j)
     if cursor is None:
+        key = frozenset(cubes)
+        if key in covered:
+            return None
         k = min(c[0][0] for c in cubes)
         head, lo = [0] * (k - j), 0
     else:
         k, head, lo = j, [], cursor[j]
     rest, pinned = _branch(cubes, k)
-    free_failed = False
     for i in range(lo, len(doms[k])):
         reduced = pinned.get(doms[k][i])
         tight = cursor if cursor is not None and i == lo else None
-        if reduced is None and free_failed and tight is None:
-            continue  # same cubes as a free value already searched in vain
         if reduced is not None and not all(reduced):
             continue
-        found = _least_open(doms, rest if reduced is None else rest + reduced, k + 1, tight)
+        residual = rest if reduced is None else rest + reduced
+        found = _least_open(doms, residual, k + 1, tight, covered)
         if found is not None:
             return head + [i] + found
-        free_failed = free_failed or (reduced is None and tight is None)
+    if cursor is None:
+        covered.add(key)
     return None
 
 
@@ -514,7 +537,9 @@ def iterate_unpruned(
     :func:`cube_pins`), and are consulted live: entries appended while the
     generator runs prune the not-yet-yielded remainder.  Each step searches
     the cubes for the least uncovered member at or after the cursor, so
-    covered members are never visited.
+    covered members are never visited.  Each step starts with no cube sets
+    remembered as covering (see :func:`_least_open`), since it may see more
+    cubes than the step before.
     """
     doms = sub.domains
     cubes: list = []
@@ -526,7 +551,7 @@ def iterate_unpruned(
         if () in fresh:
             return
         cubes += [c for c in fresh if c is not None]
-        pos = _least_open(doms, cubes, 0, pos)
+        pos = _least_open(doms, cubes, 0, pos, set())
         if pos is None:
             return
         yield Realization(tuple(dom[i] for dom, i in zip(doms, pos)))
@@ -545,8 +570,9 @@ def count_unpruned(sub: Subfamily, conflicts: Sequence[Conflict | Realization] =
     Recurses on the lowest parameter a live cube pins: one branch per pinned
     value, keeping the cubes compatible with it minus that pin, and one
     shared branch for the unpinned values.  Parameters no live cube pins
-    contribute their domain sizes as one factor, so the cost grows with the
-    number of cubes, not with the number of members.
+    contribute their domain sizes as one factor, and a residual problem met
+    again in the same count is answered from a memo, so the cost grows with
+    the number of distinct residual cube sets, not with the number of members.
     """
     cubes = [c for c in (cube_pins(entry, sub) for entry in conflicts) if c is not None]
-    return 0 if () in cubes else _count([len(d) for d in sub.domains], cubes, 0)
+    return 0 if () in cubes else _count([len(d) for d in sub.domains], cubes, 0, {})

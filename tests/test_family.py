@@ -20,6 +20,7 @@ from mcsynth import (
     member_count,
     parse_sketch,
 )
+from mcsynth import model
 
 from conftest import TOY_R, chain_row, corpus_family, make_family, template, CORPUS_CONFIGS
 
@@ -276,6 +277,37 @@ def accounting_cases(draw):
     return sub, draw(entries), draw(st.lists(entries, max_size=6))
 
 
+@st.composite
+def memo_scale_cases(draw):
+    """Many entries over 8 to 12 parameters: the residual cube sets repeat.
+
+    Domains hold 2 or 3 values, trimmed to at most 4096 members so brute
+    force stays cheap.  Entries (10 to 60, conflicts pinning 1 to 5
+    parameters mixed with checked members) are split between the store at
+    the start and batches appended after successive yields.
+    """
+    sizes = draw(st.lists(st.integers(2, 3), min_size=8, max_size=12))
+    for k in reversed(range(len(sizes))):
+        if math.prod(sizes) <= 4096:
+            break
+        sizes[k] = 2
+    domains = [sorted(draw(st.sets(st.integers(0, 3), min_size=n, max_size=n))) for n in sizes]
+    sub = Subfamily(domains)
+    member = st.tuples(*(st.sampled_from(d) for d in domains)).map(Realization)
+    conflict = st.builds(
+        lambda ref, params: Conflict(params=frozenset(params), reference=ref, scope=sub),
+        member,
+        st.sets(st.sampled_from(range(len(domains))), min_size=1, max_size=5),
+    )
+    entries = draw(st.lists(st.one_of(conflict, conflict, member), min_size=10, max_size=60))
+    split = draw(st.integers(0, len(entries)))
+    appends, rest = [], entries[split:]
+    for size in draw(st.lists(st.integers(0, 6), max_size=20)):
+        appends.append(rest[:size])
+        rest = rest[size:]
+    return sub, entries[:split], appends
+
+
 def _covered(entry) -> set:
     if isinstance(entry, Realization):
         return {entry.values}
@@ -316,6 +348,51 @@ class TestAccountingAgainstBruteForce:
             got.append(r.values)
             store.extend(after_yield.get(len(got), ()))
         assert got == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(memo_scale_cases())
+    def test_memo_scale_store_with_appends(self, case):
+        sub, entries, appends = case
+        after_yield = dict(enumerate(appends, start=1))  # yields so far -> entries appended
+        members = list(itertools.product(*sub.domains))
+        initial = set().union(*map(_covered, entries))
+        covered, expected = set(initial), []
+        for r in members:
+            if r not in covered:
+                expected.append(r)
+                covered |= set().union(*map(_covered, after_yield.get(len(expected), ())))
+        store, got = list(entries), []
+        for r in iterate_unpruned(sub, store):
+            got.append(r.values)
+            store.extend(after_yield.get(len(got), ()))
+        assert got == expected
+        assert count_unpruned(sub, entries) == sum(r not in initial for r in members)
+        assert count_unpruned(sub, store) == sum(r not in covered for r in members)
+
+    def test_disjoint_pair_cubes_count_in_closed_form(self, monkeypatch):
+        """20 cubes pin disjoint pairs to (0, 0): 3 open pairs each, 3**20 members.
+
+        Without the memo the recursion doubles per pair (12 pairs already
+        take 12286 ``_count`` calls); with it, each residual problem is
+        solved once.
+        """
+        n = 20
+        sub = Subfamily([(0, 1)] * (2 * n))
+        zero = Realization((0,) * (2 * n))
+        cubes = [Conflict(frozenset({2 * i, 2 * i + 1}), zero, sub) for i in range(n)]
+        count, calls = model._count, []
+
+        def counted(*args):
+            calls.append(args)
+            return count(*args)
+
+        monkeypatch.setattr(model, "_count", counted)
+        assert count_unpruned(sub, cubes) == 3**n
+        assert len(calls) <= 100
+        open_pairs = itertools.product([(0, 1), (1, 0), (1, 1)], repeat=n)
+        expected = [sum(pairs, ()) for pairs in itertools.islice(open_pairs, 200)]
+        got = itertools.islice(iterate_unpruned(sub, cubes), 200)
+        assert [r.values for r in got] == expected
 
     def test_zero_parameter_subfamily(self):
         sub = Subfamily(())
