@@ -23,7 +23,9 @@ import numpy as np
 PROB_SUM_TOL = 1e-9
 # A solve chunk closes once it holds this many states.  Smaller chunks save
 # little dense work but cost one more linear solve call each; a family with
-# fewer states is one chunk, solved exactly as one system.
+# fewer states is one chunk, solved exactly as one system.  The chunk is
+# also the unit a synthesis run reuses: a chunk system met again is not
+# solved again (see reach._solve).
 SOLVE_CHUNK = 64
 
 
@@ -335,25 +337,36 @@ def _check_restricted(k: int, dom: tuple[int, ...]) -> None:
 
 
 class Subfamily:
-    """A hyper-rectangle of realizations: one restricted domain per parameter."""
+    """A hyper-rectangle of realizations: one restricted domain per parameter.
 
-    __slots__ = ("domains",)
+    Its member count and multi-valued parameters are computed once; a
+    :meth:`restricted` subfamily derives them from its parent's.
+    """
+
+    __slots__ = ("domains", "_size", "_multi")
 
     def __init__(self, domains: Sequence[Sequence[int]]):
         doms = tuple(tuple(d) for d in domains)
         for k, dom in enumerate(doms):
             _check_restricted(k, dom)
         self.domains = doms
+        self._size = math.prod(len(dom) for dom in doms)
+        self._multi = tuple(k for k, dom in enumerate(doms) if len(dom) > 1)
 
     def multi_valued(self) -> tuple[int, ...]:
-        return tuple(k for k, dom in enumerate(self.domains) if len(dom) > 1)
+        return self._multi
 
     def restricted(self, param: int, values: Sequence[int]) -> "Subfamily":
         """This subfamily with the domain of ``param`` replaced; only that domain is checked."""
         dom = tuple(values)
         _check_restricted(param, dom)
+        before = len(self.domains[param])
         out = object.__new__(Subfamily)
         out.domains = self.domains[:param] + (dom,) + self.domains[param + 1 :]
+        out._size = self._size // before * len(dom)
+        out._multi = self._multi
+        if (before > 1) != (len(dom) > 1):
+            out._multi = tuple(sorted(set(self._multi) ^ {param}))
         return out
 
     def __repr__(self) -> str:
@@ -426,7 +439,7 @@ def generalization(r: Realization, params: Iterable[int], scope: Subfamily) -> l
 
 def member_count(sub: Subfamily) -> int:
     """Number of realizations in the subfamily (exact integer arithmetic)."""
-    return math.prod(len(dom) for dom in sub.domains)
+    return sub._size
 
 
 def cube_pins(entry: Conflict | Realization, sub: Subfamily) -> tuple[tuple[int, int], ...] | None:

@@ -9,7 +9,10 @@ solve that system once, directly; quotient MDPs run policy iteration,
 evaluating each policy with the same solve.  The solve runs chunk by chunk
 along the condensation of the family's union graph, sinks first, one dense
 system per chunk (:func:`_solve`); a family below ``SOLVE_CHUNK`` states is
-one chunk.  Values are exact up to floating rounding.  Every threshold
+one chunk.  Within one synthesis run (:func:`solve_memo`) a multi-chunk
+solve remembers each chunk system by its content, so the chunks that a
+member, a conflict step or a policy shares with an earlier solve are not
+solved again.  Values are exact up to floating rounding.  Every threshold
 decision goes through :func:`evaluate_property` with the decision tolerance
 ``DECISION_ETA``; ties resolve toward satisfaction.  The test suite checks
 these solvers against its own dense reference, which shares no code with
@@ -18,8 +21,11 @@ this module.
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
@@ -32,6 +38,26 @@ DECISION_ETA = 1e-6
 # Policy iteration switches an action only when it improves a state's value
 # by more than this, so rounding noise in ties never makes it cycle.
 IMPROVE_EPS = 1e-12
+# Chunk systems a run remembers, least recently used dropped first.
+MEMO_CAP = 256
+
+_memo: ContextVar[OrderedDict | None] = ContextVar("mcsynth_solve_memo", default=None)
+
+
+@contextmanager
+def solve_memo() -> Iterator[None]:
+    """Remember chunk solves until the block ends (see :func:`_solve`).
+
+    :func:`mcsynth.synthesis.synthesize` opens one per run; nothing is kept
+    after it, also when the run raises.
+    """
+    memo: OrderedDict = OrderedDict()
+    token = _memo.set(memo)
+    try:
+        yield
+    finally:
+        _memo.reset(token)
+        memo.clear()
 
 
 class CostMeter:
@@ -183,10 +209,17 @@ def _solve(
     ``np.linalg.solve``, with the entries that leave the chunk, into fixed
     or already solved states, moved to the right-hand side.  Without
     ``chunk`` all unknown states are one system.
+
+    Inside :func:`solve_memo` each chunk system is keyed on all it reads:
+    its entries and the values at the states its entries leave to.  A key
+    met before writes back the stored values of the chunk, bitwise what
+    the dense solve would give; the memo keeps the ``MEMO_CAP`` most
+    recently used systems.  A one-chunk solve is never remembered.
     """
     if chunk is None:
         _solve_dense(src, tgt, prob, values, unknown)
         return
+    memo = _memo.get()
     own = unknown[src]
     src, tgt, prob = src[own], tgt[own], prob[own]
     # the stable sort keeps each row's entries together and in order
@@ -197,9 +230,22 @@ def _solve(
     cuts = (np.flatnonzero(ent_chunk[1:] != ent_chunk[:-1]) + 1).tolist()
     block = np.zeros(unknown.size, dtype=bool)
     for lo, hi in zip([0] + cuts, cuts + [src.size]):
-        block[src[lo:hi]] = True
-        _solve_dense(src[lo:hi], tgt[lo:hi], prob[lo:hi], values, block)
-        block[src[lo:hi]] = False
+        s, t, p = src[lo:hi], tgt[lo:hi], prob[lo:hi]
+        block[s] = True
+        if memo is None:
+            _solve_dense(s, t, p, values, block)
+        else:
+            key = (s.tobytes(), t.tobytes(), p.tobytes(), values[t[~block[t]]].tobytes())
+            known = memo.get(key)
+            if known is None:
+                _solve_dense(s, t, p, values, block)
+                memo[key] = values[block]
+                if len(memo) > MEMO_CAP:
+                    memo.popitem(last=False)
+            else:
+                memo.move_to_end(key)
+                values[block] = known
+        block[s] = False
 
 
 def mc_reach(

@@ -52,6 +52,7 @@ from .reach import (
     Specification,
     evaluate_property,
     mc_reach,
+    solve_memo,
 )
 
 METHODS = ("onebyone", "cegis", "ar", "hybrid")
@@ -423,7 +424,8 @@ def synthesize(
 
     In optimal mode every satisfying member tightens a working threshold
     around the objective (relaxed by its epsilon), and an exhausted queue
-    returns the incumbent.
+    returns the incumbent.  Chunk solves are remembered for the run only
+    (:func:`~mcsynth.reach.solve_memo`).
     """
     if method not in METHODS:
         raise ValueError(f"unknown synthesis method {method!r}")
@@ -431,35 +433,36 @@ def synthesize(
         raise ValueError(f"unknown bounds mode {bounds!r}")
     if cost_units not in ("deterministic", "wallclock"):
         raise ValueError(f"unknown cost units {cost_units!r}")
-    state = new_state(
-        family, spec,
-        trivial_bounds=bounds == "trivial", wallclock=cost_units == "wallclock",
-    )
-    root = state.queue[0]
-    if method == "onebyone" and root.remaining > MEMBER_CAP:
-        raise ResourceCapError(
-            f"family has {root.remaining} members, one-by-one cap is {MEMBER_CAP}"
+    with solve_memo():
+        state = new_state(
+            family, spec,
+            trivial_bounds=bounds == "trivial", wallclock=cost_units == "wallclock",
         )
-    if method == "cegis" and bounds == "family":
-        root.bounds = _bounds(state, root.sub)
+        root = state.queue[0]
+        if method == "onebyone" and root.remaining > MEMBER_CAP:
+            raise ResourceCapError(
+                f"family has {root.remaining} members, one-by-one cap is {MEMBER_CAP}"
+            )
+        if method == "cegis" and bounds == "family":
+            root.bounds = _bounds(state, root.sub)
 
-    ar_steps = method in ("ar", "hybrid")
-    result = None
-    while result is None and state.queue:
-        budget = None
-        if ar_steps:
-            start = state.clock()
-            result, sigma_ar = ar_run(state)
-            if method == "ar" or result is not None or not state.queue:
-                continue
-            budget = (state.clock() - start) * state.delta_cegis
-            if not state.wallclock:
-                budget = int(budget)
-        result, sigma_cegis = cegis_phase(
-            state, budget, conflicts=method != "onebyone"
-        )
-        if ar_steps:
-            state.delta_cegis = update_delta(sigma_cegis, sigma_ar)
-    if result is None:
-        return _close(state)
-    return _finish(state, result)
+        ar_steps = method in ("ar", "hybrid")
+        result = None
+        while result is None and state.queue:
+            budget = None
+            if ar_steps:
+                start = state.clock()
+                result, sigma_ar = ar_run(state)
+                if method == "ar" or result is not None or not state.queue:
+                    continue
+                budget = (state.clock() - start) * state.delta_cegis
+                if not state.wallclock:
+                    budget = int(budget)
+            result, sigma_cegis = cegis_phase(
+                state, budget, conflicts=method != "onebyone"
+            )
+            if ar_steps:
+                state.delta_cegis = update_delta(sigma_cegis, sigma_ar)
+        if result is None:
+            return _close(state)
+        return _finish(state, result)

@@ -201,6 +201,25 @@ class TestMemberCount:
         sub = Subfamily(tuple((0, 1) for _ in range(62)))
         assert member_count(sub) == 2**62
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(1, 4), min_size=1, max_size=6),
+        st.lists(st.tuples(st.integers(0, 5), st.integers(1, 4)), max_size=8),
+    )
+    def test_restriction_chains_match_a_fresh_subfamily(self, sizes, steps):
+        # each step narrows or widens one domain; the derived count and
+        # multi-valued set must be those of the subfamily built from scratch
+        sub = Subfamily([tuple(range(size)) for size in sizes])
+        for k, size in steps:
+            k %= len(sizes)
+            sub = sub.restricted(k, tuple(range(size)))
+            fresh = Subfamily(sub.domains)
+            assert member_count(sub) == member_count(fresh) == math.prod(map(len, sub.domains))
+            assert sub.multi_valued() == fresh.multi_valued()
+            assert sub.multi_valued() == tuple(
+                k for k, dom in enumerate(sub.domains) if len(dom) > 1
+            )
+
 
 class TestIterateUnpruned:
     def test_yields_lexicographic_order(self, toy4):
