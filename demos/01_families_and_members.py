@@ -21,7 +21,8 @@ prop = parse_property("P<=0.3 [F t]", family)
 
 print(f"states     : {', '.join(family.state_names)}")
 print(f"parameters : {', '.join(family.param_names)}")
-print(f"effective  : {', '.join(family.param_names[k] for k in family.multi_valued())}")
+multi = family.full_subfamily().multi_valued()
+print(f"effective  : {', '.join(family.param_names[k] for k in multi)}")
 print(f"members    : {member_count(family.full_subfamily())}")
 print()
 

@@ -10,14 +10,14 @@ from pathlib import Path
 
 import numpy as np
 
-from mcsynth import compute_bounds, member_count, parse_sketch, split_subfamily
+from mcsynth import build_quotient, compute_bounds, member_count, parse_sketch, split_subfamily
 
 family = parse_sketch((Path(__file__).parent / "toy4.json").read_text())
 targets = frozenset({family.state_names.index("t")})
 
 
 def show(label, sub):
-    bounds = compute_bounds(family, sub, targets)
+    bounds = compute_bounds(build_quotient(family, sub), targets)
     lo, hi = bounds.lb[family.initial], bounds.ub[family.initial]
     print(f"{label:28s} members={member_count(sub)}  value in [{lo:.3f}, {hi:.3f}]")
     return bounds
@@ -27,16 +27,12 @@ root = family.full_subfamily()
 bounds = show("whole family", root)
 print("  per-state lower bounds:", np.round(bounds.lb, 3))
 
-left, right = split_subfamily(
-    family, root, bounds.min_scheduler, bounds.max_scheduler, bounds.quotient
-)
+left, right = split_subfamily(bounds.quotient, bounds.min_scheduler, bounds.max_scheduler)
 bl = show("X fixed to s1", left)
 br = show("X fixed to s2", right)
 
 # refine the undecided half again: now every leaf is a single member
-left2, right2 = split_subfamily(
-    family, right, br.min_scheduler, br.max_scheduler, br.quotient
-)
+left2, right2 = split_subfamily(br.quotient, br.min_scheduler, br.max_scheduler)
 show("X=s2, Y fixed to t", left2)
 show("X=s2, Y fixed to f", right2)
 

@@ -12,6 +12,7 @@ from pathlib import Path
 
 from mcsynth import (
     CostMeter,
+    build_quotient,
     construct_conflict,
     compute_bounds,
     generalization,
@@ -27,7 +28,7 @@ prop = parse_property("P<=0.3 [F t]", family)
 scope = family.full_subfamily()
 r0 = next(iterate_unpruned(scope))
 
-bounds = compute_bounds(family, scope, prop.targets)
+bounds = compute_bounds(build_quotient(family, scope), prop.targets)
 
 
 def name(conflict):

@@ -273,10 +273,6 @@ class Family:
     def n_params(self) -> int:
         return len(self.param_names)
 
-    def multi_valued(self) -> tuple[int, ...]:
-        """Parameters with more than one admissible value."""
-        return tuple(k for k, dom in enumerate(self.domains) if len(dom) > 1)
-
     def full_subfamily(self) -> "Subfamily":
         return Subfamily(self.domains)
 

@@ -10,8 +10,11 @@ A synthesis run builds the *root* quotient, over the family's full domains,
 once (:func:`root_quotient`).  Besides its rows the root keeps each action's
 raw choice, the ``(param, value)`` of every template entry, as flat arrays.
 The quotient of a subfamily is a *mask* of root actions, those whose every
-choice lies in the subfamily's domains (:func:`build_quotient`), and
-:func:`split_subfamily` reads the schedulers' choices from the same arrays.
+choice lies in the subfamily's domains (:func:`build_quotient`).  Bounds and
+splits take only a quotient, which carries its ``family`` and ``sub``:
+:func:`compute_bounds` solves the quotient it is given, and
+:func:`split_subfamily` splits its ``sub``, reading the schedulers' choices
+from the same arrays.
 """
 
 from __future__ import annotations
@@ -217,32 +220,15 @@ def build_quotient(family: Family, sub: Subfamily, root: QuotientMdp | None = No
     )
 
 
-def compute_bounds(
-    family: Family,
-    sub: Subfamily,
-    targets: Iterable[int],
-    meter=None,
-    quotient: QuotientMdp | None = None,
-) -> BoundsVec:
-    """Min/max reachability bounds for ``sub``.
-
-    ``quotient`` is reused as is when it is ``sub``'s own (its ``sub`` is
-    this very object); otherwise it is a quotient of a subfamily containing
-    ``sub``, such as the family's root, that :func:`build_quotient` masks
-    down to ``sub``.  Without one the root is built first.
+def compute_bounds(qmdp: QuotientMdp, targets: Iterable[int]) -> BoundsVec:
+    """Min/max reachability bounds for ``qmdp.sub``, solved on ``qmdp`` itself.
 
     Raises :class:`InvalidBoundsError` if the upper bound falls more than
     ``BOUNDS_SLACK`` below the lower bound anywhere.
     """
     key = frozenset(int(t) for t in targets)
-    if quotient is not None and quotient.sub is sub:
-        qmdp = quotient
-    else:
-        qmdp = build_quotient(family, sub, quotient)
     lb, min_sched = mdp_extreme(qmdp, key, "min")
     ub, max_sched = mdp_extreme(qmdp, key, "max")
-    if meter is not None:
-        meter.count(2)
     below = np.flatnonzero(ub < lb - BOUNDS_SLACK)
     if below.size:
         s = int(below[0])
@@ -266,13 +252,12 @@ def _reachable_under(qmdp: QuotientMdp, scheduler: np.ndarray) -> np.ndarray:
 
 
 def split_subfamily(
-    family: Family,
-    sub: Subfamily,
-    min_sched: np.ndarray,
-    max_sched: np.ndarray,
-    qmdp: QuotientMdp | None = None,
+    qmdp: QuotientMdp, min_sched: np.ndarray, max_sched: np.ndarray
 ) -> tuple[Subfamily, Subfamily]:
-    """Partition ``sub`` into two strictly smaller subfamilies.
+    """Partition ``qmdp.sub`` into two strictly smaller subfamilies.
+
+    ``min_sched`` and ``max_sched`` pick one action of ``qmdp`` per state,
+    as the schedulers of :func:`compute_bounds` on ``qmdp`` do.
 
     Each multi-valued parameter is scored by the number of states, reachable
     under both schedulers, where the two schedulers choose different values
@@ -281,10 +266,9 @@ def split_subfamily(
     largest restricted domain is halved by value order.  Ties resolve to the
     smallest parameter or value index, so the split is deterministic.
     """
+    sub = qmdp.sub
     if member_count(sub) < 2:
         raise ValueError("cannot split a singleton subfamily")
-    if qmdp is None:
-        qmdp = build_quotient(family, sub)
     first, n_acts = qmdp.state_ptr[:-1], np.diff(qmdp.state_ptr)
     for sched in (min_sched, max_sched):
         bad = np.flatnonzero((sched < 0) | (sched >= n_acts))
@@ -300,7 +284,7 @@ def split_subfamily(
     joint = (_reachable_under(qmdp, min_sched) & max_reach)[state]
     # single-valued parameters never differ, so only multi-valued ones score
     scores = np.bincount(
-        params[joint & (qmdp.choice_value[lo] != values)], minlength=family.n_params
+        params[joint & (qmdp.choice_value[lo] != values)], minlength=qmdp.family.n_params
     )
 
     if scores.max() > 0:

@@ -110,10 +110,7 @@ def ce_quality_report(
     members = member_count(scope)
     if members > MEMBER_CAP:
         raise ResourceCapError(f"family has {members} members, report cap is {MEMBER_CAP}")
-    root = None
-    if mode == "family":
-        root = root_quotient(family)
-        scope = root.sub  # compute_bounds then solves the root as scope's own quotient
+    root = root_quotient(family) if mode == "family" else None
     multi = scope.multi_valued()
     total = len(multi)
     bounds, gammas = {}, {}
@@ -122,7 +119,7 @@ def ce_quality_report(
             gammas[idx] = trivial_gamma(family.n_states, prop)
             continue
         if prop.targets not in bounds:
-            bounds[prop.targets] = compute_bounds(family, scope, prop.targets, quotient=root)
+            bounds[prop.targets] = compute_bounds(root, prop.targets)
         vec = bounds[prop.targets]
         gammas[idx] = vec.lb if prop.op == "<=" else vec.ub
 

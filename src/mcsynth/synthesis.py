@@ -43,7 +43,14 @@ from .model import (
     iterate_unpruned,
     member_count,
 )
-from .quotient import BoundsVec, QuotientMdp, compute_bounds, root_quotient, split_subfamily
+from .quotient import (
+    BoundsVec,
+    QuotientMdp,
+    build_quotient,
+    compute_bounds,
+    root_quotient,
+    split_subfamily,
+)
 from .reach import (
     CostMeter,
     DECISION_ETA,
@@ -249,12 +256,14 @@ def _status(prop: Property, bounds: BoundsVec, initial: int) -> str:
 
 
 def _bounds(state: HybridState, sub: Subfamily) -> dict[frozenset[int], BoundsVec]:
-    """Quotient bounds of ``sub`` per target set, all on one mask of the root."""
-    bounds, qmdp = {}, state.root
-    for tset in _target_sets(state):
-        bounds[tset] = compute_bounds(state.family, sub, tset, state.meter, qmdp)
-        qmdp = bounds[tset].quotient
-    return bounds
+    """Quotient bounds of ``sub`` per target set, all on one mask of the root.
+
+    Each target set costs two model checks, a min and a max solve.
+    """
+    qmdp = build_quotient(state.family, sub, state.root)
+    tsets = _target_sets(state)
+    state.meter.count(2 * len(tsets))
+    return {tset: compute_bounds(qmdp, tset) for tset in tsets}
 
 
 def _gamma_for(state: HybridState, item: WorkItem, prop: Property):
@@ -311,9 +320,7 @@ def ar_run(state: HybridState) -> tuple[SynthesisResult | None, float]:
     open_props = [p for p, st in zip(props, statuses) if st == "open"]
     pick = open_props[0] if open_props else props[-1]
     chosen = bounds[pick.targets]
-    left, right = split_subfamily(
-        state.family, item.sub, chosen.min_scheduler, chosen.max_scheduler, chosen.quotient
-    )
+    left, right = split_subfamily(chosen.quotient, chosen.min_scheduler, chosen.max_scheduler)
     for half in (left, right):
         # each half keeps only the cubes that intersect it
         conflicts = [c for c in item.conflicts if cube_pins(c, half) is not None]

@@ -285,7 +285,7 @@ def reference_reach(mc: Mc, targets: Iterable[int]) -> np.ndarray:
 
 def _scope_multi(family: Family, scope: Subfamily | None) -> frozenset[int]:
     if scope is None:
-        return frozenset(family.multi_valued())
+        scope = family.full_subfamily()
     return frozenset(scope.multi_valued())
 
 

@@ -21,6 +21,7 @@ from mcsynth import (
     Property,
     Realization,
     Specification,
+    build_quotient,
     compute_bounds,
     construct_conflict,
     evaluate_property,
@@ -67,7 +68,7 @@ def golden_runs(toy4):
     """Criterion 1 computations, shared with the budget check of criterion 7."""
     start = time.perf_counter()
     scope = toy4.full_subfamily()
-    bounds = compute_bounds(toy4, scope, TOY_TARGET)
+    bounds = compute_bounds(build_quotient(toy4, scope), TOY_TARGET)
     values = {
         i: float(mc_reach(induce(toy4, TOY_R[i]), TOY_TARGET)[0]) for i in range(4)
     }
@@ -134,7 +135,7 @@ def conflict_validity_runs():
         violators = [v for v, val in values.items() if not evaluate_property(val, prop)]
         if not violators:
             continue
-        bounds = compute_bounds(family, scope, targets)
+        bounds = compute_bounds(build_quotient(family, scope), targets)
         gamma = bounds.lb if prop.op == "<=" else bounds.ub
         r = Realization(rng.choice(violators))
         meter = CostMeter()
@@ -176,7 +177,7 @@ def test_criterion_2_bounds_soundness(corpus):
         for family in corpus:
             targets = frozenset({goal_index(family)})
             sub = family.full_subfamily()
-            bounds = compute_bounds(family, sub, targets)
+            bounds = compute_bounds(build_quotient(family, sub), targets)
             lo = np.ones(family.n_states)
             hi = np.zeros(family.n_states)
             for r in iterate_unpruned(sub):
@@ -204,7 +205,7 @@ def test_criterion_3_refinement_monotonicity_and_singleton_exactness():
             stack = [family.full_subfamily()]
             while stack:
                 sub = stack.pop()
-                bounds = compute_bounds(family, sub, prop.targets)
+                bounds = compute_bounds(build_quotient(family, sub), prop.targets)
                 if member_count(sub) == 1:
                     assert (np.abs(bounds.lb - bounds.ub) <= SLACK).all()
                     member = next(iterate_unpruned(sub))
@@ -217,10 +218,10 @@ def test_criterion_3_refinement_monotonicity_and_singleton_exactness():
                 if prop.op == ">=" and (lo >= prop.threshold - eta or hi < prop.threshold - eta):
                     continue
                 left, right = split_subfamily(
-                    family, sub, bounds.min_scheduler, bounds.max_scheduler, bounds.quotient
+                    bounds.quotient, bounds.min_scheduler, bounds.max_scheduler
                 )
                 for child in (left, right):
-                    child_bounds = compute_bounds(family, child, prop.targets)
+                    child_bounds = compute_bounds(build_quotient(family, child), prop.targets)
                     assert (bounds.lb <= child_bounds.lb + SLACK).all()
                     assert (bounds.ub >= child_bounds.ub - SLACK).all()
                     stack.append(child)

@@ -68,7 +68,7 @@ def members(family: Family, count: int, seed: int) -> list[Realization]:
 
 def random_subfamily(family: Family, rng: random.Random):
     sub = family.full_subfamily()
-    for k in family.multi_valued():
+    for k in family.full_subfamily().multi_valued():
         if rng.random() < 0.4:
             sub = sub.restricted(k, (rng.choice(family.domains[k]),))
     return sub

@@ -17,6 +17,7 @@ from mcsynth import (
     InvalidBoundsError,
     Property,
     Realization,
+    build_quotient,
     compute_bounds,
     construct_conflict,
     generalization,
@@ -51,7 +52,7 @@ SAFETY = Property(op="<=", threshold=0.3, targets=TOY_TARGET)
 
 @pytest.fixture()
 def toy_lb(toy4):
-    return compute_bounds(toy4, toy4.full_subfamily(), TOY_TARGET).lb
+    return compute_bounds(build_quotient(toy4, toy4.full_subfamily()), TOY_TARGET).lb
 
 
 class TestReroute:
@@ -174,7 +175,7 @@ class TestConstructConflict:
             if not violators:
                 continue
             scope = fam.full_subfamily()
-            bounds = compute_bounds(fam, scope, targets)
+            bounds = compute_bounds(build_quotient(fam, scope), targets)
             r = Realization(rng.choice(violators))
             meter = CostMeter()
             conflict = construct_conflict(fam, r, prop, bounds.lb, scope, meter=meter)
@@ -194,7 +195,7 @@ class TestConstructConflict:
         violators = [v for v, val in values.items() if not evaluate_property(val, prop)]
         assert violators
         scope = fam.full_subfamily()
-        bounds = compute_bounds(fam, scope, targets)
+        bounds = compute_bounds(build_quotient(fam, scope), targets)
         r = Realization(violators[0])
         conflict = construct_conflict(fam, r, prop, bounds.ub, scope)
         for m in generalization(r, conflict.params, scope):
@@ -251,7 +252,7 @@ def corpus_cases(seed: int):
             continue
         mid = len(distinct) // 2
         thr = (distinct[mid - 1] + distinct[mid]) / 2
-        bounds = compute_bounds(fam, fam.full_subfamily(), targets)
+        bounds = compute_bounds(build_quotient(fam, fam.full_subfamily()), targets)
         for op in ("<=", ">="):
             prop = Property(op=op, threshold=thr, targets=targets)
             sound = [bounds.lb if prop.is_safety else bounds.ub, trivial_gamma(fam.n_states, prop)]

@@ -210,16 +210,16 @@ class TestMdpExtreme:
 
 class TestComputeBounds:
     def test_toy_family_lower_bounds(self, toy4):
-        bounds = compute_bounds(toy4, toy4.full_subfamily(), TOY_TARGET)
+        bounds = compute_bounds(build_quotient(toy4, toy4.full_subfamily()), TOY_TARGET)
         assert np.allclose(bounds.lb, [0.2, 0.6, 0.2, 1.0, 0.0], atol=1e-6)
 
     def test_toy_family_upper_bound_at_initial(self, toy4):
-        bounds = compute_bounds(toy4, toy4.full_subfamily(), TOY_TARGET)
+        bounds = compute_bounds(build_quotient(toy4, toy4.full_subfamily()), TOY_TARGET)
         assert bounds.ub[0] == pytest.approx(0.8, abs=1e-6)
 
     def test_singleton_bounds_collapse_to_member_value(self, toy4):
         sub = sub_singleton(toy4, TOY_R[3])
-        bounds = compute_bounds(toy4, sub, TOY_TARGET)
+        bounds = compute_bounds(build_quotient(toy4, sub), TOY_TARGET)
         assert bounds.lb[0] == pytest.approx(0.2, abs=2e-8)
         assert bounds.ub[0] == pytest.approx(0.2, abs=2e-8)
 
@@ -227,7 +227,7 @@ class TestComputeBounds:
         fam = corpus_family(2)
         sub = fam.full_subfamily()
         targets = {goal_index(fam)}
-        bounds = compute_bounds(fam, sub, targets)
+        bounds = compute_bounds(build_quotient(fam, sub), targets)
         for r in iterate_unpruned(sub):
             vals = reference_reach(induce(fam, r), targets)
             assert (bounds.lb - 2e-8 <= vals).all()
@@ -244,13 +244,13 @@ class TestComputeBounds:
             stack = [fam.full_subfamily()]
             while stack:
                 sub = stack.pop()
-                bounds = compute_bounds(fam, sub, targets)
+                bounds = compute_bounds(build_quotient(fam, sub), targets)
                 assert (bounds.lb <= bounds.ub + 1e-12).all()
                 if member_count(sub) == 1:
                     assert np.array_equal(bounds.lb, bounds.ub)
                 else:
                     stack.extend(split_subfamily(
-                        fam, sub, bounds.min_scheduler, bounds.max_scheduler, bounds.quotient
+                        bounds.quotient, bounds.min_scheduler, bounds.max_scheduler
                     ))
 
     def test_crossed_bounds_raise(self, toy4, monkeypatch):
@@ -265,32 +265,28 @@ class TestComputeBounds:
 
         monkeypatch.setattr(quotient_mod, "mdp_extreme", skewed)
         with pytest.raises(InvalidBoundsError, match="below lower bound"):
-            compute_bounds(toy4, toy4.full_subfamily(), TOY_TARGET)
+            compute_bounds(build_quotient(toy4, toy4.full_subfamily()), TOY_TARGET)
 
 
 class TestSplitSubfamily:
     def test_toy_split_separates_initial_choice(self, toy4):
         sub = toy4.full_subfamily()
-        bounds = compute_bounds(toy4, sub, TOY_TARGET)
-        left, right = split_subfamily(
-            toy4, sub, bounds.min_scheduler, bounds.max_scheduler, bounds.quotient
-        )
+        bounds = compute_bounds(build_quotient(toy4, sub), TOY_TARGET)
+        left, right = split_subfamily(bounds.quotient, bounds.min_scheduler, bounds.max_scheduler)
         assert left.domains[0] == (1,) and right.domains[0] == (2,)
         assert left.domains[1] == right.domains[1] == sub.domains[1]
 
     def test_two_member_subfamily_splits_into_singletons(self, toy4):
         sub = toy4.full_subfamily().restricted(0, (2,))
-        bounds = compute_bounds(toy4, sub, TOY_TARGET)
-        left, right = split_subfamily(
-            toy4, sub, bounds.min_scheduler, bounds.max_scheduler, bounds.quotient
-        )
+        bounds = compute_bounds(build_quotient(toy4, sub), TOY_TARGET)
+        left, right = split_subfamily(bounds.quotient, bounds.min_scheduler, bounds.max_scheduler)
         assert member_count(left) == member_count(right) == 1
 
     def test_consistent_schedulers_fall_back_to_largest_domain(self, toy4):
         sub = toy4.full_subfamily()
         q = build_quotient(toy4, sub)
         same = np.zeros(toy4.n_states, dtype=np.int64)
-        left, right = split_subfamily(toy4, sub, same, same, q)
+        left, right = split_subfamily(q, same, same)
         # X is the smallest-index largest domain; halved by value order
         assert left.domains[0] == (1,) and right.domains[0] == (2,)
 
@@ -298,10 +294,8 @@ class TestSplitSubfamily:
         fam = corpus_family(4)
         sub = fam.full_subfamily()
         targets = {goal_index(fam)}
-        bounds = compute_bounds(fam, sub, targets)
-        left, right = split_subfamily(
-            fam, sub, bounds.min_scheduler, bounds.max_scheduler, bounds.quotient
-        )
+        bounds = compute_bounds(build_quotient(fam, sub), targets)
+        left, right = split_subfamily(bounds.quotient, bounds.min_scheduler, bounds.max_scheduler)
         assert member_count(left) + member_count(right) == member_count(sub)
         members = {m.values for m in iterate_unpruned(sub)}
         left_members = {m.values for m in iterate_unpruned(left)}
@@ -314,7 +308,7 @@ class TestSplitSubfamily:
         q = build_quotient(toy4, sub)
         zero = np.zeros(toy4.n_states, dtype=np.int64)
         with pytest.raises(ValueError, match="singleton"):
-            split_subfamily(toy4, sub, zero, zero, q)
+            split_subfamily(q, zero, zero)
 
 
     @pytest.mark.parametrize("bad", [-1, 2])
@@ -326,7 +320,7 @@ class TestSplitSubfamily:
         wild[1] = bad  # state 1 has two actions
         for scheds in ((wild, zero), (zero, wild)):
             with pytest.raises(ValueError, match=f"action {bad} out of range at state 1"):
-                split_subfamily(toy4, sub, *scheds, q)
+                split_subfamily(q, *scheds)
 
 
 class TestRefinementProperties:
@@ -335,12 +329,12 @@ class TestRefinementProperties:
             fam = corpus_family(i)
             targets = {goal_index(fam)}
             sub = fam.full_subfamily()
-            parent = compute_bounds(fam, sub, targets)
+            parent = compute_bounds(build_quotient(fam, sub), targets)
             left, right = split_subfamily(
-                fam, sub, parent.min_scheduler, parent.max_scheduler, parent.quotient
+                parent.quotient, parent.min_scheduler, parent.max_scheduler
             )
             for child in (left, right):
-                got = compute_bounds(fam, child, targets)
+                got = compute_bounds(build_quotient(fam, child), targets)
                 assert (parent.lb <= got.lb + 2e-8).all()
                 assert (parent.ub >= got.ub - 2e-8).all()
 
@@ -379,7 +373,7 @@ class TestRootMask:
             for _ in range(2)
         ]
         want = reference_split_subfamily(fam, sub, *scheds, reference_build_quotient(fam, sub))
-        assert split_key(split_subfamily(fam, sub, *scheds, q)) == split_key(want)
+        assert split_key(split_subfamily(q, *scheds)) == split_key(want)
 
     def test_split_matches_reference_down_the_refinement_tree(self):
         for fam in MASK_FAMILIES:
@@ -390,9 +384,9 @@ class TestRootMask:
                 sub = stack.pop()
                 if member_count(sub) < 2:
                     continue
-                bounds = compute_bounds(fam, sub, targets, quotient=root)
+                bounds = compute_bounds(build_quotient(fam, sub, root), targets)
                 scheds = (bounds.min_scheduler, bounds.max_scheduler)
-                got = split_subfamily(fam, sub, *scheds, bounds.quotient)
+                got = split_subfamily(bounds.quotient, *scheds)
                 want = reference_split_subfamily(fam, sub, *scheds)
                 assert split_key(got) == split_key(want)
                 stack.extend(got)
@@ -404,13 +398,13 @@ class TestRootMask:
             stack = [fam.full_subfamily()]
             while stack:
                 sub = stack.pop()
-                bounds = compute_bounds(fam, sub, targets, quotient=root)
+                bounds = compute_bounds(build_quotient(fam, sub, root), targets)
                 scheds = (bounds.min_scheduler, bounds.max_scheduler)
                 for sched in scheds:
                     got = _reachable_under(bounds.quotient, sched)
                     assert np.array_equal(got, _reference_reachable_under(bounds.quotient, sched))
                 if member_count(sub) > 1:
-                    stack.extend(split_subfamily(fam, sub, *scheds, bounds.quotient))
+                    stack.extend(split_subfamily(bounds.quotient, *scheds))
 
     def test_decode_action_matches_reference(self):
         for fam in MASK_FAMILIES[:4]:
@@ -421,15 +415,6 @@ class TestRootMask:
                     assert q.decode_action(s, a) == reference_decode_action(q, s, a)
             with pytest.raises(ValueError, match="out of range"):
                 q.decode_action(0, q.n_actions(0))
-
-    def test_bounds_reuse_the_quotient_of_their_own_subfamily(self, toy4, monkeypatch):
-        import mcsynth.quotient as quotient_mod
-
-        sub = toy4.full_subfamily().restricted(0, (2,))
-        first = compute_bounds(toy4, sub, TOY_TARGET, quotient=root_quotient(toy4))
-        monkeypatch.setattr(quotient_mod, "build_quotient", None)
-        again = compute_bounds(toy4, sub, {4}, quotient=first.quotient)
-        assert again.quotient is first.quotient
 
     def test_root_built_once_per_run(self, monkeypatch):
         import mcsynth.synthesis as synthesis_mod
@@ -451,16 +436,16 @@ class TestRootMask:
                     assert result.stats.ar_iterations > 1
 
     def test_one_mask_per_ar_step_for_every_target_set(self, monkeypatch):
-        import mcsynth.quotient as quotient_mod
+        import mcsynth.synthesis as synthesis_mod
 
         calls = []
-        real = quotient_mod.build_quotient
+        real = synthesis_mod.build_quotient
 
         def spy(family, sub, root=None):
             calls.append(sub)
             return real(family, sub, root)
 
-        monkeypatch.setattr(quotient_mod, "build_quotient", spy)
+        monkeypatch.setattr(synthesis_mod, "build_quotient", spy)
         family, _spec, two_targets = two_target_instance()
         result = synthesize(family, two_targets, method="ar")
         assert len(calls) == result.stats.ar_iterations > 1

@@ -61,7 +61,7 @@ class TestCeQualityReport:
 
     def test_budget_respected_per_ce(self, toy4):
         report = ce_quality_report(toy4, SPEC, mode="family")
-        multi = len(toy4.multi_valued())
+        multi = len(toy4.full_subfamily().multi_valued())
         assert all(row.model_checks <= multi + 1 for row in report.rows)
 
     def test_over_member_cap_refused(self):

@@ -25,7 +25,7 @@ class TestParseSketch:
         assert toy4.state_names == ("s0", "s1", "s2", "t", "f")
         assert toy4.initial == 0
         assert toy4.param_names == ("X", "Y", "T'", "F'")
-        assert toy4.multi_valued() == (0, 1)
+        assert toy4.full_subfamily().multi_valued() == (0, 1)
         assert member_count(toy4.full_subfamily()) == 4
 
     def test_domains_canonicalized_to_index_order(self):

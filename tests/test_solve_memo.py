@@ -128,12 +128,10 @@ class TestBitwise:
             below = []
             for sub in level:
                 qmdp = build_quotient(family, sub, root)
-                bounds = compute_bounds(family, sub, goal, quotient=qmdp)
+                bounds = compute_bounds(qmdp, goal)
                 seen.append((qmdp, bounds))
                 if sub.multi_valued():
-                    below += split_subfamily(
-                        family, sub, bounds.min_scheduler, bounds.max_scheduler, qmdp
-                    )
+                    below += split_subfamily(qmdp, bounds.min_scheduler, bounds.max_scheduler)
             level = below
         with solve_memo():
             for qmdp, bounds in seen * 2:

@@ -12,6 +12,7 @@ from mcsynth import (
     Property,
     Realization,
     Specification,
+    build_quotient,
     compute_bounds,
     evaluate_property,
     generalization,
@@ -87,7 +88,7 @@ class TestCegis:
         state = new_state(toy4, SAFE_03)
         remaining = state.queue[0]
         remaining.bounds = {
-            TOY_TARGET: compute_bounds(toy4, remaining.sub, TOY_TARGET, meter=state.meter)
+            TOY_TARGET: compute_bounds(build_quotient(toy4, remaining.sub), TOY_TARGET)
         }
         result, _sigma = cegis_phase(state)
         assert result.verdict == "feasible"
