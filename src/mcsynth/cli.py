@@ -3,14 +3,17 @@
 Subcommands::
 
     mcsynth synth     --sketch F --spec F --method onebyone|cegis|ar|hybrid
-                      [--bounds trivial|family]
-                      [--cost-units deterministic|wallclock] [--json]
+                      [--bounds trivial|family] [--json]
     mcsynth bench gen --states N --params K --domain D --seed S -o FILE
     mcsynth ce-report --sketch F --spec F --mode trivial|family
                       [--minimal-oracle] [--json]
 
+The hybrid's CEGIS budgets are counted in model checks, so every run is
+reproducible.
+
 Exit codes: 0 feasible/optimal (and for bench/ce-report success), 1
-infeasible, 2 input error, 3 resource cap exceeded.
+infeasible, 2 input error (an unreadable input or an unwritable output), 3
+resource cap exceeded.
 """
 
 from __future__ import annotations
@@ -52,12 +55,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default="family",
         help="rerouting vectors of conflicts (cegis and hybrid)",
     )
-    synth.add_argument(
-        "--cost-units",
-        choices=["deterministic", "wallclock"],
-        default="deterministic",
-        help="unit of the hybrid's CEGIS budget: model checks or seconds",
-    )
     synth.add_argument("--json", action="store_true", help="machine-readable output")
 
     bench = sub.add_parser("bench", help="benchmark utilities")
@@ -94,13 +91,7 @@ def _run_synth(args) -> int:
     family = parse_sketch(_read(args.sketch))
     spec = parse_spec(_read(args.spec), family)
     start = time.perf_counter()
-    result = synthesize(
-        family,
-        spec,
-        method=args.method,
-        bounds=args.bounds,
-        cost_units=args.cost_units,
-    )
+    result = synthesize(family, spec, method=args.method, bounds=args.bounds)
     elapsed = time.perf_counter() - start
     payload = {
         "verdict": result.verdict,
@@ -148,8 +139,11 @@ def _run_synth(args) -> int:
 def _run_bench_gen(args) -> int:
     family = generate_benchmark(args.states, args.params, args.domain, args.seed)
     text = serialize_sketch(family)
-    with open(args.output, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    try:
+        with open(args.output, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise SketchError(str(exc), location=args.output) from exc
     print(f"wrote {args.output}")
     return EXIT_FEASIBLE
 

@@ -15,18 +15,17 @@ method        AR    CEGIS
 ``ar``        on    off
 ``cegis``     off   no budget; root bounds primed when ``bounds="family"``
 ``onebyone``  off   no budget, no conflicts: every member in order
-``hybrid``    on    budget = cost of the last AR step x delta
+``hybrid``    on    budget = model checks of the last AR step x delta
 ============  ====  ======================================================
 
 The hybrid's CEGIS budget factor delta starts at 1 and follows the ratio of
-the two oracles' pruning efficiencies (:func:`update_delta`).  Cost is
-measured in model-check invocations by default, which makes every method
-deterministic; the hybrid can budget by wall clock instead.
+the two oracles' pruning efficiencies (:func:`update_delta`).  Cost, budgets
+included, is counted in model-check invocations only, which makes every
+method deterministic.
 """
 
 from __future__ import annotations
 
-import time
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -122,7 +121,6 @@ class HybridState:
     stats: SynthStats
     delta_cegis: float = 1.0
     trivial_bounds: bool = False
-    wallclock: bool = False
     incumbent: SynthesisResult | None = None
     working: Property | None = None
 
@@ -130,22 +128,13 @@ class HybridState:
     def optimizing(self) -> bool:
         return self.spec.objective is not None
 
-    def clock(self) -> float:
-        """Cost spent so far in the run's units: model checks, or seconds."""
-        return time.perf_counter() if self.wallclock else self.meter.total
-
     @cached_property
     def root(self) -> QuotientMdp:
         """The family's root quotient, built on first use; every bound masks it."""
         return root_quotient(self.family)
 
 
-def new_state(
-    family: Family,
-    spec: Specification,
-    trivial_bounds: bool = False,
-    wallclock: bool = False,
-) -> HybridState:
+def new_state(family: Family, spec: Specification, trivial_bounds: bool = False) -> HybridState:
     """Fresh synthesis state whose queue holds the whole family."""
     root = family.full_subfamily()
     item = WorkItem(sub=root, remaining=member_count(root))
@@ -156,7 +145,6 @@ def new_state(
         meter=CostMeter(),
         stats=SynthStats(),
         trivial_bounds=trivial_bounds,
-        wallclock=wallclock,
     )
     if spec.objective is not None:
         state.working = _initial_working(spec.objective)
@@ -192,50 +180,39 @@ def _target_sets(state: HybridState) -> list[frozenset[int]]:
     return tsets
 
 
-def _member_values(state: HybridState, r: Realization) -> dict[frozenset[int], float]:
-    """Reachability value of member ``r`` at the initial state, per target set."""
+def _check(state: HybridState, r: Realization) -> tuple[dict, list[Property]]:
+    """Check member ``r`` against every property, the working one included.
+
+    Returns its value at the initial state per target set and the properties
+    it violates.  Each target set costs one model check.
+    """
     mc = induce(state.family, r)
-    out = {}
+    values = {}
     for tset in _target_sets(state):
-        vals = mc_reach(mc, tset)
+        values[tset] = float(mc_reach(mc, tset)[state.family.initial])
         state.meter.count()
-        out[tset] = float(vals[state.family.initial])
-    return out
+    state.stats.checked += 1
+    violated = [p for p in _props_all(state) if not evaluate_property(values[p.targets], p)]
+    return values, violated
 
 
-def _base_values(state: HybridState, values: dict[frozenset[int], float]) -> tuple[float, ...]:
-    return tuple(values[p.targets] for p in state.spec.properties)
+def _accept(state: HybridState, r: Realization, values: dict) -> SynthesisResult | None:
+    """Accept member ``r``, which violates nothing.
 
-
-def _maybe_improve(state: HybridState, r: Realization, values) -> None:
-    """Record ``r`` as the incumbent if it satisfies everything and improves."""
+    In feasibility mode it is the ``feasible`` result.  In optimal mode it
+    becomes the incumbent if it improves on the old one, and the working
+    threshold tightens around its value; the run goes on.
+    """
+    base = tuple(values[p.targets] for p in state.spec.properties)
     obj = state.spec.objective
-    for p in state.spec.properties:
-        if not evaluate_property(values[p.targets], p):
-            return
+    if obj is None:
+        return SynthesisResult(verdict="feasible", realization=r, values=base)
     v = values[obj.targets]
-    if state.working is not None and not evaluate_property(v, state.working):
-        return
-    if state.incumbent is not None:
-        best = state.incumbent.optimum
-        improved = v > best if obj.direction == "max" else v < best
-        if not improved:
-            return
-    state.incumbent = SynthesisResult(
-        verdict="optimal", realization=r, values=_base_values(state, values), optimum=v
-    )
-    state.working = _tightened_working(obj, v)
-
-
-def _finish(state: HybridState, result: SynthesisResult) -> SynthesisResult:
-    state.stats.model_checks = state.meter.total
-    result.stats = state.stats
-    return result
-
-
-def _close(state: HybridState) -> SynthesisResult:
-    """Queue exhausted: report the optimal incumbent, or infeasibility without one."""
-    return _finish(state, state.incumbent or SynthesisResult(verdict="infeasible"))
+    best = state.incumbent
+    if best is None or (v > best.optimum if obj.direction == "max" else v < best.optimum):
+        state.incumbent = SynthesisResult(verdict="optimal", realization=r, values=base, optimum=v)
+        state.working = _tightened_working(obj, v)
+    return None
 
 
 def _status(prop: Property, bounds: BoundsVec, initial: int) -> str:
@@ -267,7 +244,13 @@ def _bounds(state: HybridState, sub: Subfamily) -> dict[frozenset[int], BoundsVe
 
 
 def _gamma_for(state: HybridState, item: WorkItem, prop: Property):
-    """Rerouting vector for conflicts in ``item``: its bounds, or trivial."""
+    """Rerouting vector for conflicts in ``item``: its bounds, or trivial.
+
+    Under ``bounds="family"`` every item :func:`synthesize` hands to CEGIS
+    carries bounds for every target set, the primed root's or its split
+    parent's.  The trivial fallback serves ``bounds="trivial"`` and a direct
+    :func:`cegis_phase` call on an unprimed :func:`new_state`.
+    """
     bounds = None if state.trivial_bounds else item.bounds.get(prop.targets)
     if bounds is None:
         return trivial_gamma(state.family.n_states, prop)
@@ -279,24 +262,21 @@ def ar_run(state: HybridState) -> tuple[SynthesisResult | None, float]:
 
     Computes bounds for every target set, then prunes the subfamily, accepts
     it (feasibility mode), harvests it (optimal mode, singletons), or splits
-    it and queues both halves.  Returns the decided result (or ``None``)
+    it and queues each half that keeps an open member.  Returns the decided result (or ``None``)
     and the pruning efficiency of the step.
     """
-    while state.queue:
-        item = state.queue.popleft()
-        if item.remaining > 0:
-            break
-    else:
+    if not state.queue:
         return None, 0.0
+    item = state.queue.popleft()
     cost0 = state.meter.total
     state.stats.ar_iterations += 1
 
     if state.optimizing and member_count(item.sub) == 1:
         # leaf subfamily: decide the single member directly
         r = next(iterate_unpruned(item.sub, item.conflicts))
-        values = _member_values(state, r)
-        state.stats.checked += 1
-        _maybe_improve(state, r, values)
+        values, violated = _check(state, r)
+        if not violated:
+            _accept(state, r, values)
         return None, 1.0 / max(state.meter.total - cost0, 1)
 
     props = _props_all(state)
@@ -309,13 +289,10 @@ def ar_run(state: HybridState) -> tuple[SynthesisResult | None, float]:
         return None, item.remaining / max(cost, 1)
 
     if not state.optimizing and all(st == "sat" for st in statuses):
+        # the bounds decide; the check only reports the witness's values
         r = next(iterate_unpruned(item.sub, item.conflicts))
-        values = _member_values(state, r)
-        state.stats.checked += 1
-        result = SynthesisResult(
-            verdict="feasible", realization=r, values=_base_values(state, values)
-        )
-        return result, 0.0
+        values, _violated = _check(state, r)
+        return _accept(state, r, values), 0.0
 
     open_props = [p for p, st in zip(props, statuses) if st == "open"]
     pick = open_props[0] if open_props else props[-1]
@@ -324,13 +301,15 @@ def ar_run(state: HybridState) -> tuple[SynthesisResult | None, float]:
     for half in (left, right):
         # each half keeps only the cubes that intersect it
         conflicts = [c for c in item.conflicts if cube_pins(c, half) is not None]
-        state.queue.append(WorkItem(half, conflicts, count_unpruned(half, conflicts), bounds))
+        remaining = count_unpruned(half, conflicts)
+        if remaining:
+            state.queue.append(WorkItem(half, conflicts, remaining, bounds))
     return None, 0.0
 
 
 def cegis_phase(
     state: HybridState,
-    budget: float | None = None,
+    budget: int | None = None,
     conflicts: bool = True,
 ) -> tuple[SynthesisResult | None, float]:
     """Run CEGIS over the queued subfamilies until a verdict or the budget.
@@ -338,26 +317,21 @@ def cegis_phase(
     Subfamilies are processed FIFO; every violating candidate contributes one
     conflict per violated property, rerouted with the work item's bounds.  A
     partially processed subfamily stays at the head of the queue with its
-    conflict store intact.  ``budget`` is in the run's cost units
-    (:meth:`HybridState.clock`) and is checked between candidates, so the
-    last candidate may overshoot it; with a zero budget nothing is examined.
-    ``conflicts=False`` (enumeration) stores nothing, so it must run without
-    a budget.  Returns the result (or ``None``) and the pruning efficiency
-    per model check.
+    conflict store intact.  ``budget`` counts model checks and is checked
+    between candidates, so the last candidate may overshoot it; with a zero
+    budget nothing is examined.  ``conflicts=False`` (enumeration) stores
+    nothing, so it must run without a budget.  Returns the result (or
+    ``None``) and the pruning efficiency per model check.
     """
     meter = state.meter
     cost0 = meter.total
-    start = state.clock()
     eliminated = 0
 
     def over_budget() -> bool:
-        return budget is not None and state.clock() - start >= budget
+        return budget is not None and meter.total - cost0 >= budget
 
     while state.queue and not over_budget():
         item = state.queue[0]
-        if item.remaining == 0:
-            state.queue.popleft()
-            continue
         rem_start = item.remaining
         checked_here = 0
         for r in iterate_unpruned(item.sub, item.conflicts):
@@ -365,23 +339,13 @@ def cegis_phase(
                 # stopped inside the subfamily: the store decides what is left
                 item.remaining = count_unpruned(item.sub, item.conflicts)
                 break
-            values = _member_values(state, r)
+            values, violated = _check(state, r)
             checked_here += 1
-            state.stats.checked += 1
             state.stats.cegis_iterations += 1
-            violated = [
-                p for p in _props_all(state)
-                if not evaluate_property(values[p.targets], p)
-            ]
             if not violated:
-                if not state.optimizing:
-                    result = SynthesisResult(
-                        verdict="feasible",
-                        realization=r,
-                        values=_base_values(state, values),
-                    )
+                result = _accept(state, r, values)
+                if result is not None:
                     return result, 0.0
-                _maybe_improve(state, r, values)
                 if conflicts:
                     item.conflicts.append(r)
             elif conflicts:
@@ -415,7 +379,6 @@ def synthesize(
     spec: Specification,
     method: str = "hybrid",
     bounds: str = "family",
-    cost_units: str = "deterministic",
 ) -> SynthesisResult:
     """Decide ``spec`` on ``family`` with one of the methods in ``METHODS``.
 
@@ -423,11 +386,10 @@ def synthesize(
     runs AR steps only, ``cegis`` one unbudgeted CEGIS phase, ``onebyone``
     one CEGIS phase without conflicts (refused above ``MEMBER_CAP``
     members), and ``hybrid`` alternates one AR step with a
-    CEGIS phase whose budget is the step's cost times delta.  ``bounds``
-    selects the rerouting vectors of every conflict: ``"family"`` uses the
-    quotient bounds of the subfamily or of its split parent, ``"trivial"`` the
-    bound-free vectors.  ``cost_units`` measures budgets in model checks
-    (``"deterministic"``, reproducible) or seconds (``"wallclock"``).
+    CEGIS phase whose budget is the step's model checks times delta, so
+    every run is reproducible.  ``bounds`` selects the rerouting vectors of
+    every conflict: ``"family"`` uses the quotient bounds of the subfamily or
+    of its split parent, ``"trivial"`` the bound-free vectors.
 
     In optimal mode every satisfying member tightens a working threshold
     around the objective (relaxed by its epsilon), and an exhausted queue
@@ -438,13 +400,8 @@ def synthesize(
         raise ValueError(f"unknown synthesis method {method!r}")
     if bounds not in ("family", "trivial"):
         raise ValueError(f"unknown bounds mode {bounds!r}")
-    if cost_units not in ("deterministic", "wallclock"):
-        raise ValueError(f"unknown cost units {cost_units!r}")
     with solve_memo():
-        state = new_state(
-            family, spec,
-            trivial_bounds=bounds == "trivial", wallclock=cost_units == "wallclock",
-        )
+        state = new_state(family, spec, trivial_bounds=bounds == "trivial")
         root = state.queue[0]
         if method == "onebyone" and root.remaining > MEMBER_CAP:
             raise ResourceCapError(
@@ -458,18 +415,17 @@ def synthesize(
         while result is None and state.queue:
             budget = None
             if ar_steps:
-                start = state.clock()
+                start = state.meter.total
                 result, sigma_ar = ar_run(state)
                 if method == "ar" or result is not None or not state.queue:
                     continue
-                budget = (state.clock() - start) * state.delta_cegis
-                if not state.wallclock:
-                    budget = int(budget)
+                budget = int((state.meter.total - start) * state.delta_cegis)
             result, sigma_cegis = cegis_phase(
                 state, budget, conflicts=method != "onebyone"
             )
             if ar_steps:
                 state.delta_cegis = update_delta(sigma_cegis, sigma_ar)
-        if result is None:
-            return _close(state)
-        return _finish(state, result)
+    result = result or state.incumbent or SynthesisResult(verdict="infeasible")
+    state.stats.model_checks = state.meter.total
+    result.stats = state.stats
+    return result

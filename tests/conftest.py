@@ -56,6 +56,7 @@ from mcsynth import (
     iterate_unpruned,
     mc_reach,
     parse_sketch,
+    parse_spec,
 )
 import mcsynth.reach as reach
 from mcsynth.errors import ResourceCapError
@@ -602,6 +603,15 @@ def lane_family(n_states: int, n_params: int, rho: float, seed: int) -> Family:
     """A family of the benchmark's lane shape (``benchmark/families.py``)."""
     model = _load_benchmark_families().lane_family(n_states, n_params, rho, random.Random(seed))
     return parse_sketch(model.sketch_text())
+
+
+def lane_task(kind, n_states, n_params, rho):
+    """A benchmark task of the lane shape: its family and its parsed spec."""
+    task = _load_benchmark_families().make_task(
+        "memo", kind, n_states, n_params, rho, (), random.Random(f"memo:{kind}:{n_states}")
+    )
+    family = parse_sketch(task.model.sketch_text())
+    return family, parse_spec(task.spec_text, family)
 
 
 def corpus_family(i: int) -> Family:

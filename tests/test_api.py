@@ -5,11 +5,13 @@ module imports is used in it.
 """
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
 
 import mcsynth
+from mcsynth.cli import _build_parser
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "mcsynth").glob("*.py"))
 
@@ -62,6 +64,19 @@ def test_exported_names_are_pinned():
     assert sorted(mcsynth.__all__) == EXPORTS
     assert len(EXPORTS) == 41
     assert all(hasattr(mcsynth, name) for name in EXPORTS)
+
+
+def test_synthesize_parameters_are_pinned():
+    params = list(inspect.signature(mcsynth.synthesize).parameters)
+    assert params == ["family", "spec", "method", "bounds"]
+
+
+def test_synth_options_are_pinned():
+    parser = _build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command")
+    synth = commands.choices["synth"]
+    options = [s for a in synth._actions if a.dest != "help" for s in a.option_strings]
+    assert options == ["--sketch", "--spec", "--method", "--bounds", "--json"]
 
 
 def unused_imports(source: str) -> set[str]:

@@ -224,6 +224,18 @@ class TestBenchCommand:
         )
         assert code == 2
 
+    def test_gen_into_missing_directory_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.json"
+        code = main(
+            ["bench", "gen", "--states", "10", "--params", "3", "--domain", "2",
+             "--seed", "7", "-o", str(out)]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("error: ")
+        assert "wrote" not in captured.out
+        assert not out.exists()
+
 
 class TestCeReportCommand:
     def test_non_utf8_spec_exit_two(self, tmp_path, sketch_file, capsys):

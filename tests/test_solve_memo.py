@@ -6,8 +6,6 @@ with the memo disabled.  The memo is bounded, lives for one ``synthesize``
 call only, and is never used by a one-chunk family.
 """
 
-import random
-
 import numpy as np
 import pytest
 
@@ -22,15 +20,13 @@ from mcsynth import (
     iterate_unpruned,
     mc_reach,
     mdp_extreme,
-    parse_sketch,
-    parse_spec,
     synthesize,
 )
 from mcsynth.quotient import build_quotient, compute_bounds, root_quotient, split_subfamily
 from mcsynth.reach import solve_memo
 from mcsynth.synthesis import METHODS
 
-from conftest import _load_benchmark_families, goal_index
+from conftest import goal_index, lane_task
 
 # (kind, states, binary parameters, rho): lane families of two to four chunks
 TASKS = [
@@ -39,14 +35,6 @@ TASKS = [
     ("optimal", 200, 4, 0.6),
     ("window", 400, 4, 0.6),
 ]
-
-
-def lane_task(kind, n_states, n_params, rho):
-    task = _load_benchmark_families().make_task(
-        "memo", kind, n_states, n_params, rho, (), random.Random(f"memo:{kind}:{n_states}")
-    )
-    family = parse_sketch(task.model.sketch_text())
-    return family, parse_spec(task.spec_text, family)
 
 
 @pytest.fixture(scope="module", params=TASKS, ids=lambda cfg: f"{cfg[0]}{cfg[1]}")

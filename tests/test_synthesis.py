@@ -23,7 +23,7 @@ from mcsynth import (
 )
 from mcsynth.synthesis import METHODS, ar_run, cegis_phase, new_state, update_delta
 
-from conftest import TOY_R, TOY_TARGET, make_instance, reference_reach
+from conftest import TOY_R, TOY_TARGET, lane_task, make_instance, reference_reach
 
 SAFE_03 = Specification(properties=(Property(op="<=", threshold=0.3, targets=TOY_TARGET),))
 SAFE_01 = Specification(properties=(Property(op="<=", threshold=0.1, targets=TOY_TARGET),))
@@ -168,11 +168,6 @@ class TestHybrid:
                 total = member_count(fam.full_subfamily())
                 assert result.stats.pruned + result.stats.checked == total
 
-    def test_wallclock_cost_units_reach_same_verdict(self, toy4):
-        result = synthesize(toy4, SAFE_03, method="hybrid", cost_units="wallclock")
-        assert result.verdict == "feasible"
-        assert result.realization == TOY_R[3]
-
 
 class TestMultiProperty:
     def test_two_properties_feasible(self, toy4):
@@ -287,6 +282,27 @@ def _assert_store_exact(state, item, checked):
 
 
 class TestCubeStore:
+    @pytest.mark.parametrize("method", ["ar", "hybrid"])
+    def test_no_queued_item_is_empty(self, method, monkeypatch):
+        """A split queues only the halves that keep an open member.
+
+        On this family one of the hybrid's splits leaves a half that CEGIS
+        conflicts already cover; AR alone stores no conflicts.
+        """
+        family, spec = lane_task("window", 40, 6, 0.6)
+        queued = []
+        real_item = mcsynth.synthesis.WorkItem
+
+        def spy(*args, **kwargs):
+            item = real_item(*args, **kwargs)
+            queued.append(item.remaining)
+            return item
+
+        monkeypatch.setattr(mcsynth.synthesis, "WorkItem", spy)
+        assert synthesize(family, spec, method=method).verdict == "infeasible"
+        assert len(queued) > 1
+        assert all(remaining > 0 for remaining in queued)
+
     @pytest.mark.parametrize("direction", ["max", "min"])
     def test_optimal_store_counts_exactly_before_and_after_split(self, direction, monkeypatch):
         fam, spec, _values = make_instance(3, "mixed")
@@ -318,7 +334,7 @@ class TestCubeStore:
 
 class TestOptions:
     @pytest.mark.parametrize("method", METHODS)
-    @pytest.mark.parametrize("option", ["bounds", "cost_units"])
+    @pytest.mark.parametrize("option", ["bounds"])
     def test_bad_option_rejected_by_every_method(self, toy4, method, option):
         with pytest.raises(ValueError, match="bogus"):
             synthesize(toy4, SAFE_03, method=method, **{option: "bogus"})
