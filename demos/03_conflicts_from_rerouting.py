@@ -11,7 +11,7 @@ vector the whole path must be expanded and nothing generalizes.
 from pathlib import Path
 
 from mcsynth import (
-    CostMeter,
+    SynthStats,
     build_quotient,
     construct_conflict,
     compute_bounds,
@@ -39,12 +39,12 @@ for label, gamma in [
     ("family lower bounds", bounds.lb),
     ("trivial (all zeros) ", trivial_gamma(family.n_states, prop)),
 ]:
-    meter = CostMeter()
-    conflict = construct_conflict(family, r0, prop, gamma, scope, meter=meter)
+    stats = SynthStats()
+    conflict = construct_conflict(family, r0, prop, gamma, scope, stats=stats)
     pruned = generalization(r0, conflict.params, scope)
     print(
         f"gamma = {label}: conflict {name(conflict)} "
-        f"({meter.total} checks, prunes {len(pruned)} member(s))"
+        f"({stats.model_checks} checks, prunes {len(pruned)} member(s))"
     )
 
 minimal = minimal_conflict_oracle(family, r0, prop, scope)

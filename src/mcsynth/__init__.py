@@ -31,7 +31,6 @@ from .model import (
 )
 from .quotient import BoundsVec, QuotientMdp, build_quotient, compute_bounds, split_subfamily
 from .reach import (
-    CostMeter,
     DECISION_ETA,
     Objective,
     Property,
@@ -56,7 +55,6 @@ __all__ = [
     "BoundsVec",
     "CeQualityReport",
     "Conflict",
-    "CostMeter",
     "DECISION_ETA",
     "Family",
     "InvalidBoundsError",

@@ -20,7 +20,7 @@ their states costs no generality.
 from __future__ import annotations
 
 import itertools
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -36,7 +36,10 @@ from .model import (
     member_count,
     realization_in,
 )
-from .reach import CostMeter, Property, evaluate_property, mc_reach
+from .reach import Property, evaluate_property, mc_reach
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .synthesis import SynthStats
 
 ORACLE_MEMBER_CAP = 4096
 ORACLE_PARAM_CAP = 16
@@ -105,7 +108,7 @@ def construct_conflict(
     prop: Property,
     gamma: Sequence[float],
     scope: Subfamily,
-    meter: CostMeter | None = None,
+    stats: SynthStats | None = None,
 ) -> Conflict:
     """Greedy conflict for a member violating ``prop``.
 
@@ -122,7 +125,7 @@ def construct_conflict(
     monotonically (up to rounding) toward the member's, so it is the first
     one.  Step ``K`` checks the member itself: if the bisection ends there
     unchecked, one more check decides, and a member that satisfies ``prop``
-    has no conflict.
+    has no conflict.  Each check adds one to ``stats.model_checks``.
     """
     if not realization_in(scope, r):
         raise ValueError("realization lies outside the scope")
@@ -132,8 +135,8 @@ def construct_conflict(
 
     def violates(step: int) -> bool:
         value = mc_reach(mc, prop.targets, fixed=(position >= counts[step], g))[mc.initial]
-        if meter is not None:
-            meter.count()
+        if stats is not None:
+            stats.model_checks += 1
         return not evaluate_property(float(value), prop)
 
     lo, hi = 0, len(counts) - 1

@@ -502,9 +502,10 @@ def _least_open(
     """Domain positions, from parameter ``j`` on, of the least member no cube covers.
 
     With a ``cursor`` (tight mode) the member must not precede ``cursor[j:]``,
-    and every parameter is branched on, since later pins may force a larger
-    value there.  Off the cursor path, parameters no cube pins take their
-    least value.  ``None`` when every candidate is covered.
+    and every multi-valued parameter is branched on, since later pins may
+    force a larger value there; skipping the single-valued ones bounds the
+    depth.  Off the cursor path, parameters no cube pins take their least
+    value.  ``None`` when every candidate is covered.
 
     Off the cursor path a ``None`` answer depends on the cube set alone: the
     cubes cover every member over the parameters they pin.  ``covered``
@@ -521,7 +522,11 @@ def _least_open(
         k = min(c[0][0] for c in cubes)
         head, lo = [0] * (k - j), 0
     else:
-        k, head, lo = j, [], cursor[j]
+        # cubes pin only multi-valued parameters, so one lies ahead
+        k = j
+        while len(doms[k]) == 1:
+            k += 1
+        head, lo = cursor[j:k], cursor[k]
     rest, pinned = _branch(cubes, k)
     for i in range(lo, len(doms[k])):
         reduced = pinned.get(doms[k][i])

@@ -60,18 +60,6 @@ def solve_memo() -> Iterator[None]:
         memo.clear()
 
 
-class CostMeter:
-    """Counter of model-check invocations, the deterministic cost unit."""
-
-    __slots__ = ("total",)
-
-    def __init__(self):
-        self.total = 0
-
-    def count(self, n: int = 1) -> None:
-        self.total += n
-
-
 @dataclass(frozen=True)
 class Property:
     """Threshold reachability constraint ``P <= t`` (safety) or ``P >= t``."""

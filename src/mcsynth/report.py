@@ -16,8 +16,8 @@ from .counterexamples import construct_conflict, minimal_conflict_oracle, trivia
 from .errors import ResourceCapError
 from .model import Family, Realization, induce, iterate_unpruned, member_count
 from .quotient import compute_bounds, root_quotient
-from .reach import CostMeter, Specification, evaluate_property, mc_reach
-from .synthesis import MEMBER_CAP
+from .reach import Specification, evaluate_property, mc_reach
+from .synthesis import MEMBER_CAP, SynthStats
 
 
 @dataclass(frozen=True)
@@ -130,9 +130,9 @@ def ce_quality_report(
             value = float(mc_reach(mc, prop.targets)[family.initial])
             if evaluate_property(value, prop):
                 continue
-            meter = CostMeter()
+            stats = SynthStats()
             start = time.perf_counter()
-            conflict = construct_conflict(family, r, prop, gammas[idx], scope, meter=meter)
+            conflict = construct_conflict(family, r, prop, gammas[idx], scope, stats=stats)
             elapsed = time.perf_counter() - start
             minimal_size = None
             if include_minimal:
@@ -144,7 +144,7 @@ def ce_quality_report(
                     property_index=idx,
                     conflict_size=len(conflict.params),
                     ratio=len(conflict.params) / total if total else 0.0,
-                    model_checks=meter.total,
+                    model_checks=stats.model_checks,
                     seconds=elapsed,
                     minimal_size=minimal_size,
                 )

@@ -62,6 +62,8 @@ def parse_sketch(text: str) -> Family:
         raise SketchError(
             f"not valid JSON: {exc.msg}", location=f"line {exc.lineno}, column {exc.colno}"
         ) from exc
+    except RecursionError as exc:
+        raise SketchError("JSON nested too deeply", location="document") from exc
     if not isinstance(doc, dict):
         raise SketchError("top level must be a JSON object", location="document")
     if doc.get("format") != FORMAT_TAG:

@@ -19,15 +19,16 @@ method        AR    CEGIS
 ============  ====  ======================================================
 
 The hybrid's CEGIS budget factor delta starts at 1 and follows the ratio of
-the two oracles' pruning efficiencies (:func:`update_delta`).  Cost, budgets
-included, is counted in model-check invocations only, which makes every
-method deterministic.
+the two oracles' efficiencies, members pruned or checked per model check
+(:func:`_efficiency`, :func:`update_delta`).  One ledger, :class:`SynthStats`,
+counts them; cost, budgets included, is counted in model checks only, which
+makes every method deterministic.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .counterexamples import construct_conflict, trivial_gamma
@@ -51,7 +52,6 @@ from .quotient import (
     split_subfamily,
 )
 from .reach import (
-    CostMeter,
     DECISION_ETA,
     Objective,
     Property,
@@ -69,6 +69,8 @@ DELTA_MAX = 64.0
 
 @dataclass
 class SynthStats:
+    """The run's ledger: model checks, and members pruned or checked."""
+
     cegis_iterations: int = 0
     ar_iterations: int = 0
     model_checks: int = 0
@@ -112,14 +114,12 @@ class WorkItem:
 
 @dataclass(eq=False)
 class HybridState:
-    """Mutable state of a synthesis run: queue, budgets, incumbent, stats."""
+    """Mutable state of a synthesis run: queue, incumbent, stats."""
 
     family: Family
     spec: Specification
     queue: deque
-    meter: CostMeter
     stats: SynthStats
-    delta_cegis: float = 1.0
     trivial_bounds: bool = False
     incumbent: SynthesisResult | None = None
     working: Property | None = None
@@ -142,19 +142,14 @@ def new_state(family: Family, spec: Specification, trivial_bounds: bool = False)
         family=family,
         spec=spec,
         queue=deque([item]),
-        meter=CostMeter(),
         stats=SynthStats(),
         trivial_bounds=trivial_bounds,
     )
-    if spec.objective is not None:
-        state.working = _initial_working(spec.objective)
+    obj = spec.objective
+    if obj is not None:
+        # the trivial end: every member meets P>=0 (max) or P<=1 (min)
+        state.working = _tightened_working(obj, 0.0 if obj.direction == "max" else 1.0)
     return state
-
-
-def _initial_working(obj: Objective) -> Property:
-    if obj.direction == "max":
-        return Property(op=">=", threshold=0.0, targets=obj.targets)
-    return Property(op="<=", threshold=1.0, targets=obj.targets)
 
 
 def _tightened_working(obj: Objective, value: float) -> Property:
@@ -190,7 +185,7 @@ def _check(state: HybridState, r: Realization) -> tuple[dict, list[Property]]:
     values = {}
     for tset in _target_sets(state):
         values[tset] = float(mc_reach(mc, tset)[state.family.initial])
-        state.meter.count()
+        state.stats.model_checks += 1
     state.stats.checked += 1
     violated = [p for p in _props_all(state) if not evaluate_property(values[p.targets], p)]
     return values, violated
@@ -239,7 +234,7 @@ def _bounds(state: HybridState, sub: Subfamily) -> dict[frozenset[int], BoundsVe
     """
     qmdp = build_quotient(state.family, sub, state.root)
     tsets = _target_sets(state)
-    state.meter.count(2 * len(tsets))
+    state.stats.model_checks += 2 * len(tsets)
     return {tset: compute_bounds(qmdp, tset) for tset in tsets}
 
 
@@ -257,18 +252,17 @@ def _gamma_for(state: HybridState, item: WorkItem, prop: Property):
     return bounds.lb if prop.op == "<=" else bounds.ub
 
 
-def ar_run(state: HybridState) -> tuple[SynthesisResult | None, float]:
+def ar_run(state: HybridState) -> SynthesisResult | None:
     """One abstraction-refinement step: analyse a single queued subfamily.
 
     Computes bounds for every target set, then prunes the subfamily, accepts
     it (feasibility mode), harvests it (optimal mode, singletons), or splits
-    it and queues each half that keeps an open member.  Returns the decided result (or ``None``)
-    and the pruning efficiency of the step.
+    it and queues each half that keeps an open member.  Returns the decided
+    result, or ``None``.
     """
     if not state.queue:
-        return None, 0.0
+        return None
     item = state.queue.popleft()
-    cost0 = state.meter.total
     state.stats.ar_iterations += 1
 
     if state.optimizing and member_count(item.sub) == 1:
@@ -277,22 +271,21 @@ def ar_run(state: HybridState) -> tuple[SynthesisResult | None, float]:
         values, violated = _check(state, r)
         if not violated:
             _accept(state, r, values)
-        return None, 1.0 / max(state.meter.total - cost0, 1)
+        return None
 
     props = _props_all(state)
     bounds = _bounds(state, item.sub)
     statuses = [_status(p, bounds[p.targets], state.family.initial) for p in props]
-    cost = state.meter.total - cost0
 
     if any(st == "viol" for st in statuses):
         state.stats.pruned += item.remaining
-        return None, item.remaining / max(cost, 1)
+        return None
 
     if not state.optimizing and all(st == "sat" for st in statuses):
         # the bounds decide; the check only reports the witness's values
         r = next(iterate_unpruned(item.sub, item.conflicts))
         values, _violated = _check(state, r)
-        return _accept(state, r, values), 0.0
+        return _accept(state, r, values)
 
     open_props = [p for p, st in zip(props, statuses) if st == "open"]
     pick = open_props[0] if open_props else props[-1]
@@ -304,14 +297,14 @@ def ar_run(state: HybridState) -> tuple[SynthesisResult | None, float]:
         remaining = count_unpruned(half, conflicts)
         if remaining:
             state.queue.append(WorkItem(half, conflicts, remaining, bounds))
-    return None, 0.0
+    return None
 
 
 def cegis_phase(
     state: HybridState,
     budget: int | None = None,
     conflicts: bool = True,
-) -> tuple[SynthesisResult | None, float]:
+) -> SynthesisResult | None:
     """Run CEGIS over the queued subfamilies until a verdict or the budget.
 
     Subfamilies are processed FIFO; every violating candidate contributes one
@@ -320,15 +313,14 @@ def cegis_phase(
     conflict store intact.  ``budget`` counts model checks and is checked
     between candidates, so the last candidate may overshoot it; with a zero
     budget nothing is examined.  ``conflicts=False`` (enumeration) stores
-    nothing, so it must run without a budget.  Returns the result (or
-    ``None``) and the pruning efficiency per model check.
+    nothing, so it must run without a budget.  Returns the decided result,
+    or ``None``.
     """
-    meter = state.meter
-    cost0 = meter.total
-    eliminated = 0
+    stats = state.stats
+    cost0 = stats.model_checks
 
     def over_budget() -> bool:
-        return budget is not None and meter.total - cost0 >= budget
+        return budget is not None and stats.model_checks - cost0 >= budget
 
     while state.queue and not over_budget():
         item = state.queue[0]
@@ -341,30 +333,38 @@ def cegis_phase(
                 break
             values, violated = _check(state, r)
             checked_here += 1
-            state.stats.cegis_iterations += 1
+            stats.cegis_iterations += 1
             if not violated:
                 result = _accept(state, r, values)
                 if result is not None:
-                    return result, 0.0
+                    return result
                 if conflicts:
                     item.conflicts.append(r)
             elif conflicts:
                 for p in violated:
                     gamma = _gamma_for(state, item, p)
                     conflict = construct_conflict(
-                        state.family, r, p, gamma, item.sub, meter=meter
+                        state.family, r, p, gamma, item.sub, stats=stats
                     )
                     item.conflicts.append(conflict)
         else:
             # an exhausted iterator leaves no open member
             item.remaining = 0
-        state.stats.pruned += rem_start - checked_here - item.remaining
-        eliminated += rem_start - item.remaining
+        stats.pruned += rem_start - checked_here - item.remaining
         if item.remaining:
             break  # budget spent: the item stays at the head of the queue
         state.queue.popleft()
+    return None
 
-    return None, eliminated / max(meter.total - cost0, 1)
+
+def _efficiency(stats: SynthStats, mark: SynthStats) -> float:
+    """Members pruned or checked per model check since ``mark``.
+
+    ``mark`` is a copy of the ledger taken before an AR step or a CEGIS
+    phase; both oracles are rated by this one formula.
+    """
+    done = stats.pruned + stats.checked - mark.pruned - mark.checked
+    return done / max(stats.model_checks - mark.model_checks, 1)
 
 
 def update_delta(sigma_cegis: float, sigma_ar: float) -> float:
@@ -410,22 +410,23 @@ def synthesize(
         if method == "cegis" and bounds == "family":
             root.bounds = _bounds(state, root.sub)
 
+        stats = state.stats
         ar_steps = method in ("ar", "hybrid")
+        delta = 1.0
         result = None
         while result is None and state.queue:
             budget = None
             if ar_steps:
-                start = state.meter.total
-                result, sigma_ar = ar_run(state)
+                mark = replace(stats)
+                result = ar_run(state)
                 if method == "ar" or result is not None or not state.queue:
                     continue
-                budget = int((state.meter.total - start) * state.delta_cegis)
-            result, sigma_cegis = cegis_phase(
-                state, budget, conflicts=method != "onebyone"
-            )
+                sigma_ar = _efficiency(stats, mark)
+                budget = int((stats.model_checks - mark.model_checks) * delta)
+            mark = replace(stats)
+            result = cegis_phase(state, budget, conflicts=method != "onebyone")
             if ar_steps:
-                state.delta_cegis = update_delta(sigma_cegis, sigma_ar)
+                delta = update_delta(_efficiency(stats, mark), sigma_ar)
     result = result or state.incumbent or SynthesisResult(verdict="infeasible")
-    state.stats.model_checks = state.meter.total
-    result.stats = state.stats
+    result.stats = stats
     return result

@@ -42,7 +42,6 @@ import pytest
 
 from mcsynth import (
     Conflict,
-    CostMeter,
     Family,
     InvalidBoundsError,
     Mc,
@@ -50,6 +49,7 @@ from mcsynth import (
     Realization,
     Specification,
     Subfamily,
+    SynthStats,
     evaluate_property,
     generate_benchmark,
     induce,
@@ -386,7 +386,7 @@ def reference_conflict(
     prop: Property,
     gamma: Sequence[float],
     scope: Subfamily,
-    meter: CostMeter | None = None,
+    stats: SynthStats | None = None,
 ) -> Conflict:
     """The greedy conflict loop as rerouting defines it (reference for ``construct_conflict``).
 
@@ -405,8 +405,8 @@ def reference_conflict(
         raise ValueError("realization lies outside the scope")
     for rel in greedy_steps(family, r, scope):
         value = rerouted_value(family, r, prop, gamma, scope, rel)
-        if meter is not None:
-            meter.count()
+        if stats is not None:
+            stats.model_checks += 1
         if not evaluate_property(value, prop):
             return Conflict(params=rel, reference=r, scope=scope)
     # The last step expanded everything reachable, so it saw the real chain.

@@ -16,11 +16,11 @@ import numpy as np
 import pytest
 
 from mcsynth import (
-    CostMeter,
     Objective,
     Property,
     Realization,
     Specification,
+    SynthStats,
     build_quotient,
     compute_bounds,
     construct_conflict,
@@ -73,20 +73,20 @@ def golden_runs(toy4):
         i: float(mc_reach(induce(toy4, TOY_R[i]), TOY_TARGET)[0]) for i in range(4)
     }
     prop = Property(op="<=", threshold=0.3, targets=TOY_TARGET)
-    meter_bounds = CostMeter()
+    stats_bounds = SynthStats()
     with_bounds = construct_conflict(
-        toy4, TOY_R[0], prop, bounds.lb, scope, meter=meter_bounds
+        toy4, TOY_R[0], prop, bounds.lb, scope, stats=stats_bounds
     )
-    meter_trivial = CostMeter()
+    stats_trivial = SynthStats()
     with_trivial = construct_conflict(
-        toy4, TOY_R[0], prop, trivial_gamma(toy4.n_states, prop), scope, meter=meter_trivial
+        toy4, TOY_R[0], prop, trivial_gamma(toy4.n_states, prop), scope, stats=stats_trivial
     )
     gen = generalization(TOY_R[0], with_bounds.params, scope)
     verdict = synthesize(toy4, Specification(properties=(prop,)), method="hybrid")
     elapsed = time.perf_counter() - start
     budgets = [
-        (meter_bounds.total, len(scope.multi_valued()) + 1),
-        (meter_trivial.total, len(scope.multi_valued()) + 1),
+        (stats_bounds.model_checks, len(scope.multi_valued()) + 1),
+        (stats_trivial.model_checks, len(scope.multi_valued()) + 1),
     ]
     return {
         "values": values,
@@ -138,8 +138,8 @@ def conflict_validity_runs():
         bounds = compute_bounds(build_quotient(family, scope), targets)
         gamma = bounds.lb if prop.op == "<=" else bounds.ub
         r = Realization(rng.choice(violators))
-        meter = CostMeter()
-        conflict = construct_conflict(family, r, prop, gamma, scope, meter=meter)
+        stats = SynthStats()
+        conflict = construct_conflict(family, r, prop, gamma, scope, stats=stats)
         runs.append(
             {
                 "family": family,
@@ -148,7 +148,7 @@ def conflict_validity_runs():
                 "reference": r,
                 "conflict": conflict,
                 "values": values,
-                "budget": (meter.total, len(scope.multi_valued()) + 1),
+                "budget": (stats.model_checks, len(scope.multi_valued()) + 1),
             }
         )
     return runs

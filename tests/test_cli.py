@@ -106,6 +106,15 @@ class TestSynthCommand:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "latin1.json" in err and "utf-8" in err
 
+    @pytest.mark.parametrize("command", ["synth", "ce-report"])
+    def test_deeply_nested_sketch_exit_two(self, tmp_path, capsys, command):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100000 + "]" * 100000)
+        spec = spec_file(tmp_path, "P<=0.3 [F t]\n")
+        assert main([command, "--sketch", str(bad), "--spec", spec]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nested" in err
+
     def test_missing_file_exit_two(self, tmp_path):
         spec = spec_file(tmp_path, "P<=0.3 [F t]\n")
         assert main(["synth", "--sketch", str(tmp_path / "nope.json"), "--spec", spec]) == 2

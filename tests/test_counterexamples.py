@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from mcsynth import (
-    CostMeter,
     InvalidBoundsError,
     Property,
     Realization,
+    SynthStats,
     build_quotient,
     compute_bounds,
     construct_conflict,
@@ -124,12 +124,12 @@ class TestChooseToExpand:
 class TestConstructConflict:
     def test_toy_bounds_give_small_conflict(self, toy4, toy_lb):
         scope = toy4.full_subfamily()
-        meter = CostMeter()
+        stats = SynthStats()
         conflict = construct_conflict(
-            toy4, TOY_R[0], SAFETY, toy_lb, scope, meter=meter
+            toy4, TOY_R[0], SAFETY, toy_lb, scope, stats=stats
         )
         assert conflict.params == frozenset({0})
-        assert meter.total <= 3
+        assert stats.model_checks <= 3
 
     def test_toy_trivial_gamma_gives_full_conflict(self, toy4):
         scope = toy4.full_subfamily()
@@ -177,9 +177,9 @@ class TestConstructConflict:
             scope = fam.full_subfamily()
             bounds = compute_bounds(build_quotient(fam, scope), targets)
             r = Realization(rng.choice(violators))
-            meter = CostMeter()
-            conflict = construct_conflict(fam, r, prop, bounds.lb, scope, meter=meter)
-            assert meter.total <= len(scope.multi_valued()) + 1
+            stats = SynthStats()
+            conflict = construct_conflict(fam, r, prop, bounds.lb, scope, stats=stats)
+            assert stats.model_checks <= len(scope.multi_valued()) + 1
             for m in generalization(r, conflict.params, scope):
                 assert not evaluate_property(values[m.values], prop)
             checked += 1
@@ -214,20 +214,20 @@ class TestGammaValidation:
         ids=["nan", "above-one", "too-long", "too-short"],
     )
     def test_bad_gamma_rejected_up_front(self, toy4, gamma, match):
-        meter = CostMeter()
+        stats = SynthStats()
         with pytest.raises(ValueError, match=match):
-            construct_conflict(toy4, TOY_R[0], SAFETY, gamma, toy4.full_subfamily(), meter=meter)
-        assert meter.total == 0
+            construct_conflict(toy4, TOY_R[0], SAFETY, gamma, toy4.full_subfamily(), stats=stats)
+        assert stats.model_checks == 0
 
 
 def _outcome(build, family, r, prop, gamma, scope):
     """Conflict parameters and model checks, or the error raised and its checks."""
-    meter = CostMeter()
+    stats = SynthStats()
     try:
-        conflict = build(family, r, prop, gamma, scope, meter=meter)
+        conflict = build(family, r, prop, gamma, scope, stats=stats)
     except (ValueError, InvalidBoundsError) as err:
-        return type(err).__name__, str(err), meter.total
-    return conflict.params, conflict.reference, meter.total
+        return type(err).__name__, str(err), stats.model_checks
+    return conflict.params, conflict.reference, stats.model_checks
 
 
 def bisection_budget(family, r, scope) -> int:
@@ -315,9 +315,9 @@ class TestAgainstReferenceRerouting:
             steps = greedy_steps(fam, r, scope)
             assert len(steps) - 1 == 10
             for gamma in (np.ones(fam.n_states), trivial_gamma(fam.n_states, prop)):
-                meter = CostMeter()
-                conflict = construct_conflict(fam, r, prop, gamma, scope, meter=meter)
-                assert meter.total <= 5
+                stats = SynthStats()
+                conflict = construct_conflict(fam, r, prop, gamma, scope, stats=stats)
+                assert stats.model_checks <= 5
                 first = next(
                     i for i, rel in enumerate(steps)
                     if not evaluate_property(rerouted_value(fam, r, prop, gamma, scope, rel), prop)
@@ -336,10 +336,10 @@ class TestAgainstReferenceRerouting:
             rerouted_value(toy4, TOY_R[0], SAFETY, gamma, scope, rel) > SAFETY.threshold
             for rel in greedy_steps(toy4, TOY_R[0], scope)
         ] == [True, False, True]
-        meter = CostMeter()
-        conflict = construct_conflict(toy4, TOY_R[0], SAFETY, gamma, scope, meter=meter)
+        stats = SynthStats()
+        conflict = construct_conflict(toy4, TOY_R[0], SAFETY, gamma, scope, stats=stats)
         assert conflict.params == frozenset({0, 1})
-        assert meter.total == 2
+        assert stats.model_checks == 2
         value = rerouted_value(toy4, TOY_R[0], SAFETY, gamma, scope, conflict.params)
         assert not evaluate_property(value, SAFETY)
         assert reference_conflict(toy4, TOY_R[0], SAFETY, gamma, scope).params == frozenset()

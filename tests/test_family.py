@@ -422,6 +422,12 @@ class TestAccountingAgainstBruteForce:
             assert list(iterate_unpruned(sub, [entry])) == []
             assert count_unpruned(sub, [entry]) == 0
 
+    def test_many_single_valued_parameters_before_a_pinned_one(self):
+        """1500 single-valued parameters ahead of two binary ones stay below the recursion limit."""
+        sub = Subfamily([(0,)] * 1500 + [(0, 1), (0, 1)])
+        got = iterate_unpruned(sub, [Realization((0,) * 1502)])
+        assert [r.values[-2:] for r in got] == [(0, 1), (1, 0), (1, 1)]
+
     @pytest.mark.parametrize("seed", range(5))
     def test_count_beyond_enumeration_matches_inclusion_exclusion(self, seed):
         """2^40 members cannot be walked; the oracle sums cube intersections instead."""

@@ -108,6 +108,14 @@ class TestParseSketch:
         with pytest.raises(SketchError, match="line"):
             parse_sketch("{\n  broken\n}")
 
+    @pytest.mark.parametrize(
+        "text", ["[" * 100000 + "]" * 100000, '{"a":' * 5000 + "1" + "}" * 5000],
+        ids=["list", "object"],
+    )
+    def test_deep_nesting_rejected(self, text):
+        with pytest.raises(SketchError, match="document"):
+            parse_sketch(text)
+
     def test_format_tag_required(self):
         text = TOY4_TEXT.replace("mc-family/1", "mc-family/999")
         with pytest.raises(SketchError, match="format"):

@@ -73,11 +73,10 @@ class TestCegis:
 
     def test_zero_budget_is_undecided(self, toy4):
         state = new_state(toy4, SAFE_03)
-        result, sigma = cegis_phase(state, budget=0)
+        result = cegis_phase(state, budget=0)
         remaining = state.queue[0]
         assert result is None
         assert remaining.remaining == member_count(toy4.full_subfamily())
-        assert sigma == 0.0
 
     def test_infeasible_accounts_every_member(self, toy4):
         result = synthesize(toy4, SAFE_01, method="cegis", bounds="family")
@@ -90,7 +89,7 @@ class TestCegis:
         remaining.bounds = {
             TOY_TARGET: compute_bounds(build_quotient(toy4, remaining.sub), TOY_TARGET)
         }
-        result, _sigma = cegis_phase(state)
+        result = cegis_phase(state)
         assert result.verdict == "feasible"
         prop = SAFE_03.properties[0]
         for conflict in remaining.conflicts:
@@ -102,9 +101,9 @@ class TestCegis:
 class TestAbstractionRefinement:
     def test_toy_first_step_splits_on_initial_choice(self, toy4):
         state = new_state(toy4, SAFE_03)
-        result, _sigma = ar_run(state)
+        result = ar_run(state)
         assert result is None
-        assert state.meter.total == 2
+        assert state.stats.model_checks == 2
         assert len(state.queue) == 2
         left, right = state.queue[0].sub, state.queue[1].sub
         assert left.domains[0] == (1,) and right.domains[0] == (2,)
@@ -152,6 +151,45 @@ class TestHybrid:
         assert update_delta(1000.0, 1.0) == 64.0
         assert update_delta(0.0, 5.0) == 1.0 / 64.0
         assert update_delta(3.0, 1.0) == 3.0
+
+    # (instance, want) -> the (sigma_cegis, sigma_ar) of every delta update
+    # of a hybrid run before its verdict.  The runs reach a zero AR
+    # efficiency and the ratio of update_delta.  A run that ends with a
+    # witness makes one more update, after the phase that found it, whose
+    # delta nothing reads; it is left out.
+    DELTA_INPUTS = {
+        (0, "mixed"): [(1 / 3, 0.0)],
+        (1, "mixed"): [],
+        (2, "mixed"): [],
+        (3, "mixed"): [],
+        (0, "infeasible"): [(1 / 3, 0.0), (0.25, 0.5)],
+        (1, "infeasible"): [(1 / 3, 0.0), (0.25, 1.5)],
+        (2, "infeasible"): [(0.4, 0.0), (0.5, 3.0)],
+        (3, "infeasible"): [(4 / 3, 0.0), (16 / 11, 6.0)],
+    }
+
+    @pytest.mark.parametrize("key", sorted(DELTA_INPUTS), ids=lambda k: f"{k[1]}-{k[0]}")
+    def test_delta_inputs_are_pinned(self, key, monkeypatch):
+        events = []
+        real_accept = mcsynth.synthesis._accept
+
+        def delta_spy(sigma_cegis, sigma_ar):
+            events.append((sigma_cegis, sigma_ar))
+            return update_delta(sigma_cegis, sigma_ar)
+
+        def accept_spy(*args):
+            result = real_accept(*args)
+            if result is not None:
+                events.append("verdict")
+            return result
+
+        monkeypatch.setattr(mcsynth.synthesis, "update_delta", delta_spy)
+        monkeypatch.setattr(mcsynth.synthesis, "_accept", accept_spy)
+        fam, spec, _values = make_instance(*key)
+        result = synthesize(fam, spec, method="hybrid")
+        if result.verdict == "feasible":
+            events = events[: events.index("verdict")]
+        assert events == self.DELTA_INPUTS[key]
 
     def test_verdict_agrees_with_enumeration_on_mixed_instances(self):
         for i in range(4):
@@ -317,7 +355,7 @@ class TestCubeStore:
 
         monkeypatch.setattr(mcsynth.synthesis, "induce", spy)
         state = new_state(fam, opt_spec)
-        result, _sigma = cegis_phase(state, budget=11)
+        result = cegis_phase(state, budget=11)
         assert result is None
         item = state.queue[0]
         kinds = {type(e) for e in item.conflicts}
@@ -325,7 +363,7 @@ class TestCubeStore:
         _assert_store_exact(state, item, checked)
 
         queued = len(state.queue)
-        result, _sigma = ar_run(state)
+        result = ar_run(state)
         assert result is None and len(state.queue) == queued + 1
         for child in list(state.queue)[-2:]:
             assert child.conflicts
