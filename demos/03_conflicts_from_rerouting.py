@@ -16,6 +16,7 @@ from mcsynth import (
     construct_conflict,
     compute_bounds,
     generalization,
+    induce,
     iterate_unpruned,
     minimal_conflict_oracle,
     parse_property,
@@ -40,7 +41,7 @@ for label, gamma in [
     ("trivial (all zeros) ", trivial_gamma(family.n_states, prop)),
 ]:
     stats = SynthStats()
-    conflict = construct_conflict(family, r0, prop, gamma, scope, stats=stats)
+    conflict = construct_conflict(induce(family, r0), prop, gamma, scope, stats=stats)
     pruned = generalization(r0, conflict.params, scope)
     print(
         f"gamma = {label}: conflict {name(conflict)} "

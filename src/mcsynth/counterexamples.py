@@ -1,16 +1,17 @@
 """Conflict construction by greedy state expansion against a bound vector.
 
-A violating member chain is shrunk to a small set of *relevant* parameters.
-States whose parameters are all relevant (the expanded states) keep their
-concrete behaviour; every other state is pinned to the value a bound vector
-gamma gives it, as if it were rerouted to a fresh target with that
-probability, and only the expanded states are solved for.  If the member
-violates the property even so, every member that agrees with it on the
-relevant parameters does too.  Expansion is greedy: always the horizon state
-with the fewest not-yet-relevant parameters.  That order reads the member's
-rows and templates but no value, so it is planned whole up front, and a
-bisection over its ``K + 1`` steps finds the first violating one with at most
-``ceil(log2(K + 1)) + 1`` model checks.
+The member chain the driver checked, carrying its family and realization, is
+shrunk to a small set of *relevant* parameters.  States whose parameters are
+all relevant (the expanded states) keep their concrete behaviour; every
+other state is pinned to the value a bound vector gamma gives it, as if it
+were rerouted to a fresh target with that probability, and only the expanded
+states are solved for.  If the member violates the property even so, every
+member that agrees with it on the relevant parameters does too.  Expansion
+is greedy: always the horizon state with the fewest not-yet-relevant
+parameters.  That order reads the member's rows and templates but no value,
+so it is planned whole up front, and a bisection over its ``K + 1`` steps
+finds the first violating one with at most ``ceil(log2(K + 1)) + 1`` model
+checks.  Only the exhaustive oracle induces chains, one per member it checks.
 
 Parameters whose restricted domain in the enclosing scope is a singleton are
 always treated as relevant: they cannot vary inside the scope, so including
@@ -57,7 +58,7 @@ def _checked_gamma(gamma: Sequence[float], n_states: int) -> np.ndarray:
 
 
 def _expansion_plan(
-    family: Family, mc: Mc, multi: frozenset[int]
+    mc: Mc, multi: frozenset[int]
 ) -> tuple[np.ndarray, list[int], list[frozenset[int]]]:
     """The greedy expansion order of a member chain, planned before any check.
 
@@ -68,7 +69,7 @@ def _expansion_plan(
     Step ``i`` has expanded the states with ``position < counts[i]`` and
     holds the relevant set ``rels[i]``; the last step has an empty horizon.
     """
-    tmpl_ptr, tmpl_param = family.tmpl_ptr.tolist(), family.tmpl_param.tolist()
+    tmpl_ptr, tmpl_param = mc.family.tmpl_ptr.tolist(), mc.family.tmpl_param.tolist()
     holes = [multi.intersection(tmpl_param[a:b]) for a, b in zip(tmpl_ptr, tmpl_ptr[1:])]
     ptr, tgt = mc.row_ptr.tolist(), mc.ent_target.tolist()
     order: list[int] = []
@@ -103,20 +104,20 @@ def _expansion_plan(
 
 
 def construct_conflict(
-    family: Family,
-    r: Realization,
+    mc: Mc,
     prop: Property,
     gamma: Sequence[float],
     scope: Subfamily,
     stats: SynthStats | None = None,
 ) -> Conflict:
-    """Greedy conflict for a member violating ``prop``.
+    """Greedy conflict for a member violating ``prop``, on its checked chain ``mc``.
 
-    ``gamma`` must lower-bound (safety) or upper-bound (liveness) the
-    reachability value of every member of ``scope`` at every state; the
-    bounds of ``scope`` itself or the trivial all-zeros / all-ones vector
-    qualify.  Every member of the returned conflict's generalization within
-    ``scope`` violates ``prop``.
+    ``mc`` comes from :func:`~mcsynth.model.induce`; its realization is the
+    conflict's reference.  ``gamma`` must lower-bound (safety) or upper-bound
+    (liveness) the reachability value of every member of ``scope`` at every
+    state; the bounds of ``scope`` itself or the trivial all-zeros / all-ones
+    vector qualify.  Every member of the returned conflict's generalization
+    within ``scope`` violates ``prop``.
 
     Step ``i`` checks the member with every state outside the expansion of
     the first ``i`` steps pinned to its ``gamma`` value.  A bisection over
@@ -127,11 +128,13 @@ def construct_conflict(
     unchecked, one more check decides, and a member that satisfies ``prop``
     has no conflict.  Each check adds one to ``stats.model_checks``.
     """
+    r = mc.realization
+    if r is None:
+        raise ValueError("chain carries no realization; build it with induce")
     if not realization_in(scope, r):
         raise ValueError("realization lies outside the scope")
-    mc = induce(family, r)
     g = _checked_gamma(gamma, mc.n_states)
-    position, counts, rels = _expansion_plan(family, mc, frozenset(scope.multi_valued()))
+    position, counts, rels = _expansion_plan(mc, frozenset(scope.multi_valued()))
 
     def violates(step: int) -> bool:
         value = mc_reach(mc, prop.targets, fixed=(position >= counts[step], g))[mc.initial]

@@ -181,24 +181,23 @@ class Mc:
     increasing within a row and probabilities positive, summing to 1 within
     ``PROB_SUM_TOL``.  ``ent_source`` holds the state of each entry.
 
-    ``chunk`` holds, per state, the solve chunk of the family the chain was
-    induced from (see :attr:`Family._chunk_ids`); ``None`` solves the chain
-    as one chunk.  The row arrays a caller passes in become read-only.
+    :func:`induce` alone sets ``family`` and ``realization``, as a quotient
+    carries its family; solves follow the family's chunks.  A chain built by
+    hand has neither and is one chunk.  Row arrays passed in become read-only.
     """
 
     initial: int
     row_ptr: np.ndarray
     ent_target: np.ndarray
     ent_prob: np.ndarray
-    chunk: np.ndarray | None = field(default=None, repr=False)
     ent_source: np.ndarray = field(init=False, repr=False)
+    family: Family | None = field(init=False, repr=False, default=None)
+    realization: Realization | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         n = self.n_states
         if not 0 <= self.initial < n:
             raise ValueError(f"initial state {self.initial} out of range")
-        if self.chunk is not None and self.chunk.shape != (n,):
-            raise ValueError("chunk ids must give one chunk per state")
         sizes = check_rows(
             self.row_ptr, self.ent_target, self.ent_prob, n, "targets an unknown state"
         )
@@ -412,7 +411,10 @@ def induce(family: Family, r: Realization) -> Mc:
     validate_realization(family, r)
     target = np.asarray(r.values)[family.tmpl_param]
     rows = flat_rows(family.n_states, family.tmpl_state, target, family.tmpl_prob)
-    return Mc(family.initial, *rows, chunk=family._chunk_ids)
+    mc = Mc(family.initial, *rows)
+    object.__setattr__(mc, "family", family)
+    object.__setattr__(mc, "realization", r)
+    return mc
 
 
 def generalization(r: Realization, params: Iterable[int], scope: Subfamily) -> list[Realization]:

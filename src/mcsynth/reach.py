@@ -245,7 +245,7 @@ def mc_reach(
 
     Target states are exactly 1, states that cannot reach the target in the
     underlying graph exactly 0; the rest come from the direct solve of
-    :func:`_solve`, chunk by chunk when the chain carries its family's chunks.
+    :func:`_solve`, chunk by chunk when the chain carries its family.
 
     ``fixed = (mask, given)`` pins every non-target state under ``mask`` to
     its value in ``given`` (within [0, 1]) and ignores its row, as if it
@@ -271,7 +271,8 @@ def mc_reach(
     seed = np.zeros(n, dtype=bool)
     seed[src[free[src] & root[mc.ent_target]]] = True
     unknown = breadth_first(mc.in_edges, np.flatnonzero(seed).tolist(), free) >= 0
-    _solve(mc.ent_source, mc.ent_target, mc.ent_prob, values, unknown, mc.chunk)
+    chunk = None if mc.family is None else mc.family._chunk_ids
+    _solve(mc.ent_source, mc.ent_target, mc.ent_prob, values, unknown, chunk)
     return values
 
 

@@ -1,7 +1,8 @@
 """Conflict-quality report: how much do bounds shrink greedy conflicts?
 
-For every member violating a property, a conflict is constructed under the
-chosen rerouting mode and its size is related to the number of multi-valued
+For every member violating a property, the driver's own conflict is built:
+the member check, bounds and rerouting rule of :mod:`mcsynth.synthesis` under
+the chosen mode.  Its size is related to the number of multi-valued
 parameters; smaller ratios mean better generalization.  The optional
 exhaustive oracle adds the true minimum conflict size for comparison.
 """
@@ -12,12 +13,11 @@ import json
 import time
 from dataclasses import dataclass
 
-from .counterexamples import construct_conflict, minimal_conflict_oracle, trivial_gamma
+from .counterexamples import construct_conflict, minimal_conflict_oracle
 from .errors import ResourceCapError
-from .model import Family, Realization, induce, iterate_unpruned, member_count
-from .quotient import compute_bounds, root_quotient
-from .reach import Specification, evaluate_property, mc_reach
-from .synthesis import MEMBER_CAP, SynthStats
+from .model import Family, Realization, iterate_unpruned
+from .reach import Specification
+from .synthesis import MEMBER_CAP, SynthStats, _bounds, _check, _gamma_for, new_state
 
 
 @dataclass(frozen=True)
@@ -101,42 +101,34 @@ def ce_quality_report(
     ``mode`` picks the rerouting vectors: ``"family"`` uses whole-family
     bounds, ``"trivial"`` the bound-free vectors.  Ratios are conflict size
     over the number of multi-valued parameters.  Every member is checked, so
-    families over ``MEMBER_CAP`` members raise :class:`ResourceCapError`; in
-    family mode the root quotient is built once and serves every target set.
+    families over ``MEMBER_CAP`` members raise :class:`ResourceCapError`.
+    The conflicts are the driver's own: its member check, bounds and gamma
+    rule run on the properties (never the objective) and the whole family.
     """
     if mode not in ("family", "trivial"):
         raise ValueError(f"unknown report mode {mode!r}")
-    scope = family.full_subfamily()
-    members = member_count(scope)
-    if members > MEMBER_CAP:
-        raise ResourceCapError(f"family has {members} members, report cap is {MEMBER_CAP}")
-    root = root_quotient(family) if mode == "family" else None
-    multi = scope.multi_valued()
-    total = len(multi)
-    bounds, gammas = {}, {}
-    for idx, prop in enumerate(spec.properties):
-        if mode == "trivial":
-            gammas[idx] = trivial_gamma(family.n_states, prop)
-            continue
-        if prop.targets not in bounds:
-            bounds[prop.targets] = compute_bounds(root, prop.targets)
-        vec = bounds[prop.targets]
-        gammas[idx] = vec.lb if prop.op == "<=" else vec.ub
+    state = new_state(family, spec, trivial_bounds=mode == "trivial")
+    state.working = None  # no objective: only the properties are checked
+    item = state.queue[0]
+    if item.remaining > MEMBER_CAP:
+        raise ResourceCapError(f"family has {item.remaining} members, report cap is {MEMBER_CAP}")
+    if mode == "family":
+        item.bounds = _bounds(state, item.sub)
+    total = len(item.sub.multi_valued())
 
     rows = []
-    for r in iterate_unpruned(scope):
-        mc = induce(family, r)
+    for r in iterate_unpruned(item.sub):
+        mc, _values, violated = _check(state, r)
         for idx, prop in enumerate(spec.properties):
-            value = float(mc_reach(mc, prop.targets)[family.initial])
-            if evaluate_property(value, prop):
+            if prop not in violated:
                 continue
-            stats = SynthStats()
+            stats, gamma = SynthStats(), _gamma_for(state, item, prop)
             start = time.perf_counter()
-            conflict = construct_conflict(family, r, prop, gammas[idx], scope, stats=stats)
+            conflict = construct_conflict(mc, prop, gamma, item.sub, stats=stats)
             elapsed = time.perf_counter() - start
             minimal_size = None
             if include_minimal:
-                minimal = minimal_conflict_oracle(family, r, prop, scope)
+                minimal = minimal_conflict_oracle(family, r, prop, item.sub)
                 minimal_size = len(minimal.params)
             rows.append(
                 CeReportRow(

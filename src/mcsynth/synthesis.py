@@ -35,6 +35,7 @@ from .counterexamples import construct_conflict, trivial_gamma
 from .errors import ResourceCapError
 from .model import (
     Family,
+    Mc,
     Realization,
     Subfamily,
     count_unpruned,
@@ -175,11 +176,11 @@ def _target_sets(state: HybridState) -> list[frozenset[int]]:
     return tsets
 
 
-def _check(state: HybridState, r: Realization) -> tuple[dict, list[Property]]:
+def _check(state: HybridState, r: Realization) -> tuple[Mc, dict, list[Property]]:
     """Check member ``r`` against every property, the working one included.
 
-    Returns its value at the initial state per target set and the properties
-    it violates.  Each target set costs one model check.
+    Returns its chain, its initial-state value per target set and the
+    properties it violates.  Each target set costs one model check.
     """
     mc = induce(state.family, r)
     values = {}
@@ -188,7 +189,7 @@ def _check(state: HybridState, r: Realization) -> tuple[dict, list[Property]]:
         state.stats.model_checks += 1
     state.stats.checked += 1
     violated = [p for p in _props_all(state) if not evaluate_property(values[p.targets], p)]
-    return values, violated
+    return mc, values, violated
 
 
 def _accept(state: HybridState, r: Realization, values: dict) -> SynthesisResult | None:
@@ -268,7 +269,7 @@ def ar_run(state: HybridState) -> SynthesisResult | None:
     if state.optimizing and member_count(item.sub) == 1:
         # leaf subfamily: decide the single member directly
         r = next(iterate_unpruned(item.sub, item.conflicts))
-        values, violated = _check(state, r)
+        _mc, values, violated = _check(state, r)
         if not violated:
             _accept(state, r, values)
         return None
@@ -284,7 +285,7 @@ def ar_run(state: HybridState) -> SynthesisResult | None:
     if not state.optimizing and all(st == "sat" for st in statuses):
         # the bounds decide; the check only reports the witness's values
         r = next(iterate_unpruned(item.sub, item.conflicts))
-        values, _violated = _check(state, r)
+        _mc, values, _violated = _check(state, r)
         return _accept(state, r, values)
 
     open_props = [p for p, st in zip(props, statuses) if st == "open"]
@@ -331,7 +332,7 @@ def cegis_phase(
                 # stopped inside the subfamily: the store decides what is left
                 item.remaining = count_unpruned(item.sub, item.conflicts)
                 break
-            values, violated = _check(state, r)
+            mc, values, violated = _check(state, r)
             checked_here += 1
             stats.cegis_iterations += 1
             if not violated:
@@ -343,10 +344,7 @@ def cegis_phase(
             elif conflicts:
                 for p in violated:
                     gamma = _gamma_for(state, item, p)
-                    conflict = construct_conflict(
-                        state.family, r, p, gamma, item.sub, stats=stats
-                    )
-                    item.conflicts.append(conflict)
+                    item.conflicts.append(construct_conflict(mc, p, gamma, item.sub, stats=stats))
         else:
             # an exhausted iterator leaves no open member
             item.remaining = 0
@@ -414,19 +412,22 @@ def synthesize(
         ar_steps = method in ("ar", "hybrid")
         delta = 1.0
         result = None
-        while result is None and state.queue:
-            budget = None
-            if ar_steps:
+        try:
+            while result is None and state.queue:
+                budget = None
+                if ar_steps:
+                    mark = replace(stats)
+                    result = ar_run(state)
+                    if method == "ar" or result is not None or not state.queue:
+                        continue
+                    sigma_ar = _efficiency(stats, mark)
+                    budget = int((stats.model_checks - mark.model_checks) * delta)
                 mark = replace(stats)
-                result = ar_run(state)
-                if method == "ar" or result is not None or not state.queue:
-                    continue
-                sigma_ar = _efficiency(stats, mark)
-                budget = int((stats.model_checks - mark.model_checks) * delta)
-            mark = replace(stats)
-            result = cegis_phase(state, budget, conflicts=method != "onebyone")
-            if ar_steps:
-                delta = update_delta(_efficiency(stats, mark), sigma_ar)
+                result = cegis_phase(state, budget, conflicts=method != "onebyone")
+                if ar_steps:
+                    delta = update_delta(_efficiency(stats, mark), sigma_ar)
+        except RecursionError as exc:  # cube searches recurse once per pinned parameter
+            raise ResourceCapError("member accounting exceeded Python's recursion limit") from exc
     result = result or state.incumbent or SynthesisResult(verdict="infeasible")
     result.stats = stats
     return result

@@ -30,6 +30,7 @@ from __future__ import annotations
 import functools
 import importlib.util
 import itertools
+import json
 import math
 import random
 import sys
@@ -83,6 +84,23 @@ TOY4_TEXT = """
   }
 }
 """
+
+
+def long_line_text(n: int) -> str:
+    """Sketch of an ``n``-state line: ``s{i}`` jumps to ``p{i}``, the next state or ``trap``.
+
+    Only the member that never picks ``trap`` reaches ``goal``.  A checked
+    member pins all ``n`` binary parameters, deeper than Python's default
+    recursion limit once ``n`` is above about 1000.
+    """
+    states = [f"s{i}" for i in range(n)] + ["goal", "trap"]
+    params = {f"p{i}": [states[i + 1], "trap"] for i in range(n)}
+    params.update({"G": ["goal"], "T": ["trap"]})
+    rows = {f"s{i}": {f"p{i}": 1.0} for i in range(n)}
+    rows.update({"goal": {"G": 1.0}, "trap": {"T": 1.0}})
+    sketch = {"format": "mc-family/1", "states": states, "initial": "s0"}
+    return json.dumps({**sketch, "parameters": params, "transitions": rows})
+
 
 # Realizations in lexicographic order; values are (X, Y, T', F') state indices.
 TOY_R = {
@@ -451,7 +469,8 @@ def reference_pinned_reach(
     unknown = np.asarray(dist) >= 0
     unknown[tlist] = False
     unknown &= ~mask
-    reach._solve(mc.ent_source, mc.ent_target, mc.ent_prob, values, unknown, mc.chunk)
+    chunk = None if mc.family is None else mc.family._chunk_ids
+    reach._solve(mc.ent_source, mc.ent_target, mc.ent_prob, values, unknown, chunk)
     return values
 
 

@@ -75,11 +75,11 @@ def golden_runs(toy4):
     prop = Property(op="<=", threshold=0.3, targets=TOY_TARGET)
     stats_bounds = SynthStats()
     with_bounds = construct_conflict(
-        toy4, TOY_R[0], prop, bounds.lb, scope, stats=stats_bounds
+        induce(toy4, TOY_R[0]), prop, bounds.lb, scope, stats=stats_bounds
     )
     stats_trivial = SynthStats()
     with_trivial = construct_conflict(
-        toy4, TOY_R[0], prop, trivial_gamma(toy4.n_states, prop), scope, stats=stats_trivial
+        induce(toy4, TOY_R[0]), prop, trivial_gamma(toy4.n_states, prop), scope, stats=stats_trivial
     )
     gen = generalization(TOY_R[0], with_bounds.params, scope)
     verdict = synthesize(toy4, Specification(properties=(prop,)), method="hybrid")
@@ -139,7 +139,7 @@ def conflict_validity_runs():
         gamma = bounds.lb if prop.op == "<=" else bounds.ub
         r = Realization(rng.choice(violators))
         stats = SynthStats()
-        conflict = construct_conflict(family, r, prop, gamma, scope, stats=stats)
+        conflict = construct_conflict(induce(family, r), prop, gamma, scope, stats=stats)
         runs.append(
             {
                 "family": family,

@@ -5,6 +5,7 @@ Also a lint of the sources, the tests and the demos, with the standard
 """
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -69,6 +70,14 @@ def test_exported_names_are_pinned():
 def test_synthesize_parameters_are_pinned():
     params = list(inspect.signature(mcsynth.synthesize).parameters)
     assert params == ["family", "spec", "method", "bounds"]
+
+
+def test_conflict_layer_interface_is_pinned():
+    # a conflict takes the checked member's chain, which carries family and realization
+    params = list(inspect.signature(mcsynth.construct_conflict).parameters)
+    assert params == ["mc", "prop", "gamma", "scope", "stats"]
+    fields = [f.name for f in dataclasses.fields(mcsynth.Mc) if f.init]
+    assert fields == ["initial", "row_ptr", "ent_target", "ent_prob"]
 
 
 def test_synth_options_are_pinned():

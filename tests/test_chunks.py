@@ -140,7 +140,7 @@ class TestCondensation:
     def test_members_carry_the_family_chunks(self):
         family = lane_family(400, 6, 0.6, 1)
         mc = induce(family, members(family, 1, 0)[0])
-        assert mc.chunk is family._chunk_ids
+        assert mc.family._chunk_ids is family._chunk_ids
 
 
 @st.composite

@@ -10,7 +10,7 @@ import pytest
 
 from mcsynth.cli import main
 
-from conftest import TOY4_TEXT
+from conftest import TOY4_TEXT, long_line_text
 
 
 @pytest.fixture()
@@ -142,6 +142,25 @@ class TestSynthCommand:
             synthesis_mod.MEMBER_CAP = old_cap
         assert code == 3
         assert "resource cap" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("method", ["cegis", "hybrid"])
+    def test_recursion_depth_exit_three(self, tmp_path, method):
+        # a 1200-parameter cube overflows the recursive member accounting
+        sketch = tmp_path / "line.json"
+        sketch.write_text(long_line_text(1200))
+        spec = spec_file(tmp_path, "max P [F goal]\n")
+        args = ["synth", "--sketch", str(sketch), "--spec", spec, "--method", method]
+        proc = subprocess.run(
+            [sys.executable, "-m", "mcsynth", *args],
+            capture_output=True,
+            text=True,
+            env=_env_with_src(),
+            timeout=120,
+        )
+        assert proc.returncode == 3
+        assert "resource cap" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestShippedSketch:

@@ -14,6 +14,7 @@ import pytest
 
 from mcsynth import (
     InvalidBoundsError,
+    Mc,
     Property,
     Realization,
     SynthStats,
@@ -126,7 +127,7 @@ class TestConstructConflict:
         scope = toy4.full_subfamily()
         stats = SynthStats()
         conflict = construct_conflict(
-            toy4, TOY_R[0], SAFETY, toy_lb, scope, stats=stats
+            induce(toy4, TOY_R[0]), SAFETY, toy_lb, scope, stats=stats
         )
         assert conflict.params == frozenset({0})
         assert stats.model_checks <= 3
@@ -134,20 +135,20 @@ class TestConstructConflict:
     def test_toy_trivial_gamma_gives_full_conflict(self, toy4):
         scope = toy4.full_subfamily()
         gamma = trivial_gamma(toy4.n_states, SAFETY)
-        conflict = construct_conflict(toy4, TOY_R[0], SAFETY, gamma, scope)
+        conflict = construct_conflict(induce(toy4, TOY_R[0]), SAFETY, gamma, scope)
         assert conflict.params == frozenset({0, 1})
 
     def test_bound_conflict_never_larger_than_trivial_on_toy(self, toy4, toy_lb):
         scope = toy4.full_subfamily()
-        with_bounds = construct_conflict(toy4, TOY_R[0], SAFETY, toy_lb, scope)
+        with_bounds = construct_conflict(induce(toy4, TOY_R[0]), SAFETY, toy_lb, scope)
         with_trivial = construct_conflict(
-            toy4, TOY_R[0], SAFETY, trivial_gamma(toy4.n_states, SAFETY), scope
+            induce(toy4, TOY_R[0]), SAFETY, trivial_gamma(toy4.n_states, SAFETY), scope
         )
         assert len(with_bounds.params) <= len(with_trivial.params)
 
     def test_generalization_of_conflict_all_violate(self, toy4, toy_lb):
         scope = toy4.full_subfamily()
-        conflict = construct_conflict(toy4, TOY_R[0], SAFETY, toy_lb, scope)
+        conflict = construct_conflict(induce(toy4, TOY_R[0]), SAFETY, toy_lb, scope)
         members = generalization(conflict.reference, conflict.params, scope)
         assert [m.values for m in members] == [TOY_R[0].values, TOY_R[1].values]
         for m in members:
@@ -157,7 +158,13 @@ class TestConstructConflict:
     def test_satisfying_member_rejected(self, toy4, toy_lb):
         scope = toy4.full_subfamily()
         with pytest.raises(ValueError, match="satisfies"):
-            construct_conflict(toy4, TOY_R[3], SAFETY, toy_lb, scope)
+            construct_conflict(induce(toy4, TOY_R[3]), SAFETY, toy_lb, scope)
+
+    def test_chain_without_realization_rejected(self, toy4, toy_lb):
+        mc = induce(toy4, TOY_R[0])
+        bare = Mc(mc.initial, mc.row_ptr, mc.ent_target, mc.ent_prob)
+        with pytest.raises(ValueError, match="no realization"):
+            construct_conflict(bare, SAFETY, toy_lb, toy4.full_subfamily())
 
     def test_model_check_budget_on_random_violators(self):
         rng = random.Random(31)
@@ -178,7 +185,7 @@ class TestConstructConflict:
             bounds = compute_bounds(build_quotient(fam, scope), targets)
             r = Realization(rng.choice(violators))
             stats = SynthStats()
-            conflict = construct_conflict(fam, r, prop, bounds.lb, scope, stats=stats)
+            conflict = construct_conflict(induce(fam, r), prop, bounds.lb, scope, stats=stats)
             assert stats.model_checks <= len(scope.multi_valued()) + 1
             for m in generalization(r, conflict.params, scope):
                 assert not evaluate_property(values[m.values], prop)
@@ -197,7 +204,7 @@ class TestConstructConflict:
         scope = fam.full_subfamily()
         bounds = compute_bounds(build_quotient(fam, scope), targets)
         r = Realization(violators[0])
-        conflict = construct_conflict(fam, r, prop, bounds.ub, scope)
+        conflict = construct_conflict(induce(fam, r), prop, bounds.ub, scope)
         for m in generalization(r, conflict.params, scope):
             assert not evaluate_property(values[m.values], prop)
 
@@ -215,16 +222,18 @@ class TestGammaValidation:
     )
     def test_bad_gamma_rejected_up_front(self, toy4, gamma, match):
         stats = SynthStats()
+        mc, scope = induce(toy4, TOY_R[0]), toy4.full_subfamily()
         with pytest.raises(ValueError, match=match):
-            construct_conflict(toy4, TOY_R[0], SAFETY, gamma, toy4.full_subfamily(), stats=stats)
+            construct_conflict(mc, SAFETY, gamma, scope, stats=stats)
         assert stats.model_checks == 0
 
 
 def _outcome(build, family, r, prop, gamma, scope):
     """Conflict parameters and model checks, or the error raised and its checks."""
     stats = SynthStats()
+    head = (family, r) if build is reference_conflict else (induce(family, r),)
     try:
-        conflict = build(family, r, prop, gamma, scope, stats=stats)
+        conflict = build(*head, prop, gamma, scope, stats=stats)
     except (ValueError, InvalidBoundsError) as err:
         return type(err).__name__, str(err), stats.model_checks
     return conflict.params, conflict.reference, stats.model_checks
@@ -316,7 +325,7 @@ class TestAgainstReferenceRerouting:
             assert len(steps) - 1 == 10
             for gamma in (np.ones(fam.n_states), trivial_gamma(fam.n_states, prop)):
                 stats = SynthStats()
-                conflict = construct_conflict(fam, r, prop, gamma, scope, stats=stats)
+                conflict = construct_conflict(induce(fam, r), prop, gamma, scope, stats=stats)
                 assert stats.model_checks <= 5
                 first = next(
                     i for i, rel in enumerate(steps)
@@ -337,7 +346,7 @@ class TestAgainstReferenceRerouting:
             for rel in greedy_steps(toy4, TOY_R[0], scope)
         ] == [True, False, True]
         stats = SynthStats()
-        conflict = construct_conflict(toy4, TOY_R[0], SAFETY, gamma, scope, stats=stats)
+        conflict = construct_conflict(induce(toy4, TOY_R[0]), SAFETY, gamma, scope, stats=stats)
         assert conflict.params == frozenset({0, 1})
         assert stats.model_checks == 2
         value = rerouted_value(toy4, TOY_R[0], SAFETY, gamma, scope, conflict.params)
@@ -439,7 +448,7 @@ class TestMinimalConflictOracle:
 
     def test_greedy_never_smaller_than_minimal(self, toy4, toy_lb):
         scope = toy4.full_subfamily()
-        greedy = construct_conflict(toy4, TOY_R[0], SAFETY, toy_lb, scope)
+        greedy = construct_conflict(induce(toy4, TOY_R[0]), SAFETY, toy_lb, scope)
         minimal = minimal_conflict_oracle(toy4, TOY_R[0], SAFETY, scope)
         assert len(greedy.params) >= len(minimal.params)
 

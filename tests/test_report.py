@@ -6,7 +6,15 @@ import pytest
 
 import mcsynth.quotient
 import mcsynth.report
-from mcsynth import Property, Specification, ce_quality_report, generate_benchmark, member_count
+import mcsynth.reach
+from mcsynth import (
+    Objective,
+    Property,
+    Specification,
+    ce_quality_report,
+    generate_benchmark,
+    member_count,
+)
 from mcsynth.errors import ResourceCapError
 from mcsynth.synthesis import MEMBER_CAP
 
@@ -74,6 +82,51 @@ class TestCeQualityReport:
             with pytest.raises(ResourceCapError, match="members"):
                 ce_quality_report(family, spec, mode=mode)
 
+    @pytest.mark.parametrize("mode", ["family", "trivial"])
+    def test_repeated_property_gives_one_row_per_copy(self, toy4, mode):
+        prop = SPEC.properties[0]
+        once = ce_quality_report(toy4, SPEC, mode=mode).rows
+        twice = ce_quality_report(toy4, Specification(properties=(prop, prop)), mode=mode).rows
+        assert once and [row.property_index for row in twice] == [0, 1] * len(once)
+
+        def key(row):
+            return row.realization, row.conflict_size, row.model_checks
+
+        assert [key(row) for row in twice] == [key(row) for row in once for _copy in (0, 1)]
+
+    @pytest.mark.parametrize("mode", ["family", "trivial"])
+    def test_objective_adds_no_rows_and_no_solves(self, toy4, mode, monkeypatch):
+        solves = []
+        real = mcsynth.reach._solve
+
+        def spy(*args):
+            solves.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(mcsynth.reach, "_solve", spy)
+        # the objective's target set is not one of the properties'
+        objective = Objective(direction="max", targets=frozenset({4}))
+        runs = []
+        for spec in (SPEC, Specification(properties=SPEC.properties, objective=objective)):
+            solves.clear()
+            rows = ce_quality_report(toy4, spec, mode=mode).rows
+            runs.append(
+                (len(solves), [(r.realization, r.property_index, r.conflict_size) for r in rows])
+            )
+        assert runs[0] == runs[1]
+        assert runs[0][1]
+
+    def test_objective_only_spec_gives_empty_report(self, toy4):
+        only = Specification(properties=(), objective=Objective("min", TOY_TARGET))
+        for mode in ("family", "trivial"):
+            assert ce_quality_report(toy4, only, mode=mode).rows == ()
+        big = generate_benchmark(30, 24, 2, 1)
+        goal = frozenset({big.state_names.index("goal")})
+        only = Specification(properties=(), objective=Objective(direction="max", targets=goal))
+        for mode in ("family", "trivial"):
+            with pytest.raises(ResourceCapError, match="members"):
+                ce_quality_report(big, only, mode=mode)
+
     def test_root_quotient_built_once(self, toy4, monkeypatch):
         built = []
         real = mcsynth.quotient.root_quotient
@@ -82,7 +135,7 @@ class TestCeQualityReport:
             built.append(family)
             return real(family)
 
-        monkeypatch.setattr(mcsynth.report, "root_quotient", spy)
+        monkeypatch.setattr(mcsynth.synthesis, "root_quotient", spy)
         monkeypatch.setattr(mcsynth.quotient, "root_quotient", spy)
         # two target sets: each gets its own bounds, both on the one root
         props = (

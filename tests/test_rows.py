@@ -101,9 +101,9 @@ class TestStoredRowsReadOnly:
     def test_chunk_ids(self):
         fam = lane_family(400, 6, 0.6, 1)
         mc = induce(fam, Realization(tuple(dom[0] for dom in fam.domains)))
-        assert mc.chunk is fam._chunk_ids
+        assert mc.family._chunk_ids is fam._chunk_ids
         with pytest.raises(ValueError, match="read-only"):
-            mc.chunk[0] = 1
+            mc.family._chunk_ids[0] = 1
 
 
 def row_of(acc: dict) -> tuple[tuple, tuple]:

@@ -88,7 +88,8 @@ class TestBitwise:
             for prop in spec.properties:
                 if not evaluate_property(value, prop):
                     gamma = counterexamples.trivial_gamma(family.n_states, prop)
-                    cases.append((r, prop, gamma, construct_conflict(family, r, prop, gamma, scope)))
+                    conflict = construct_conflict(induce(family, r), prop, gamma, scope)
+                    cases.append((r, prop, gamma, conflict))
         assert cases
         probes = []
 
@@ -100,7 +101,7 @@ class TestBitwise:
         monkeypatch.setattr(counterexamples, "mc_reach", spy)
         with solve_memo():
             for r, prop, gamma, outside in cases:
-                inside = construct_conflict(family, r, prop, gamma, scope)
+                inside = construct_conflict(induce(family, r), prop, gamma, scope)
                 assert inside.params == outside.params
         monkeypatch.undo()
         for mc, targets, mask, gamma, values in probes:

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+import mcsynth.counterexamples
 import mcsynth.synthesis
 from mcsynth import (
     Conflict,
@@ -18,12 +19,15 @@ from mcsynth import (
     generalization,
     induce,
     member_count,
+    parse_sketch,
+    parse_spec,
     synthesize,
     trivial_gamma,
 )
+from mcsynth.errors import ResourceCapError
 from mcsynth.synthesis import METHODS, ar_run, cegis_phase, new_state, update_delta
 
-from conftest import TOY_R, TOY_TARGET, lane_task, make_instance, reference_reach
+from conftest import TOY_R, TOY_TARGET, lane_task, long_line_text, make_instance, reference_reach
 
 SAFE_03 = Specification(properties=(Property(op="<=", threshold=0.3, targets=TOY_TARGET),))
 SAFE_01 = Specification(properties=(Property(op="<=", threshold=0.1, targets=TOY_TARGET),))
@@ -386,9 +390,9 @@ class TestOptions:
         gammas = []
         real_construct = mcsynth.synthesis.construct_conflict
 
-        def spy(family, r, prop, gamma, scope, **kwargs):
+        def spy(mc, prop, gamma, scope, **kwargs):
             gammas.append((prop, np.asarray(gamma).copy()))
-            return real_construct(family, r, prop, gamma, scope, **kwargs)
+            return real_construct(mc, prop, gamma, scope, **kwargs)
 
         monkeypatch.setattr(mcsynth.synthesis, "construct_conflict", spy)
         result = synthesize(fam, spec, method="hybrid", bounds="trivial")
@@ -396,6 +400,47 @@ class TestOptions:
         assert gammas
         for prop, gamma in gammas:
             assert np.array_equal(gamma, trivial_gamma(fam.n_states, prop))
+
+
+class TestOneChainPerMember:
+    def test_one_induction_per_checked_member(self, monkeypatch):
+        # conflicts reuse the chain of the member check instead of inducing it again
+        calls, conflicts = [], []
+        for mod in (mcsynth.synthesis, mcsynth.counterexamples):
+            real = mod.induce
+
+            def spy(family, r, real=real):
+                calls.append(r)
+                return real(family, r)
+
+            monkeypatch.setattr(mod, "induce", spy)
+        real_construct = mcsynth.synthesis.construct_conflict
+
+        def construct(*args, **kwargs):
+            conflicts.append(args)
+            return real_construct(*args, **kwargs)
+
+        monkeypatch.setattr(mcsynth.synthesis, "construct_conflict", construct)
+        cases = [make_instance(i, want)[:2] for i in range(4) for want in ("mixed", "infeasible")]
+        fam, spec, _values = make_instance(0, "mixed")
+        goal = spec.properties[0].targets
+        cases.append((fam, Specification(properties=(), objective=Objective("max", goal))))
+        for fam, spec in cases:
+            for method in METHODS:
+                calls.clear()
+                result = synthesize(fam, spec, method=method)
+                assert len(calls) == result.stats.checked, (method, spec)
+        assert conflicts
+
+
+class TestRecursionDepth:
+    @pytest.mark.parametrize("method", ["cegis", "hybrid"])
+    def test_deep_cube_search_is_a_resource_cap(self, method):
+        # optimal mode stores each checked member as a cube pinning all 1200
+        # parameters, and member accounting recurses once per pinned parameter
+        fam = parse_sketch(long_line_text(1200))
+        with pytest.raises(ResourceCapError, match="recursion limit"):
+            synthesize(fam, parse_spec("max P [F goal]", fam), method=method)
 
 
 # Behaviour lock: (instance, method, bounds) -> (verdict, witness, optimum,
