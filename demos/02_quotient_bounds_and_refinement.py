@@ -17,22 +17,24 @@ targets = frozenset({family.state_names.index("t")})
 
 
 def show(label, sub):
-    bounds = compute_bounds(build_quotient(family, sub), targets)
+    qmdp = build_quotient(family, sub)
+    bounds = compute_bounds(qmdp, targets)
     lo, hi = bounds.lb[family.initial], bounds.ub[family.initial]
     print(f"{label:28s} members={member_count(sub)}  value in [{lo:.3f}, {hi:.3f}]")
-    return bounds
+    return qmdp, bounds
 
 
 root = family.full_subfamily()
-bounds = show("whole family", root)
+qmdp, bounds = show("whole family", root)
 print("  per-state lower bounds:", np.round(bounds.lb, 3))
 
-left, right = split_subfamily(bounds.quotient, bounds.min_scheduler, bounds.max_scheduler)
-bl = show("X fixed to s1", left)
-br = show("X fixed to s2", right)
+# a split reads the schedulers' choices from the quotient the bounds came from
+left, right = split_subfamily(qmdp, bounds.min_scheduler, bounds.max_scheduler)
+show("X fixed to s1", left)
+qr, br = show("X fixed to s2", right)
 
 # refine the undecided half again: now every leaf is a single member
-left2, right2 = split_subfamily(br.quotient, br.min_scheduler, br.max_scheduler)
+left2, right2 = split_subfamily(qr, br.min_scheduler, br.max_scheduler)
 show("X=s2, Y fixed to t", left2)
 show("X=s2, Y fixed to f", right2)
 

@@ -12,9 +12,9 @@ raw choice, the ``(param, value)`` of every template entry, as flat arrays.
 The quotient of a subfamily is a *mask* of root actions, those whose every
 choice lies in the subfamily's domains (:func:`build_quotient`).  Bounds and
 splits take only a quotient, which carries its ``family`` and ``sub``:
-:func:`compute_bounds` solves the quotient it is given, and
-:func:`split_subfamily` splits its ``sub``, reading the schedulers' choices
-from the same arrays.
+:func:`compute_bounds` solves the quotient it is given into plain vectors,
+and :func:`split_subfamily` splits its ``sub``, reading the schedulers'
+choices from the same arrays.
 """
 
 from __future__ import annotations
@@ -42,8 +42,9 @@ class QuotientMdp:
     action ``a`` live in ``ent_target[act_ptr[a]:act_ptr[a+1]]``.  Its raw
     choice lives in ``choice_param`` / ``choice_value`` at
     ``choice_ptr[a]:choice_ptr[a+1]``: per template entry, in template order,
-    the parameter and the value the action gives it.  A quotient built by
-    hand, without a family, may leave the choice arrays out.
+    the parameter and the value the action gives it.  ``n_states`` and
+    ``initial`` are read from ``state_ptr`` and ``family``.  A quotient built
+    by hand, without a family, may leave the choice arrays out.
 
     ``act_state`` (the state of each action), ``ent_act`` and ``ent_source``
     (the action and state of each entry) serve every solve on the quotient;
@@ -52,8 +53,6 @@ class QuotientMdp:
 
     family: Family
     sub: Subfamily
-    initial: int
-    n_states: int
     state_ptr: np.ndarray
     act_ptr: np.ndarray
     ent_target: np.ndarray
@@ -75,36 +74,27 @@ class QuotientMdp:
         if self.ent_source is None:
             object.__setattr__(self, "ent_source", self.act_state[self.ent_act])
 
-    def n_actions(self, s: int) -> int:
-        return int(self.state_ptr[s + 1] - self.state_ptr[s])
+    @property
+    def n_states(self) -> int:
+        return self.state_ptr.size - 1
 
-    def decode_action(self, s: int, action: int) -> dict[int, int]:
-        """Map a local action index back to its parameter-value choice."""
-        if not 0 <= action < self.n_actions(s):
-            raise ValueError(f"action {action} out of range at state {s}")
-        a = int(self.state_ptr[s]) + action
-        c0, c1 = int(self.choice_ptr[a]), int(self.choice_ptr[a + 1])
-        return dict(zip(self.choice_param[c0:c1].tolist(), self.choice_value[c0:c1].tolist()))
-
-    def action_row(self, s: int, action: int) -> tuple[np.ndarray, np.ndarray]:
-        a = int(self.state_ptr[s]) + action
-        e0, e1 = int(self.act_ptr[a]), int(self.act_ptr[a + 1])
-        return self.ent_target[e0:e1], self.ent_prob[e0:e1]
+    @property
+    def initial(self) -> int:
+        return self.family.initial
 
 
 @dataclass(frozen=True, eq=False)
 class BoundsVec:
-    """Per-state reachability bounds valid for every member of ``quotient.sub``.
+    """Per-state reachability bounds valid for every member of a quotient's ``sub``.
 
-    ``lb <= ub`` pointwise up to ``BOUNDS_SLACK``; the schedulers attain the
-    bounds on the quotient.
+    ``lb <= ub`` pointwise up to ``BOUNDS_SLACK``; the schedulers pick one
+    action per state of that quotient and attain the bounds on it.
     """
 
     lb: np.ndarray
     ub: np.ndarray
     min_scheduler: np.ndarray
     max_scheduler: np.ndarray
-    quotient: QuotientMdp
 
 
 def _ptr(lengths) -> np.ndarray:
@@ -160,8 +150,6 @@ def root_quotient(family: Family) -> QuotientMdp:
     return QuotientMdp(
         family=family,
         sub=family.full_subfamily(),
-        initial=family.initial,
-        n_states=family.n_states,
         state_ptr=state_ptr,
         act_ptr=act_ptr,
         ent_target=ent_target,
@@ -205,8 +193,6 @@ def build_quotient(family: Family, sub: Subfamily, root: QuotientMdp | None = No
     return QuotientMdp(
         family=family,
         sub=sub,
-        initial=family.initial,
-        n_states=family.n_states,
         state_ptr=np.searchsorted(act_state, np.arange(family.n_states + 1)),
         act_ptr=_ptr(act_len),
         ent_target=root.ent_target[ent_keep],
@@ -235,13 +221,7 @@ def compute_bounds(qmdp: QuotientMdp, targets: Iterable[int]) -> BoundsVec:
         raise InvalidBoundsError(
             f"upper bound {ub[s]!r} below lower bound {lb[s]!r} at state {s}"
         )
-    return BoundsVec(
-        lb=lb,
-        ub=ub,
-        min_scheduler=min_sched,
-        max_scheduler=max_sched,
-        quotient=qmdp,
-    )
+    return BoundsVec(lb=lb, ub=ub, min_scheduler=min_sched, max_scheduler=max_sched)
 
 
 def _reachable_under(qmdp: QuotientMdp, scheduler: np.ndarray) -> np.ndarray:

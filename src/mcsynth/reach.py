@@ -60,6 +60,11 @@ def solve_memo() -> Iterator[None]:
         memo.clear()
 
 
+def _target_names(targets: frozenset[int], family=None) -> str:
+    """The targets in index order, by state name when ``family`` is given."""
+    return " ".join(str(t) if family is None else family.state_names[t] for t in sorted(targets))
+
+
 @dataclass(frozen=True)
 class Property:
     """Threshold reachability constraint ``P <= t`` (safety) or ``P >= t``."""
@@ -81,11 +86,7 @@ class Property:
         return self.op == "<="
 
     def text(self, family=None) -> str:
-        if family is None:
-            names = " ".join(str(t) for t in sorted(self.targets))
-        else:
-            names = " ".join(family.state_names[t] for t in sorted(self.targets))
-        return f"P{self.op}{self.threshold:g} [F {names}]"
+        return f"P{self.op}{self.threshold:g} [F {_target_names(self.targets, family)}]"
 
 
 @dataclass(frozen=True)
@@ -109,12 +110,8 @@ class Objective:
             raise ValueError(f"epsilon {self.epsilon!r} outside [0, 1)")
 
     def text(self, family=None) -> str:
-        if family is None:
-            names = " ".join(str(t) for t in sorted(self.targets))
-        else:
-            names = " ".join(family.state_names[t] for t in sorted(self.targets))
         suffix = f" eps={self.epsilon:g}" if self.epsilon else ""
-        return f"{self.direction} P [F {names}]{suffix}"
+        return f"{self.direction} P [F {_target_names(self.targets, family)}]{suffix}"
 
 
 @dataclass(frozen=True)

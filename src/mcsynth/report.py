@@ -31,6 +31,10 @@ class CeReportRow:
     minimal_size: int | None = None
 
 
+def _mean(values: list) -> float | None:
+    return sum(values) / len(values) if values else None
+
+
 @dataclass(frozen=True)
 class CeQualityReport:
     mode: str
@@ -39,21 +43,15 @@ class CeQualityReport:
 
     @property
     def mean_ratio(self) -> float | None:
-        if not self.rows:
-            return None
-        return sum(r.ratio for r in self.rows) / len(self.rows)
+        return _mean([r.ratio for r in self.rows])
 
     @property
     def mean_model_checks(self) -> float | None:
-        if not self.rows:
-            return None
-        return sum(r.model_checks for r in self.rows) / len(self.rows)
+        return _mean([r.model_checks for r in self.rows])
 
     @property
     def mean_seconds(self) -> float | None:
-        if not self.rows:
-            return None
-        return sum(r.seconds for r in self.rows) / len(self.rows)
+        return _mean([r.seconds for r in self.rows])
 
     @property
     def mean_minimal_ratio(self) -> float | None:
@@ -112,9 +110,11 @@ def ce_quality_report(
     item = state.queue[0]
     if item.remaining > MEMBER_CAP:
         raise ResourceCapError(f"family has {item.remaining} members, report cap is {MEMBER_CAP}")
-    if mode == "family":
-        item.bounds = _bounds(state, item.sub)
     total = len(item.sub.multi_valued())
+    if not spec.properties:
+        return CeQualityReport(mode=mode, total_params=total, rows=())
+    if mode == "family":
+        item.bounds = _bounds(state, state.root)
 
     rows = []
     for r in iterate_unpruned(item.sub):

@@ -4,10 +4,11 @@ Every method decides the same question: does the family contain a member
 satisfying the specification (optionally: which member is optimal)?  The
 queue starts with the whole family.  Abstraction refinement (AR, ``ar_run``)
 analyses one queued subfamily with quotient bounds and prunes, accepts or
-splits it; its quotients are masks of the family's root quotient, which a
-run builds once (:attr:`HybridState.root`).  CEGIS (``cegis_phase``) checks
-the members of queued subfamilies one at a time and prunes the
-generalization of a conflict for every violated property.  The methods of :func:`synthesize` are settings of that loop:
+splits it; its quotient is a mask of the family's root quotient, which a
+run builds once (:attr:`HybridState.root`), and lives for that step only.
+CEGIS (``cegis_phase``) checks the members of queued subfamilies one at a
+time and prunes the generalization of a conflict for every violated
+property.  The methods of :func:`synthesize` are settings of that loop:
 
 ============  ====  ======================================================
 method        AR    CEGIS
@@ -131,7 +132,7 @@ class HybridState:
 
     @cached_property
     def root(self) -> QuotientMdp:
-        """The family's root quotient, built on first use; every bound masks it."""
+        """The family's root quotient, built on first use; AR steps solve masks of it."""
         return root_quotient(self.family)
 
 
@@ -228,12 +229,11 @@ def _status(prop: Property, bounds: BoundsVec, initial: int) -> str:
     return "open"
 
 
-def _bounds(state: HybridState, sub: Subfamily) -> dict[frozenset[int], BoundsVec]:
-    """Quotient bounds of ``sub`` per target set, all on one mask of the root.
+def _bounds(state: HybridState, qmdp: QuotientMdp) -> dict[frozenset[int], BoundsVec]:
+    """Bounds of ``qmdp.sub`` per target set, all solved on ``qmdp``.
 
     Each target set costs two model checks, a min and a max solve.
     """
-    qmdp = build_quotient(state.family, sub, state.root)
     tsets = _target_sets(state)
     state.stats.model_checks += 2 * len(tsets)
     return {tset: compute_bounds(qmdp, tset) for tset in tsets}
@@ -275,7 +275,9 @@ def ar_run(state: HybridState) -> SynthesisResult | None:
         return None
 
     props = _props_all(state)
-    bounds = _bounds(state, item.sub)
+    # the step's mask of the root dies with the step; the halves keep its bounds
+    qmdp = build_quotient(state.family, item.sub, state.root)
+    bounds = _bounds(state, qmdp)
     statuses = [_status(p, bounds[p.targets], state.family.initial) for p in props]
 
     if any(st == "viol" for st in statuses):
@@ -291,7 +293,7 @@ def ar_run(state: HybridState) -> SynthesisResult | None:
     open_props = [p for p, st in zip(props, statuses) if st == "open"]
     pick = open_props[0] if open_props else props[-1]
     chosen = bounds[pick.targets]
-    left, right = split_subfamily(chosen.quotient, chosen.min_scheduler, chosen.max_scheduler)
+    left, right = split_subfamily(qmdp, chosen.min_scheduler, chosen.max_scheduler)
     for half in (left, right):
         # each half keeps only the cubes that intersect it
         conflicts = [c for c in item.conflicts if cube_pins(c, half) is not None]
@@ -406,7 +408,7 @@ def synthesize(
                 f"family has {root.remaining} members, one-by-one cap is {MEMBER_CAP}"
             )
         if method == "cegis" and bounds == "family":
-            root.bounds = _bounds(state, root.sub)
+            root.bounds = _bounds(state, state.root)
 
         stats = state.stats
         ar_steps = method in ("ar", "hybrid")

@@ -22,7 +22,9 @@ time, the reference for the masked quotients and array splitting of
 chain as one dense system, the reference for the chunked solves of
 :mod:`mcsynth.reach`.  ``lane_family`` loads the benchmark's family shape.
 ``make_family`` builds a family from one ``{param: prob}`` dict per state,
-and ``template`` / ``templates`` read its flat template rows back.
+and ``template`` / ``templates`` read its flat template rows back;
+``n_actions``, ``action_row`` and ``action_choice`` read a quotient state's
+action count and one action's row and raw choice back from the flat arrays.
 """
 
 from __future__ import annotations
@@ -516,13 +518,29 @@ def reference_build_quotient(family: Family, sub: Subfamily) -> QuotientMdp:
     return QuotientMdp(
         family=family,
         sub=sub,
-        initial=family.initial,
-        n_states=family.n_states,
         state_ptr=np.concatenate(([0], np.cumsum(counts))),
         act_ptr=act_ptr,
         ent_target=ent_target,
         ent_prob=ent_prob,
     )
+
+
+def n_actions(qmdp: QuotientMdp, s: int) -> int:
+    return int(qmdp.state_ptr[s + 1] - qmdp.state_ptr[s])
+
+
+def action_row(qmdp: QuotientMdp, s: int, action: int) -> tuple[np.ndarray, np.ndarray]:
+    """Targets and probabilities of local action ``action`` of state ``s``."""
+    a = int(qmdp.state_ptr[s]) + action
+    e0, e1 = int(qmdp.act_ptr[a]), int(qmdp.act_ptr[a + 1])
+    return qmdp.ent_target[e0:e1], qmdp.ent_prob[e0:e1]
+
+
+def action_choice(qmdp: QuotientMdp, s: int, action: int) -> dict[int, int]:
+    """The raw choice of local action ``action`` of state ``s``: parameter to value."""
+    a = int(qmdp.state_ptr[s]) + action
+    c0, c1 = int(qmdp.choice_ptr[a]), int(qmdp.choice_ptr[a + 1])
+    return dict(zip(qmdp.choice_param[c0:c1].tolist(), qmdp.choice_value[c0:c1].tolist()))
 
 
 def reference_decode_action(qmdp: QuotientMdp, s: int, action: int) -> dict[int, int]:
@@ -545,7 +563,7 @@ def _reference_reachable_under(qmdp: QuotientMdp, scheduler: np.ndarray) -> np.n
     queue = deque([qmdp.initial])
     while queue:
         s = queue.popleft()
-        tgt, _ = qmdp.action_row(s, int(scheduler[s]))
+        tgt, _ = action_row(qmdp, s, int(scheduler[s]))
         for t in tgt:
             if not seen[t]:
                 seen[t] = True

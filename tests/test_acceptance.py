@@ -205,7 +205,8 @@ def test_criterion_3_refinement_monotonicity_and_singleton_exactness():
             stack = [family.full_subfamily()]
             while stack:
                 sub = stack.pop()
-                bounds = compute_bounds(build_quotient(family, sub), prop.targets)
+                qmdp = build_quotient(family, sub)
+                bounds = compute_bounds(qmdp, prop.targets)
                 if member_count(sub) == 1:
                     assert (np.abs(bounds.lb - bounds.ub) <= SLACK).all()
                     member = next(iterate_unpruned(sub))
@@ -217,9 +218,7 @@ def test_criterion_3_refinement_monotonicity_and_singleton_exactness():
                     continue
                 if prop.op == ">=" and (lo >= prop.threshold - eta or hi < prop.threshold - eta):
                     continue
-                left, right = split_subfamily(
-                    bounds.quotient, bounds.min_scheduler, bounds.max_scheduler
-                )
+                left, right = split_subfamily(qmdp, bounds.min_scheduler, bounds.max_scheduler)
                 for child in (left, right):
                     child_bounds = compute_bounds(build_quotient(family, child), prop.targets)
                     assert (bounds.lb <= child_bounds.lb + SLACK).all()

@@ -80,6 +80,19 @@ def test_conflict_layer_interface_is_pinned():
     assert fields == ["initial", "row_ptr", "ent_target", "ent_prob"]
 
 
+def test_quotient_layer_interface_is_pinned():
+    # bounds are plain vectors; a split takes the quotient they were solved on
+    fields = [f.name for f in dataclasses.fields(mcsynth.BoundsVec)]
+    assert fields == ["lb", "ub", "min_scheduler", "max_scheduler"]
+    fields = [f.name for f in dataclasses.fields(mcsynth.QuotientMdp) if f.init]
+    assert fields == [
+        "family", "sub", "state_ptr", "act_ptr", "ent_target", "ent_prob",
+        "choice_ptr", "choice_param", "choice_value", "act_state", "ent_act", "ent_source",
+    ]
+    params = list(inspect.signature(mcsynth.split_subfamily).parameters)
+    assert params == ["qmdp", "min_sched", "max_sched"]
+
+
 def test_synth_options_are_pinned():
     parser = _build_parser()
     commands = next(a for a in parser._actions if a.dest == "command")

@@ -26,6 +26,8 @@ from conftest import (
     TOY_R,
     TOY_TARGET,
     _reference_reachable_under,
+    action_choice,
+    action_row,
     chain_row,
     corpus_family,
     goal_index,
@@ -33,6 +35,7 @@ from conftest import (
     make_family,
     make_instance,
     make_mc,
+    n_actions,
     reference_build_quotient,
     reference_decode_action,
     reference_reach,
@@ -99,24 +102,24 @@ def split_key(halves):
 class TestBuildQuotient:
     def test_toy_state_s1_has_two_actions(self, toy4):
         q = build_quotient(toy4, toy4.full_subfamily())
-        assert q.n_actions(1) == 2
-        tgt0, prb0 = q.action_row(1, 0)
-        tgt1, prb1 = q.action_row(1, 1)
+        assert n_actions(q, 1) == 2
+        tgt0, prb0 = action_row(q, 1, 0)
+        tgt1, prb1 = action_row(q, 1, 1)
         # Y=t merges with the loop parameter: [t -> 0.8, f -> 0.2]
         assert list(tgt0) == [3, 4] and np.allclose(prb0, [0.8, 0.2])
         assert list(tgt1) == [3, 4] and np.allclose(prb1, [0.6, 0.4])
 
     def test_toy_state_s0_actions_follow_domain_order(self, toy4):
         q = build_quotient(toy4, toy4.full_subfamily())
-        assert q.n_actions(0) == 2
-        tgt0, prb0 = q.action_row(0, 0)
-        tgt1, prb1 = q.action_row(0, 1)
+        assert n_actions(q, 0) == 2
+        tgt0, prb0 = action_row(q, 0, 0)
+        tgt1, prb1 = action_row(q, 0, 1)
         assert list(tgt0) == [1] and prb0[0] == pytest.approx(1.0)
         assert list(tgt1) == [2] and prb1[0] == pytest.approx(1.0)
 
     def test_action_count_is_domain_product(self, toy4):
         q = build_quotient(toy4, toy4.full_subfamily())
-        assert [q.n_actions(s) for s in range(5)] == [2, 2, 2, 1, 1]
+        assert [n_actions(q, s) for s in range(5)] == [2, 2, 2, 1, 1]
 
     def test_singleton_subfamily_matches_induced_chain(self, toy4):
         for i in range(4):
@@ -124,8 +127,8 @@ class TestBuildQuotient:
             q = build_quotient(toy4, sub)
             mc = induce(toy4, TOY_R[i])
             for s in range(toy4.n_states):
-                assert q.n_actions(s) == 1
-                tgt, prb = q.action_row(s, 0)
+                assert n_actions(q, s) == 1
+                tgt, prb = action_row(q, s, 0)
                 assert tuple(tgt) == tuple(chain_row(mc, s))
                 assert np.allclose(prb, list(chain_row(mc, s).values()))
 
@@ -135,16 +138,16 @@ class TestBuildQuotient:
             mc = induce(toy4, TOY_R[i])
             for s in range(toy4.n_states):
                 rows = [
-                    (tuple(q.action_row(s, a)[0]), tuple(q.action_row(s, a)[1]))
-                    for a in range(q.n_actions(s))
+                    (tuple(action_row(q, s, a)[0]), tuple(action_row(q, s, a)[1]))
+                    for a in range(n_actions(q, s))
                 ]
                 row = chain_row(mc, s)
                 assert (tuple(row), tuple(row.values())) in rows
 
     def test_decode_action_round_trips(self, toy4):
         q = build_quotient(toy4, toy4.full_subfamily())
-        choice0 = q.decode_action(1, 0)
-        choice1 = q.decode_action(1, 1)
+        choice0 = action_choice(q, 1, 0)
+        choice1 = action_choice(q, 1, 1)
         assert choice0[1] == 3 and choice1[1] == 4  # Y = t then Y = f
 
     def test_action_count_cap(self):
@@ -186,7 +189,7 @@ class TestMdpExtreme:
     def _scheduler_chain(q, sched):
         rows = []
         for s in range(q.n_states):
-            tgt, prb = q.action_row(s, int(sched[s]))
+            tgt, prb = action_row(q, s, int(sched[s]))
             rows.append(dict(zip(map(int, tgt), map(float, prb))))
         return make_mc(rows, initial=q.initial)
 
@@ -244,14 +247,13 @@ class TestComputeBounds:
             stack = [fam.full_subfamily()]
             while stack:
                 sub = stack.pop()
-                bounds = compute_bounds(build_quotient(fam, sub), targets)
+                q = build_quotient(fam, sub)
+                bounds = compute_bounds(q, targets)
                 assert (bounds.lb <= bounds.ub + 1e-12).all()
                 if member_count(sub) == 1:
                     assert np.array_equal(bounds.lb, bounds.ub)
                 else:
-                    stack.extend(split_subfamily(
-                        bounds.quotient, bounds.min_scheduler, bounds.max_scheduler
-                    ))
+                    stack.extend(split_subfamily(q, bounds.min_scheduler, bounds.max_scheduler))
 
     def test_crossed_bounds_raise(self, toy4, monkeypatch):
         import mcsynth.quotient as quotient_mod
@@ -271,15 +273,17 @@ class TestComputeBounds:
 class TestSplitSubfamily:
     def test_toy_split_separates_initial_choice(self, toy4):
         sub = toy4.full_subfamily()
-        bounds = compute_bounds(build_quotient(toy4, sub), TOY_TARGET)
-        left, right = split_subfamily(bounds.quotient, bounds.min_scheduler, bounds.max_scheduler)
+        q = build_quotient(toy4, sub)
+        bounds = compute_bounds(q, TOY_TARGET)
+        left, right = split_subfamily(q, bounds.min_scheduler, bounds.max_scheduler)
         assert left.domains[0] == (1,) and right.domains[0] == (2,)
         assert left.domains[1] == right.domains[1] == sub.domains[1]
 
     def test_two_member_subfamily_splits_into_singletons(self, toy4):
         sub = toy4.full_subfamily().restricted(0, (2,))
-        bounds = compute_bounds(build_quotient(toy4, sub), TOY_TARGET)
-        left, right = split_subfamily(bounds.quotient, bounds.min_scheduler, bounds.max_scheduler)
+        q = build_quotient(toy4, sub)
+        bounds = compute_bounds(q, TOY_TARGET)
+        left, right = split_subfamily(q, bounds.min_scheduler, bounds.max_scheduler)
         assert member_count(left) == member_count(right) == 1
 
     def test_consistent_schedulers_fall_back_to_largest_domain(self, toy4):
@@ -294,8 +298,9 @@ class TestSplitSubfamily:
         fam = corpus_family(4)
         sub = fam.full_subfamily()
         targets = {goal_index(fam)}
-        bounds = compute_bounds(build_quotient(fam, sub), targets)
-        left, right = split_subfamily(bounds.quotient, bounds.min_scheduler, bounds.max_scheduler)
+        q = build_quotient(fam, sub)
+        bounds = compute_bounds(q, targets)
+        left, right = split_subfamily(q, bounds.min_scheduler, bounds.max_scheduler)
         assert member_count(left) + member_count(right) == member_count(sub)
         members = {m.values for m in iterate_unpruned(sub)}
         left_members = {m.values for m in iterate_unpruned(left)}
@@ -329,10 +334,9 @@ class TestRefinementProperties:
             fam = corpus_family(i)
             targets = {goal_index(fam)}
             sub = fam.full_subfamily()
-            parent = compute_bounds(build_quotient(fam, sub), targets)
-            left, right = split_subfamily(
-                parent.quotient, parent.min_scheduler, parent.max_scheduler
-            )
+            q = build_quotient(fam, sub)
+            parent = compute_bounds(q, targets)
+            left, right = split_subfamily(q, parent.min_scheduler, parent.max_scheduler)
             for child in (left, right):
                 got = compute_bounds(build_quotient(fam, child), targets)
                 assert (parent.lb <= got.lb + 2e-8).all()
@@ -353,6 +357,17 @@ class TestRootMask:
         # masking a quotient of a containing subfamily gives the same rows
         inner = data.draw(subfamilies(fam, sub))
         assert_bitwise_equal(build_quotient(fam, inner, q), reference_build_quotient(fam, inner))
+
+    def test_root_bounds_equal_full_mask_bounds(self):
+        # whole-family bounds solve the root itself instead of an all-true mask
+        for fam in MASK_FAMILIES + [corpus_family(i) for i in range(0, 50, 5)]:
+            root = root_quotient(fam)
+            full = build_quotient(fam, fam.full_subfamily(), root)
+            targets = {goal_index(fam)}
+            got, want = compute_bounds(root, targets), compute_bounds(full, targets)
+            for name in ("lb", "ub", "min_scheduler", "max_scheduler"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
     def test_root_matches_reference_of_full_family(self):
         for fam in MASK_FAMILIES:
@@ -384,9 +399,10 @@ class TestRootMask:
                 sub = stack.pop()
                 if member_count(sub) < 2:
                     continue
-                bounds = compute_bounds(build_quotient(fam, sub, root), targets)
+                q = build_quotient(fam, sub, root)
+                bounds = compute_bounds(q, targets)
                 scheds = (bounds.min_scheduler, bounds.max_scheduler)
-                got = split_subfamily(bounds.quotient, *scheds)
+                got = split_subfamily(q, *scheds)
                 want = reference_split_subfamily(fam, sub, *scheds)
                 assert split_key(got) == split_key(want)
                 stack.extend(got)
@@ -398,23 +414,24 @@ class TestRootMask:
             stack = [fam.full_subfamily()]
             while stack:
                 sub = stack.pop()
-                bounds = compute_bounds(build_quotient(fam, sub, root), targets)
+                q = build_quotient(fam, sub, root)
+                bounds = compute_bounds(q, targets)
                 scheds = (bounds.min_scheduler, bounds.max_scheduler)
                 for sched in scheds:
-                    got = _reachable_under(bounds.quotient, sched)
-                    assert np.array_equal(got, _reference_reachable_under(bounds.quotient, sched))
+                    got = _reachable_under(q, sched)
+                    assert np.array_equal(got, _reference_reachable_under(q, sched))
                 if member_count(sub) > 1:
-                    stack.extend(split_subfamily(bounds.quotient, *scheds))
+                    stack.extend(split_subfamily(q, *scheds))
 
     def test_decode_action_matches_reference(self):
         for fam in MASK_FAMILIES[:4]:
             sub = fam.full_subfamily().restricted(0, fam.domains[0][-1:])
             q = build_quotient(fam, sub)
             for s in range(q.n_states):
-                for a in range(q.n_actions(s)):
-                    assert q.decode_action(s, a) == reference_decode_action(q, s, a)
-            with pytest.raises(ValueError, match="out of range"):
-                q.decode_action(0, q.n_actions(0))
+                for a in range(n_actions(q, s)):
+                    assert action_choice(q, s, a) == reference_decode_action(q, s, a)
+            # the last action's choice ends the choice arrays
+            assert q.choice_ptr[-1] == q.choice_param.size == q.choice_value.size
 
     def test_root_built_once_per_run(self, monkeypatch):
         import mcsynth.synthesis as synthesis_mod

@@ -177,8 +177,6 @@ def make_mdp(actions) -> QuotientMdp:
     return QuotientMdp(
         family=None,
         sub=None,
-        initial=0,
-        n_states=len(actions),
         state_ptr=np.asarray(state_ptr, dtype=np.int64),
         act_ptr=np.asarray(act_ptr, dtype=np.int64),
         ent_target=np.asarray(tgt, dtype=np.int64),

@@ -116,10 +116,30 @@ class TestCeQualityReport:
         assert runs[0] == runs[1]
         assert runs[0][1]
 
-    def test_objective_only_spec_gives_empty_report(self, toy4):
+    def test_objective_only_spec_gives_empty_report(self, toy4, monkeypatch):
         only = Specification(properties=(), objective=Objective("min", TOY_TARGET))
         for mode in ("family", "trivial"):
             assert ce_quality_report(toy4, only, mode=mode).rows == ()
+        # without a property no member can give a row: none is induced or solved
+        calls = []
+
+        def spy(real):
+            def call(*args):
+                calls.append(real.__name__)
+                return real(*args)
+            return call
+
+        monkeypatch.setattr(mcsynth.synthesis, "induce", spy(mcsynth.synthesis.induce))
+        monkeypatch.setattr(mcsynth.reach, "_solve", spy(mcsynth.reach._solve))
+        wide = generate_benchmark(20, 14, 2, 3)
+        assert member_count(wide.full_subfamily()) == 16384
+        goal = frozenset({wide.state_names.index("goal")})
+        only = Specification(properties=(), objective=Objective(direction="max", targets=goal))
+        for mode in ("family", "trivial"):
+            report = ce_quality_report(wide, only, mode=mode)
+            assert report.rows == ()
+            assert report.total_params == len(wide.full_subfamily().multi_valued())
+        assert calls == []
         big = generate_benchmark(30, 24, 2, 1)
         goal = frozenset({big.state_names.index("goal")})
         only = Specification(properties=(), objective=Objective(direction="max", targets=goal))

@@ -15,7 +15,15 @@ import pytest
 
 from mcsynth import Mc, Realization, Subfamily, build_quotient, induce
 
-from conftest import corpus_family, lane_family, reroute, templates
+from conftest import (
+    action_choice,
+    action_row,
+    corpus_family,
+    lane_family,
+    n_actions,
+    reroute,
+    templates,
+)
 
 
 def chain(ptr, tgt, prob, initial=0) -> Mc:
@@ -209,12 +217,12 @@ class TestQuotientActionOrder:
                 q = build_quotient(fam, sub)
                 base = [dom[0] for dom in sub.domains]
                 for s in range(q.n_states):
-                    for a in range(q.n_actions(s)):
+                    for a in range(n_actions(q, s)):
                         values = list(base)
-                        for k, v in q.decode_action(s, a).items():
+                        for k, v in action_choice(q, s, a).items():
                             values[k] = v
                         mc = induce(fam, Realization(tuple(values)))
-                        tgt, prob = q.action_row(s, a)
+                        tgt, prob = action_row(q, s, a)
                         lo, hi = mc.row_ptr[s], mc.row_ptr[s + 1]
                         assert tgt.tolist() == mc.ent_target[lo:hi].tolist()
                         assert prob.tolist() == mc.ent_prob[lo:hi].tolist()

@@ -1,6 +1,8 @@
 """Drivers: enumeration, CEGIS, abstraction refinement, hybrid, optimal."""
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -111,6 +113,28 @@ class TestAbstractionRefinement:
         assert len(state.queue) == 2
         left, right = state.queue[0].sub, state.queue[1].sub
         assert left.domains[0] == (1,) and right.domains[0] == (2,)
+
+    def test_a_step_keeps_no_quotient_alive(self, toy4, monkeypatch):
+        # the queued halves keep the step's bounds, never its mask of the root
+        built = []
+        real = mcsynth.synthesis.build_quotient
+
+        def spy(family, sub, root=None):
+            qmdp = real(family, sub, root)
+            built.append(weakref.ref(qmdp))
+            return qmdp
+
+        monkeypatch.setattr(mcsynth.synthesis, "build_quotient", spy)
+        window = Specification(properties=(
+            Property(op="<=", threshold=0.3, targets=TOY_TARGET),
+            Property(op=">=", threshold=0.25, targets=TOY_TARGET),
+        ))
+        state = new_state(toy4, window)
+        assert ar_run(state) is None
+        assert len(state.queue) == 2 and all(item.bounds for item in state.queue)
+        gc.collect()
+        assert len(built) == 1
+        assert all(ref() is None for ref in built)
 
     def test_toy_feasible_r3(self, toy4):
         result = synthesize(toy4, SAFE_03, method="ar")
