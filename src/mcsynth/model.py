@@ -28,6 +28,8 @@ PROB_SUM_TOL = 1e-9
 # solved again (see reach._solve).
 SOLVE_CHUNK = 64
 
+Cube = tuple[tuple[int, int], ...]  # (param, value) pins sorted by param, see cube_pins
+
 
 def flat_rows(
     n_rows: int, row: np.ndarray, target: np.ndarray, prob: np.ndarray
@@ -440,25 +442,25 @@ def member_count(sub: Subfamily) -> int:
     return sub._size
 
 
-def cube_pins(entry: Conflict | Realization, sub: Subfamily) -> tuple[tuple[int, int], ...] | None:
+def cube_pins(entry: Conflict | Realization | Cube, sub: Subfamily) -> Cube | None:
     """The cube ``entry`` cuts out of ``sub``, as ``(param, value)`` pins sorted by param.
 
     A conflict pins its parameters to its reference's values, a realization
-    (a checked member) pins all of them.  Pins on single-valued parameters
-    of ``sub`` are dropped, so empty pins cover all of ``sub``.  ``None``
-    means the cube misses ``sub``: a pinned value lies outside its domain.
+    (a checked member) pins all of them, a cube its own pins.  Pins on
+    single-valued parameters of ``sub`` are dropped, so empty pins cover all
+    of ``sub``.  ``None``: the cube misses ``sub``, a pin lies outside it.
     """
     if isinstance(entry, Realization):
-        params, ref = range(len(entry.values)), entry.values
-    else:
-        params, ref = sorted(entry.params), entry.reference.values
+        entry = enumerate(entry.values)
+    elif isinstance(entry, Conflict):
+        entry = [(k, entry.reference.values[k]) for k in sorted(entry.params)]
     pins = []
-    for k in params:
-        dom = sub.domains[k]
-        if ref[k] not in dom:
+    for pin in entry:
+        dom = sub.domains[pin[0]]
+        if pin[1] not in dom:
             return None
         if len(dom) > 1:
-            pins.append((k, ref[k]))
+            pins.append(pin)  # a cube's pins are shared with it, not copied
     return tuple(pins)
 
 
@@ -545,17 +547,17 @@ def _least_open(
 
 
 def iterate_unpruned(
-    sub: Subfamily, conflicts: Sequence[Conflict | Realization] = ()
+    sub: Subfamily, conflicts: Sequence[Conflict | Realization | Cube] = ()
 ) -> Iterator[Realization]:
     """Members of ``sub`` not covered by any entry of ``conflicts``, in lexicographic order.
 
-    Entries are conflicts or checked realizations, each a cube (see
-    :func:`cube_pins`), and are consulted live: entries appended while the
-    generator runs prune the not-yet-yielded remainder.  Each step searches
-    the cubes for the least uncovered member at or after the cursor, so
-    covered members are never visited.  Each step starts with no cube sets
-    remembered as covering (see :func:`_least_open`), since it may see more
-    cubes than the step before.
+    Entries are conflicts, checked realizations or cubes, each read as a
+    cube of ``sub`` (see :func:`cube_pins`), and are consulted live: entries
+    appended while the generator runs prune the not-yet-yielded remainder.
+    Each step searches the cubes for the least uncovered member at or after
+    the cursor, so covered members are never visited.  Each step starts with
+    no cube sets remembered as covering (see :func:`_least_open`), since it
+    may see more cubes than the step before.
     """
     doms = sub.domains
     cubes: list = []
@@ -580,15 +582,15 @@ def iterate_unpruned(
         pos[j] += 1
 
 
-def count_unpruned(sub: Subfamily, conflicts: Sequence[Conflict | Realization] = ()) -> int:
+def count_unpruned(sub: Subfamily, conflicts: Sequence[Conflict | Realization | Cube] = ()) -> int:
     """Exact number of members iterate_unpruned would yield, without walking them.
 
-    Recurses on the lowest parameter a live cube pins: one branch per pinned
-    value, keeping the cubes compatible with it minus that pin, and one
-    shared branch for the unpinned values.  Parameters no live cube pins
-    contribute their domain sizes as one factor, and a residual problem met
-    again in the same count is answered from a memo, so the cost grows with
-    the number of distinct residual cube sets, not with the number of members.
+    Entries are read as cubes of ``sub``, as there.  Recurses on the lowest
+    parameter a live cube pins: one branch per pinned value, keeping the
+    cubes compatible with it minus that pin, and one shared branch for the
+    unpinned values.  Parameters no live cube pins contribute their domain
+    sizes as one factor, and a residual problem met again is answered from
+    a memo, so the cost grows with the distinct residual cube sets, not the members.
     """
     cubes = [c for c in (cube_pins(entry, sub) for entry in conflicts) if c is not None]
     return 0 if () in cubes else _count([len(d) for d in sub.domains], cubes, 0, {})

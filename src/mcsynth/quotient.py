@@ -48,7 +48,7 @@ class QuotientMdp:
 
     ``act_state`` (the state of each action), ``ent_act`` and ``ent_source``
     (the action and state of each entry) serve every solve on the quotient;
-    they are derived from the pointers unless given.
+    they are always derived from the pointers.
     """
 
     family: Family
@@ -60,19 +60,16 @@ class QuotientMdp:
     choice_ptr: np.ndarray | None = field(default=None, repr=False)
     choice_param: np.ndarray | None = field(default=None, repr=False)
     choice_value: np.ndarray | None = field(default=None, repr=False)
-    act_state: np.ndarray | None = field(default=None, repr=False)
-    ent_act: np.ndarray | None = field(default=None, repr=False)
-    ent_source: np.ndarray | None = field(default=None, repr=False)
+    act_state: np.ndarray = field(init=False, repr=False)
+    ent_act: np.ndarray = field(init=False, repr=False)
+    ent_source: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.act_state is None:
-            act_state = np.repeat(np.arange(self.n_states), np.diff(self.state_ptr))
-            object.__setattr__(self, "act_state", act_state)
-        if self.ent_act is None:
-            ent_act = np.repeat(np.arange(self.act_state.size), np.diff(self.act_ptr))
-            object.__setattr__(self, "ent_act", ent_act)
-        if self.ent_source is None:
-            object.__setattr__(self, "ent_source", self.act_state[self.ent_act])
+        act_state = np.repeat(np.arange(self.n_states), np.diff(self.state_ptr))
+        ent_act = np.repeat(np.arange(act_state.size), np.diff(self.act_ptr))
+        object.__setattr__(self, "act_state", act_state)
+        object.__setattr__(self, "ent_act", ent_act)
+        object.__setattr__(self, "ent_source", act_state[ent_act])
 
     @property
     def n_states(self) -> int:
@@ -157,7 +154,6 @@ def root_quotient(family: Family) -> QuotientMdp:
         choice_ptr=choice_ptr,
         choice_param=choice_param,
         choice_value=choice_value,
-        act_state=act_state,
     )
 
 
@@ -200,9 +196,6 @@ def build_quotient(family: Family, sub: Subfamily, root: QuotientMdp | None = No
         choice_ptr=_ptr(choice_len[keep]),
         choice_param=root.choice_param[choice_keep],
         choice_value=root.choice_value[choice_keep],
-        act_state=act_state,
-        ent_act=np.repeat(np.arange(act_state.size), act_len),
-        ent_source=root.ent_source[ent_keep],
     )
 
 

@@ -17,7 +17,7 @@ from .counterexamples import construct_conflict, minimal_conflict_oracle
 from .errors import ResourceCapError
 from .model import Family, Realization, iterate_unpruned
 from .reach import Specification
-from .synthesis import MEMBER_CAP, SynthStats, _bounds, _check, _gamma_for, new_state
+from .synthesis import MEMBER_CAP, SynthStats, _bounds, _check, _gamma_for, _gammas, new_state
 
 
 @dataclass(frozen=True)
@@ -105,7 +105,7 @@ def ce_quality_report(
     """
     if mode not in ("family", "trivial"):
         raise ValueError(f"unknown report mode {mode!r}")
-    state = new_state(family, spec, trivial_bounds=mode == "trivial")
+    state = new_state(family, spec, reroute=mode == "family")
     state.working = None  # no objective: only the properties are checked
     item = state.queue[0]
     if item.remaining > MEMBER_CAP:
@@ -113,8 +113,8 @@ def ce_quality_report(
     total = len(item.sub.multi_valued())
     if not spec.properties:
         return CeQualityReport(mode=mode, total_params=total, rows=())
-    if mode == "family":
-        item.bounds = _bounds(state, state.root)
+    if state.reroute:
+        item.gamma = _gammas(state, _bounds(state, state.root))
 
     rows = []
     for r in iterate_unpruned(item.sub):

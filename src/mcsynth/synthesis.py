@@ -99,19 +99,19 @@ class SynthesisResult:
 class WorkItem:
     """A subfamily on the synthesis queue along with its cube store.
 
-    ``conflicts`` holds conflicts, own or inherited, and in optimal mode the
-    checked members that violated nothing, as realizations (no property
-    excludes them, so they are no conflicts).  ``remaining`` counts the
-    members no entry covers; CEGIS recounts it when its budget stops it
-    inside the subfamily.  ``bounds`` maps target sets to the bounds its
-    conflicts reroute with: its own (the primed root of ``cegis``) or its
-    split parent's, which hold for every member of the half as well.
+    ``cubes`` holds the cubes of its conflicts, own or inherited, and in
+    optimal mode of the checked members that violated nothing.
+    ``remaining`` counts the members no cube covers; CEGIS recounts it when
+    its budget stops it inside the subfamily.  ``gamma`` maps each
+    property's ``(targets, op)`` to the vector its conflicts reroute with,
+    from its own bounds (the primed root of ``cegis``) or its split parent's,
+    which hold for every member of the half too; empty means trivial vectors.
     """
 
     sub: Subfamily
-    conflicts: list = field(default_factory=list)
+    cubes: list = field(default_factory=list)
     remaining: int = 0
-    bounds: dict = field(default_factory=dict)
+    gamma: dict = field(default_factory=dict)
 
 
 @dataclass(eq=False)
@@ -122,7 +122,7 @@ class HybridState:
     spec: Specification
     queue: deque
     stats: SynthStats
-    trivial_bounds: bool = False
+    reroute: bool = False  # conflicts reroute with bounds: split halves keep gamma
     incumbent: SynthesisResult | None = None
     working: Property | None = None
 
@@ -136,7 +136,7 @@ class HybridState:
         return root_quotient(self.family)
 
 
-def new_state(family: Family, spec: Specification, trivial_bounds: bool = False) -> HybridState:
+def new_state(family: Family, spec: Specification, reroute: bool = False) -> HybridState:
     """Fresh synthesis state whose queue holds the whole family."""
     root = family.full_subfamily()
     item = WorkItem(sub=root, remaining=member_count(root))
@@ -145,7 +145,7 @@ def new_state(family: Family, spec: Specification, trivial_bounds: bool = False)
         spec=spec,
         queue=deque([item]),
         stats=SynthStats(),
-        trivial_bounds=trivial_bounds,
+        reroute=reroute,
     )
     obj = spec.objective
     if obj is not None:
@@ -239,18 +239,18 @@ def _bounds(state: HybridState, qmdp: QuotientMdp) -> dict[frozenset[int], Bound
     return {tset: compute_bounds(qmdp, tset) for tset in tsets}
 
 
-def _gamma_for(state: HybridState, item: WorkItem, prop: Property):
-    """Rerouting vector for conflicts in ``item``: its bounds, or trivial.
+def _gammas(state: HybridState, bounds: dict[frozenset[int], BoundsVec]) -> dict:
+    """Rerouting vector per property's ``(targets, op)``: ``lb`` for ``<=``, ``ub`` for ``>=``."""
+    return {
+        (p.targets, p.op): bounds[p.targets].lb if p.op == "<=" else bounds[p.targets].ub
+        for p in _props_all(state)
+    }
 
-    Under ``bounds="family"`` every item :func:`synthesize` hands to CEGIS
-    carries bounds for every target set, the primed root's or its split
-    parent's.  The trivial fallback serves ``bounds="trivial"`` and a direct
-    :func:`cegis_phase` call on an unprimed :func:`new_state`.
-    """
-    bounds = None if state.trivial_bounds else item.bounds.get(prop.targets)
-    if bounds is None:
-        return trivial_gamma(state.family.n_states, prop)
-    return bounds.lb if prop.op == "<=" else bounds.ub
+
+def _gamma_for(state: HybridState, item: WorkItem, prop: Property):
+    """Rerouting vector for conflicts in ``item`` against ``prop``: its gamma, else trivial."""
+    gamma = item.gamma.get((prop.targets, prop.op))
+    return trivial_gamma(state.family.n_states, prop) if gamma is None else gamma
 
 
 def ar_run(state: HybridState) -> SynthesisResult | None:
@@ -268,14 +268,14 @@ def ar_run(state: HybridState) -> SynthesisResult | None:
 
     if state.optimizing and member_count(item.sub) == 1:
         # leaf subfamily: decide the single member directly
-        r = next(iterate_unpruned(item.sub, item.conflicts))
+        r = next(iterate_unpruned(item.sub, item.cubes))
         _mc, values, violated = _check(state, r)
         if not violated:
             _accept(state, r, values)
         return None
 
     props = _props_all(state)
-    # the step's mask of the root dies with the step; the halves keep its bounds
+    # the step's mask of the root and its bounds die with the step
     qmdp = build_quotient(state.family, item.sub, state.root)
     bounds = _bounds(state, qmdp)
     statuses = [_status(p, bounds[p.targets], state.family.initial) for p in props]
@@ -286,7 +286,7 @@ def ar_run(state: HybridState) -> SynthesisResult | None:
 
     if not state.optimizing and all(st == "sat" for st in statuses):
         # the bounds decide; the check only reports the witness's values
-        r = next(iterate_unpruned(item.sub, item.conflicts))
+        r = next(iterate_unpruned(item.sub, item.cubes))
         _mc, values, _violated = _check(state, r)
         return _accept(state, r, values)
 
@@ -294,12 +294,13 @@ def ar_run(state: HybridState) -> SynthesisResult | None:
     pick = open_props[0] if open_props else props[-1]
     chosen = bounds[pick.targets]
     left, right = split_subfamily(qmdp, chosen.min_scheduler, chosen.max_scheduler)
+    gamma = _gammas(state, bounds) if state.reroute else {}
     for half in (left, right):
-        # each half keeps only the cubes that intersect it
-        conflicts = [c for c in item.conflicts if cube_pins(c, half) is not None]
-        remaining = count_unpruned(half, conflicts)
+        # each half keeps only the cubes that intersect it, as cubes of the half
+        cubes = [c for c in (cube_pins(c, half) for c in item.cubes) if c is not None]
+        remaining = count_unpruned(half, cubes)
         if remaining:
-            state.queue.append(WorkItem(half, conflicts, remaining, bounds))
+            state.queue.append(WorkItem(half, cubes, remaining, gamma))
     return None
 
 
@@ -311,13 +312,13 @@ def cegis_phase(
     """Run CEGIS over the queued subfamilies until a verdict or the budget.
 
     Subfamilies are processed FIFO; every violating candidate contributes one
-    conflict per violated property, rerouted with the work item's bounds.  A
-    partially processed subfamily stays at the head of the queue with its
-    conflict store intact.  ``budget`` counts model checks and is checked
-    between candidates, so the last candidate may overshoot it; with a zero
-    budget nothing is examined.  ``conflicts=False`` (enumeration) stores
-    nothing, so it must run without a budget.  Returns the decided result,
-    or ``None``.
+    conflict per violated property, rerouted with the work item's gamma, and
+    the item stores its cube.  A partially processed subfamily stays at the
+    head of the queue with its cube store intact.  ``budget`` counts model
+    checks and is checked between candidates, so the last candidate may
+    overshoot it; with a zero budget nothing is examined.
+    ``conflicts=False`` (enumeration) stores nothing, so it must run without
+    a budget.  Returns the decided result, or ``None``.
     """
     stats = state.stats
     cost0 = stats.model_checks
@@ -329,10 +330,10 @@ def cegis_phase(
         item = state.queue[0]
         rem_start = item.remaining
         checked_here = 0
-        for r in iterate_unpruned(item.sub, item.conflicts):
+        for r in iterate_unpruned(item.sub, item.cubes):
             if over_budget():
                 # stopped inside the subfamily: the store decides what is left
-                item.remaining = count_unpruned(item.sub, item.conflicts)
+                item.remaining = count_unpruned(item.sub, item.cubes)
                 break
             mc, values, violated = _check(state, r)
             checked_here += 1
@@ -342,11 +343,12 @@ def cegis_phase(
                 if result is not None:
                     return result
                 if conflicts:
-                    item.conflicts.append(r)
+                    item.cubes.append(cube_pins(r, item.sub))
             elif conflicts:
                 for p in violated:
                     gamma = _gamma_for(state, item, p)
-                    item.conflicts.append(construct_conflict(mc, p, gamma, item.sub, stats=stats))
+                    conflict = construct_conflict(mc, p, gamma, item.sub, stats=stats)
+                    item.cubes.append(cube_pins(conflict, item.sub))
         else:
             # an exhausted iterator leaves no open member
             item.remaining = 0
@@ -401,14 +403,15 @@ def synthesize(
     if bounds not in ("family", "trivial"):
         raise ValueError(f"unknown bounds mode {bounds!r}")
     with solve_memo():
-        state = new_state(family, spec, trivial_bounds=bounds == "trivial")
+        reroute = bounds == "family" and method in ("cegis", "hybrid")
+        state = new_state(family, spec, reroute=reroute)
         root = state.queue[0]
         if method == "onebyone" and root.remaining > MEMBER_CAP:
             raise ResourceCapError(
                 f"family has {root.remaining} members, one-by-one cap is {MEMBER_CAP}"
             )
-        if method == "cegis" and bounds == "family":
-            root.bounds = _bounds(state, state.root)
+        if method == "cegis" and reroute:
+            root.gamma = _gammas(state, _bounds(state, state.root))
 
         stats = state.stats
         ar_steps = method in ("ar", "hybrid")

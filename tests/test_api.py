@@ -87,7 +87,7 @@ def test_quotient_layer_interface_is_pinned():
     fields = [f.name for f in dataclasses.fields(mcsynth.QuotientMdp) if f.init]
     assert fields == [
         "family", "sub", "state_ptr", "act_ptr", "ent_target", "ent_prob",
-        "choice_ptr", "choice_param", "choice_value", "act_state", "ent_act", "ent_source",
+        "choice_ptr", "choice_param", "choice_value",
     ]
     params = list(inspect.signature(mcsynth.split_subfamily).parameters)
     assert params == ["qmdp", "min_sched", "max_sched"]

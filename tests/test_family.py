@@ -277,7 +277,8 @@ def accounting_cases(draw):
     The subfamily restricts each scope domain as a split does, so conflict
     references may lie outside it on pinned parameters, and its domains may
     be singletons under pins.  Entries are conflicts (any pin set, the empty
-    one included) or checked members as realizations.
+    one included), checked members as realizations, or the cube of either in
+    the scope, as a queued item stores it before a split restricts it.
     """
     m = draw(st.integers(0, 5))
     domains = [sorted(draw(st.sets(st.integers(0, 4), min_size=1, max_size=3))) for _ in range(m)]
@@ -292,7 +293,8 @@ def accounting_cases(draw):
         member,
         st.sets(st.sampled_from(range(m))) if m else st.just(()),
     )
-    entries = st.lists(st.one_of(conflict, conflict, member), max_size=8)
+    cube = st.one_of(conflict, member).map(lambda entry: model.cube_pins(entry, scope))
+    entries = st.lists(st.one_of(conflict, conflict, member, cube), max_size=8)
     return sub, draw(entries), draw(st.lists(entries, max_size=6))
 
 
@@ -327,10 +329,17 @@ def memo_scale_cases(draw):
     return sub, entries[:split], appends
 
 
-def _covered(entry) -> set:
-    if isinstance(entry, Realization):
-        return {entry.values}
-    return {m.values for m in generalization(entry.reference, entry.params, entry.scope)}
+def _covered(entries, sub: Subfamily) -> set:
+    """Members the entries cover; a cube covers the members of ``sub`` agreeing with its pins."""
+    covered = set()
+    for e in entries:
+        if isinstance(e, Realization):
+            covered.add(e.values)
+        elif isinstance(e, Conflict):
+            covered |= {m.values for m in generalization(e.reference, e.params, e.scope)}
+        else:
+            covered |= {m for m in itertools.product(*sub.domains) if all(m[k] == v for k, v in e)}
+    return covered
 
 
 class TestAccountingAgainstBruteForce:
@@ -347,7 +356,7 @@ class TestAccountingAgainstBruteForce:
     @given(accounting_cases())
     def test_static_store(self, case):
         sub, entries, _appends = case
-        covered = set().union(*map(_covered, entries))
+        covered = _covered(entries, sub)
         expected = [r for r in itertools.product(*sub.domains) if r not in covered]
         assert [r.values for r in iterate_unpruned(sub, entries)] == expected
         assert count_unpruned(sub, entries) == len(expected)
@@ -357,11 +366,11 @@ class TestAccountingAgainstBruteForce:
     def test_entries_appended_while_iterating(self, case):
         sub, entries, appends = case
         after_yield = dict(enumerate(appends, start=1))  # yields so far -> entries appended
-        covered, expected = set().union(*map(_covered, entries)), []
+        covered, expected = _covered(entries, sub), []
         for r in itertools.product(*sub.domains):
             if r not in covered:
                 expected.append(r)
-                covered |= set().union(*map(_covered, after_yield.get(len(expected), ())))
+                covered |= _covered(after_yield.get(len(expected), ()), sub)
         store, got = list(entries), []
         for r in iterate_unpruned(sub, store):
             got.append(r.values)
@@ -374,12 +383,12 @@ class TestAccountingAgainstBruteForce:
         sub, entries, appends = case
         after_yield = dict(enumerate(appends, start=1))  # yields so far -> entries appended
         members = list(itertools.product(*sub.domains))
-        initial = set().union(*map(_covered, entries))
+        initial = _covered(entries, sub)
         covered, expected = set(initial), []
         for r in members:
             if r not in covered:
                 expected.append(r)
-                covered |= set().union(*map(_covered, after_yield.get(len(expected), ())))
+                covered |= _covered(after_yield.get(len(expected), ()), sub)
         store, got = list(entries), []
         for r in iterate_unpruned(sub, store):
             got.append(r.values)

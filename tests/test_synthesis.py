@@ -9,8 +9,8 @@ import pytest
 
 import mcsynth.counterexamples
 import mcsynth.synthesis
+from mcsynth import model
 from mcsynth import (
-    Conflict,
     Objective,
     Property,
     Realization,
@@ -92,15 +92,15 @@ class TestCegis:
     def test_conflicts_never_cover_satisfying_members(self, toy4):
         state = new_state(toy4, SAFE_03)
         remaining = state.queue[0]
-        remaining.bounds = {
-            TOY_TARGET: compute_bounds(build_quotient(toy4, remaining.sub), TOY_TARGET)
-        }
+        bounds = compute_bounds(build_quotient(toy4, remaining.sub), TOY_TARGET)
+        remaining.gamma = {(TOY_TARGET, "<="): bounds.lb}
         result = cegis_phase(state)
         assert result.verdict == "feasible"
         prop = SAFE_03.properties[0]
-        for conflict in remaining.conflicts:
-            for m in generalization(conflict.reference, conflict.params, conflict.scope):
-                value = reference_reach(induce(toy4, m), prop.targets)[toy4.initial]
+        assert remaining.cubes
+        for cube in remaining.cubes:
+            for m in _cube_members(remaining.sub, cube):
+                value = reference_reach(induce(toy4, Realization(m)), prop.targets)[toy4.initial]
                 assert not evaluate_property(value, prop)
 
 
@@ -115,7 +115,7 @@ class TestAbstractionRefinement:
         assert left.domains[0] == (1,) and right.domains[0] == (2,)
 
     def test_a_step_keeps_no_quotient_alive(self, toy4, monkeypatch):
-        # the queued halves keep the step's bounds, never its mask of the root
+        # the queued halves keep the step's gamma vectors, never its mask of the root
         built = []
         real = mcsynth.synthesis.build_quotient
 
@@ -129,9 +129,9 @@ class TestAbstractionRefinement:
             Property(op="<=", threshold=0.3, targets=TOY_TARGET),
             Property(op=">=", threshold=0.25, targets=TOY_TARGET),
         ))
-        state = new_state(toy4, window)
+        state = new_state(toy4, window, reroute=True)
         assert ar_run(state) is None
-        assert len(state.queue) == 2 and all(item.bounds for item in state.queue)
+        assert len(state.queue) == 2 and all(item.gamma for item in state.queue)
         gc.collect()
         assert len(built) == 1
         assert all(ref() is None for ref in built)
@@ -317,21 +317,21 @@ class TestOptimal:
             assert result.optimum == pytest.approx(brute, abs=1e-6)
 
 
-def _assert_store_exact(state, item, checked):
-    """``remaining`` equals a brute-force count, and no conflict covers a candidate.
+def _cube_members(sub, cube) -> set:
+    """Members of ``sub`` agreeing with the ``(param, value)`` pins of ``cube``, by brute force."""
+    return {m for m in itertools.product(*sub.domains) if all(m[k] == v for k, v in cube)}
+
+
+def _assert_store_exact(state, item, checked, conflicts):
+    """``remaining`` equals a brute-force count, and no conflict cube covers a candidate.
 
     Open members are those of the item's subfamily that were never checked
-    and that no stored conflict covers.  A candidate satisfies the base
-    properties and the final working threshold.  Every stored entry must
-    intersect the subfamily.
+    and that no stored conflict cube covers.  A candidate satisfies the base
+    properties and the final working threshold.  Every stored cube is a cube
+    of the subfamily: the cube of one of ``conflicts`` (every conflict built
+    so far), or of a checked member that satisfies every base property.
+    Returns the number of stored cubes of each kind.
     """
-    covered = set()
-    for c in (e for e in item.conflicts if isinstance(e, Conflict)):
-        assert all(c.reference.values[k] in item.sub.domains[k] for k in c.params)
-        covered |= {m.values for m in generalization(c.reference, c.params, c.scope)}
-    members = set(itertools.product(*item.sub.domains))
-    assert item.remaining == len(members - covered - checked)
-    props = list(state.spec.properties) + [state.working]
 
     def satisfies(values, props):
         mc = induce(state.family, Realization(values))
@@ -340,11 +340,26 @@ def _assert_store_exact(state, item, checked):
             for p in props
         )
 
+    conflict_cubes = {model.cube_pins(c, item.sub): c for c in conflicts}
+    members = set(itertools.product(*item.sub.domains))
+    covered, kinds = set(), {"conflict": 0, "member": 0}
+    for cube in item.cubes:
+        assert model.cube_pins(cube, item.sub) == cube
+        if cube in conflict_cubes:
+            c = conflict_cubes[cube]
+            general = {m.values for m in generalization(c.reference, c.params, c.scope)}
+            assert _cube_members(item.sub, cube) == general & members
+            covered |= general & members
+            kinds["conflict"] += 1
+        else:
+            (member,) = _cube_members(item.sub, cube)
+            assert member in checked
+            assert satisfies(member, state.spec.properties)
+            kinds["member"] += 1
+    assert item.remaining == len(members - covered - checked)
+    props = list(state.spec.properties) + [state.working]
     assert not any(satisfies(m, props) for m in covered)
-    for entry in item.conflicts:
-        if isinstance(entry, Realization):
-            assert entry.values in checked & members
-            assert satisfies(entry.values, state.spec.properties)
+    return kinds
 
 
 class TestCubeStore:
@@ -374,28 +389,96 @@ class TestCubeStore:
         fam, spec, _values = make_instance(3, "mixed")
         objective = Objective(direction=direction, targets=spec.properties[0].targets)
         opt_spec = Specification(properties=spec.properties, objective=objective)
-        checked = set()
+        checked, conflicts = set(), []
         real_induce = mcsynth.synthesis.induce
+        real_construct = mcsynth.synthesis.construct_conflict
 
         def spy(family, r):
             checked.add(r.values)
             return real_induce(family, r)
 
+        def construct(*args, **kwargs):
+            conflicts.append(real_construct(*args, **kwargs))
+            return conflicts[-1]
+
         monkeypatch.setattr(mcsynth.synthesis, "induce", spy)
+        monkeypatch.setattr(mcsynth.synthesis, "construct_conflict", construct)
         state = new_state(fam, opt_spec)
         result = cegis_phase(state, budget=11)
         assert result is None
         item = state.queue[0]
-        kinds = {type(e) for e in item.conflicts}
-        assert kinds == {Conflict, Realization}
-        _assert_store_exact(state, item, checked)
+        kinds = _assert_store_exact(state, item, checked, conflicts)
+        assert kinds["conflict"] and kinds["member"]
 
         queued = len(state.queue)
         result = ar_run(state)
         assert result is None and len(state.queue) == queued + 1
         for child in list(state.queue)[-2:]:
-            assert child.conflicts
-            _assert_store_exact(state, child, checked)
+            assert child.cubes
+            _assert_store_exact(state, child, checked, conflicts)
+
+    def test_no_checked_member_outlives_its_check(self, monkeypatch):
+        # the store keeps cubes, so conflicts and members die with their check
+        checked = []
+        real_check = mcsynth.synthesis._check
+
+        def spy(state, r):
+            checked.append(weakref.ref(r))
+            return real_check(state, r)
+
+        monkeypatch.setattr(mcsynth.synthesis, "_check", spy)
+        fam, spec, _values = make_instance(3, "mixed")
+        objective = Objective(direction="max", targets=spec.properties[0].targets)
+        state = new_state(fam, Specification(properties=spec.properties, objective=objective))
+        assert cegis_phase(state, budget=11) is None
+        assert ar_run(state) is None
+        gc.collect()
+        assert len(checked) > 1 and state.incumbent is not None
+        alive = [ref() for ref in checked if ref() is not None]
+        assert all(r is state.incumbent.realization for r in alive)
+
+    @pytest.mark.parametrize(
+        "method, bounds", [("ar", "family"), ("hybrid", "trivial"), ("hybrid", "family")]
+    )
+    @pytest.mark.parametrize("kind", ["window", "optimal"])
+    def test_a_queued_half_keeps_only_its_gamma_vectors(self, kind, method, bounds, monkeypatch):
+        """Halves store one parent vector per property, ``lb`` for ``<=``, ``ub`` for ``>=``.
+
+        Only a hybrid that reroutes with family bounds stores any.
+        """
+        family, spec = lane_task(kind, 40, 6, 0.6)
+        parent, queued = {}, []
+        real_bounds = mcsynth.synthesis.compute_bounds
+        real_item = mcsynth.synthesis.WorkItem
+
+        def bounds_spy(qmdp, targets):
+            parent[frozenset(targets)] = real_bounds(qmdp, targets)
+            return parent[frozenset(targets)]
+
+        def item_spy(*args, **kwargs):
+            item = real_item(*args, **kwargs)
+            # the split parent's bounds are the last ones solved before its halves
+            queued.append((item, dict(parent)))
+            return item
+
+        monkeypatch.setattr(mcsynth.synthesis, "compute_bounds", bounds_spy)
+        monkeypatch.setattr(mcsynth.synthesis, "WorkItem", item_spy)
+        synthesize(family, spec, method=method, bounds=bounds)
+        halves = queued[1:]  # the first item is the whole family
+        assert halves
+        keys = {(p.targets, p.op) for p in spec.properties}
+        obj = spec.objective
+        if obj is not None:  # the working property: P<= for min, P>= for max
+            keys.add((obj.targets, "<=" if obj.direction == "min" else ">="))
+        for item, bounds_of_parent in halves:
+            if (method, bounds) != ("hybrid", "family"):
+                assert item.gamma == {}
+                continue
+            assert set(item.gamma) == keys
+            for (targets, op), gamma in item.gamma.items():
+                want = bounds_of_parent[targets]
+                want = want.lb if op == "<=" else want.ub
+                assert gamma.dtype == want.dtype and gamma.tobytes() == want.tobytes()
 
 
 class TestOptions:
