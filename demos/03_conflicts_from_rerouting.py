@@ -5,7 +5,8 @@ pinned to the value a bound vector gives it, as if it jumped straight to a
 fresh target with that probability.  With the family's lower bounds the
 violation shows after expanding just the initial state, so only X is relevant
 and both members agreeing on X are pruned at once.  With the trivial all-zeros
-vector the whole path must be expanded and nothing generalizes.
+vector the whole path must be expanded and nothing generalizes.  A conflict
+is a cube: the member's values on the relevant parameters.
 """
 
 from pathlib import Path
@@ -32,8 +33,8 @@ r0 = next(iterate_unpruned(scope))
 bounds = compute_bounds(build_quotient(family, scope), prop.targets)
 
 
-def name(conflict):
-    return "{" + ", ".join(sorted(family.param_names[k] for k in conflict.params)) + "}"
+def name(cube):
+    return "{" + ", ".join(family.param_names[k] for k, _value in cube) + "}"
 
 
 for label, gamma in [
@@ -42,7 +43,7 @@ for label, gamma in [
 ]:
     stats = SynthStats()
     conflict = construct_conflict(induce(family, r0), prop, gamma, scope, stats=stats)
-    pruned = generalization(r0, conflict.params, scope)
+    pruned = generalization(conflict, scope)
     print(
         f"gamma = {label}: conflict {name(conflict)} "
         f"({stats.model_checks} checks, prunes {len(pruned)} member(s))"

@@ -18,7 +18,6 @@ from .errors import (
     SketchError,
 )
 from .model import (
-    Conflict,
     Family,
     Mc,
     Realization,
@@ -54,7 +53,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BoundsVec",
     "CeQualityReport",
-    "Conflict",
     "DECISION_ETA",
     "Family",
     "InvalidBoundsError",

@@ -6,7 +6,8 @@ all relevant (the expanded states) keep their concrete behaviour; every
 other state is pinned to the value a bound vector gamma gives it, as if it
 were rerouted to a fresh target with that probability, and only the expanded
 states are solved for.  If the member violates the property even so, every
-member that agrees with it on the relevant parameters does too.  Expansion
+member that agrees with it on the relevant parameters does too, and the
+conflict is the cube pinning them to the member's values.  Expansion
 is greedy: always the horizon state with the fewest not-yet-relevant
 parameters.  That order reads the member's rows and templates but no value,
 so it is planned whole up front, and a bisection over its ``K + 1`` steps
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import ResourceCapError
 from .model import (
-    Conflict,
+    Cube,
     Family,
     Mc,
     Realization,
@@ -109,15 +110,16 @@ def construct_conflict(
     gamma: Sequence[float],
     scope: Subfamily,
     stats: SynthStats | None = None,
-) -> Conflict:
+) -> Cube:
     """Greedy conflict for a member violating ``prop``, on its checked chain ``mc``.
 
-    ``mc`` comes from :func:`~mcsynth.model.induce`; its realization is the
-    conflict's reference.  ``gamma`` must lower-bound (safety) or upper-bound
-    (liveness) the reachability value of every member of ``scope`` at every
-    state; the bounds of ``scope`` itself or the trivial all-zeros / all-ones
-    vector qualify.  Every member of the returned conflict's generalization
-    within ``scope`` violates ``prop``.
+    ``mc`` comes from :func:`~mcsynth.model.induce`.  The conflict is a cube
+    of ``scope``: it pins the relevant parameters, all multi-valued in
+    ``scope`` and sorted by param, to the values of the chain's realization.
+    ``gamma`` must lower-bound (safety) or upper-bound (liveness) the
+    reachability value of every member of ``scope`` at every state; the
+    bounds of ``scope`` itself or the trivial all-zeros / all-ones vector
+    qualify.  Every member of ``scope`` the cube covers violates ``prop``.
 
     Step ``i`` checks the member with every state outside the expansion of
     the first ``i`` steps pinned to its ``gamma`` value.  A bisection over
@@ -152,7 +154,7 @@ def construct_conflict(
             lo = mid + 1
     if not confirmed and not violates(hi):
         raise ValueError("member satisfies the property, no conflict exists")
-    return Conflict(params=rels[hi], reference=r, scope=scope)
+    return tuple((k, r.values[k]) for k in sorted(rels[hi]))
 
 
 def trivial_gamma(n_states: int, prop: Property) -> np.ndarray:
@@ -165,11 +167,12 @@ def minimal_conflict_oracle(
     r: Realization,
     prop: Property,
     scope: Subfamily,
-) -> Conflict:
-    """Minimum-cardinality conflict by exhaustive subset search.
+) -> Cube:
+    """Minimum-cardinality conflict cube by exhaustive subset search.
 
-    Enumerates parameter subsets by increasing size (lexicographic within a
-    size) and certifies each candidate by model checking every member of its
+    Enumerates the subsets of ``scope``'s multi-valued parameters by
+    increasing size (lexicographic within a size), pins each to ``r``'s
+    values, and certifies the cube by model checking every member of its
     generalization with :func:`~mcsynth.reach.mc_reach`; no rerouting or
     bound vector is involved, so the greedy conflicts of
     :func:`construct_conflict` can be measured against it.  Desk scale only.
@@ -197,6 +200,7 @@ def minimal_conflict_oracle(
 
     for size in range(len(multi) + 1):
         for subset in itertools.combinations(multi, size):
-            if all(violates(member) for member in generalization(r, subset, scope)):
-                return Conflict(params=frozenset(subset), reference=r, scope=scope)
+            cube = tuple((k, r.values[k]) for k in subset)
+            if all(violates(member) for member in generalization(cube, scope)):
+                return cube
     raise ValueError("member satisfies the property, no conflict exists")

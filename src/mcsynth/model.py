@@ -1,4 +1,4 @@
-"""Core data model: chains, families, realizations, subfamilies, conflicts.
+"""Core data model: chains, families, realizations, subfamilies, cubes.
 
 States and parameters are interned to dense integer indices; every type here
 is immutable after construction and safe to share between threads.  Human
@@ -16,7 +16,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -370,21 +370,6 @@ class Subfamily:
         return f"Subfamily({self.domains!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class Conflict:
-    """Relevant parameters plus the realization they were derived from.
-
-    Every realization in ``scope`` agreeing with ``reference`` on ``params``
-    violates the property the conflict was built for.  ``params`` never
-    contains a parameter whose restricted domain in ``scope`` is a singleton;
-    such parameters cannot constrain the generalization.
-    """
-
-    params: frozenset[int]
-    reference: Realization
-    scope: Subfamily
-
-
 def validate_realization(family: Family, r: Realization) -> None:
     """Raise ``ValueError`` unless ``r`` is a total, in-domain assignment."""
     if len(r.values) != family.n_params:
@@ -419,21 +404,18 @@ def induce(family: Family, r: Realization) -> Mc:
     return mc
 
 
-def generalization(r: Realization, params: Iterable[int], scope: Subfamily) -> list[Realization]:
-    """All members of ``scope`` that agree with ``r`` on ``params``.
+def generalization(cube: Cube, scope: Subfamily) -> list[Realization]:
+    """All members of ``scope`` that agree with ``cube``'s pins, in lexicographic order.
 
-    The result is in lexicographic order (parameter index, then domain-value
-    order) and always contains ``r`` itself.
+    The cube is checked as :func:`cube_pins` checks it; one that misses
+    ``scope`` raises ``ValueError``.
     """
-    pinned = set(params)
-    if not realization_in(scope, r):
-        raise ValueError("reference realization lies outside the scope")
-    if any(not 0 <= k < len(scope.domains) for k in pinned):
-        raise ValueError("conflict parameter index out of range")
-    doms = [
-        (r.values[k],) if k in pinned else scope.domains[k]
-        for k in range(len(scope.domains))
-    ]
+    pins = cube_pins(cube, scope)
+    if pins is None:
+        raise ValueError("cube pins a value outside the scope")
+    doms = list(scope.domains)
+    for k, v in pins:
+        doms[k] = (v,)
     return [Realization(values) for values in itertools.product(*doms)]
 
 
@@ -442,21 +424,28 @@ def member_count(sub: Subfamily) -> int:
     return sub._size
 
 
-def cube_pins(entry: Conflict | Realization | Cube, sub: Subfamily) -> Cube | None:
+def cube_pins(entry: Realization | Cube, sub: Subfamily) -> Cube | None:
     """The cube ``entry`` cuts out of ``sub``, as ``(param, value)`` pins sorted by param.
 
-    A conflict pins its parameters to its reference's values, a realization
-    (a checked member) pins all of them, a cube its own pins.  Pins on
-    single-valued parameters of ``sub`` are dropped, so empty pins cover all
-    of ``sub``.  ``None``: the cube misses ``sub``, a pin lies outside it.
+    A realization (a checked member) pins every parameter, a cube its own
+    pins.  Pins on single-valued parameters of ``sub`` are dropped, so empty
+    pins cover all of ``sub``.  ``None``: the cube misses ``sub``, a pin
+    lies outside it.  ``ValueError``: a realization does not assign every
+    parameter, or a pin's param is out of range or not above the one
+    before (pins after a miss are not read).
     """
+    n = len(sub.domains)
     if isinstance(entry, Realization):
+        if len(entry.values) != n:
+            raise ValueError(f"realization assigns {len(entry.values)} parameters, subfamily has {n}")
         entry = enumerate(entry.values)
-    elif isinstance(entry, Conflict):
-        entry = [(k, entry.reference.values[k]) for k in sorted(entry.params)]
     pins = []
+    last = -1
     for pin in entry:
-        dom = sub.domains[pin[0]]
+        if not last < pin[0] < n:
+            raise ValueError(f"cube pin on parameter {pin[0]} is out of range or order")
+        last = pin[0]
+        dom = sub.domains[last]
         if pin[1] not in dom:
             return None
         if len(dom) > 1:
@@ -547,11 +536,11 @@ def _least_open(
 
 
 def iterate_unpruned(
-    sub: Subfamily, conflicts: Sequence[Conflict | Realization | Cube] = ()
+    sub: Subfamily, conflicts: Sequence[Realization | Cube] = ()
 ) -> Iterator[Realization]:
     """Members of ``sub`` not covered by any entry of ``conflicts``, in lexicographic order.
 
-    Entries are conflicts, checked realizations or cubes, each read as a
+    Entries are conflict cubes or checked realizations, each read as a
     cube of ``sub`` (see :func:`cube_pins`), and are consulted live: entries
     appended while the generator runs prune the not-yet-yielded remainder.
     Each step searches the cubes for the least uncovered member at or after
@@ -582,7 +571,7 @@ def iterate_unpruned(
         pos[j] += 1
 
 
-def count_unpruned(sub: Subfamily, conflicts: Sequence[Conflict | Realization | Cube] = ()) -> int:
+def count_unpruned(sub: Subfamily, conflicts: Sequence[Realization | Cube] = ()) -> int:
     """Exact number of members iterate_unpruned would yield, without walking them.
 
     Entries are read as cubes of ``sub``, as there.  Recurses on the lowest

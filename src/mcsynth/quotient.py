@@ -244,6 +244,8 @@ def split_subfamily(
         raise ValueError("cannot split a singleton subfamily")
     first, n_acts = qmdp.state_ptr[:-1], np.diff(qmdp.state_ptr)
     for sched in (min_sched, max_sched):
+        if sched.shape != (qmdp.n_states,):
+            raise ValueError(f"scheduler has shape {sched.shape}, expected ({qmdp.n_states},)")
         bad = np.flatnonzero((sched < 0) | (sched >= n_acts))
         if bad.size:
             s = int(bad[0])

@@ -129,13 +129,13 @@ def ce_quality_report(
             minimal_size = None
             if include_minimal:
                 minimal = minimal_conflict_oracle(family, r, prop, item.sub)
-                minimal_size = len(minimal.params)
+                minimal_size = len(minimal)
             rows.append(
                 CeReportRow(
                     realization=r,
                     property_index=idx,
-                    conflict_size=len(conflict.params),
-                    ratio=len(conflict.params) / total if total else 0.0,
+                    conflict_size=len(conflict),
+                    ratio=len(conflict) / total if total else 0.0,
                     model_checks=stats.model_checks,
                     seconds=elapsed,
                     minimal_size=minimal_size,

@@ -312,9 +312,9 @@ def cegis_phase(
     """Run CEGIS over the queued subfamilies until a verdict or the budget.
 
     Subfamilies are processed FIFO; every violating candidate contributes one
-    conflict per violated property, rerouted with the work item's gamma, and
-    the item stores its cube.  A partially processed subfamily stays at the
-    head of the queue with its cube store intact.  ``budget`` counts model
+    conflict cube per violated property, rerouted with the work item's gamma,
+    and the item stores it as built.  A partially processed subfamily stays at
+    the head of the queue with its cube store intact.  ``budget`` counts model
     checks and is checked between candidates, so the last candidate may
     overshoot it; with a zero budget nothing is examined.
     ``conflicts=False`` (enumeration) stores nothing, so it must run without
@@ -347,8 +347,7 @@ def cegis_phase(
             elif conflicts:
                 for p in violated:
                     gamma = _gamma_for(state, item, p)
-                    conflict = construct_conflict(mc, p, gamma, item.sub, stats=stats)
-                    item.cubes.append(cube_pins(conflict, item.sub))
+                    item.cubes.append(construct_conflict(mc, p, gamma, item.sub, stats=stats))
         else:
             # an exhausted iterator leaves no open member
             item.remaining = 0

@@ -10,8 +10,10 @@ always produced by exhaustive enumeration with ``reference_reach``, a dense
 linear solve over the whole chain with its own target check and backward
 search, which calls nothing in :mod:`mcsynth.reach`, so the oracles stay
 independent of the solvers under test.  ``reference_conflict`` and its
-helpers build conflicts on explicitly rerouted chains by a linear scan over
-``greedy_steps``, the reference for the bisected ``construct_conflict``;
+helpers build conflict cubes on explicitly rerouted chains by a linear scan
+over ``greedy_steps``, the reference for the bisected ``construct_conflict``;
+``cube_of`` pins a realization's values on a parameter set and ``pinned``
+reads a cube's parameters back;
 ``reference_pinned_reach`` runs the prob-0 search of a pinned solve
 backward from every root over the whole chain, the reference for the search
 over unpinned states in ``mc_reach``, pinned or not;
@@ -44,7 +46,6 @@ import numpy as np
 import pytest
 
 from mcsynth import (
-    Conflict,
     Family,
     InvalidBoundsError,
     Mc,
@@ -63,7 +64,7 @@ from mcsynth import (
 )
 import mcsynth.reach as reach
 from mcsynth.errors import ResourceCapError
-from mcsynth.model import flat_rows, member_count, realization_in
+from mcsynth.model import Cube, flat_rows, member_count, realization_in
 from mcsynth.quotient import ACTION_CAP, QuotientMdp
 
 TOY4_TEXT = """
@@ -400,6 +401,16 @@ def rerouted_value(
     return float(mc_reach(rerouted, set(prop.targets) | {mc.n_states})[mc.initial])
 
 
+def cube_of(r: Realization, params: Iterable[int]) -> Cube:
+    """The cube pinning ``params`` to the values of ``r``, sorted by param."""
+    return tuple((k, r.values[k]) for k in sorted(params))
+
+
+def pinned(cube: Cube) -> frozenset[int]:
+    """The parameters a cube pins."""
+    return frozenset(k for k, _v in cube)
+
+
 def reference_conflict(
     family: Family,
     r: Realization,
@@ -407,18 +418,19 @@ def reference_conflict(
     gamma: Sequence[float],
     scope: Subfamily,
     stats: SynthStats | None = None,
-) -> Conflict:
+) -> Cube:
     """The greedy conflict loop as rerouting defines it (reference for ``construct_conflict``).
 
     A linear scan: every step of :func:`greedy_steps`, in order, builds the
-    rerouted chain and solves it whole with the two sinks, and the first
-    violating step is the conflict.  With a sound ``gamma``,
-    :func:`mcsynth.construct_conflict` must return the same conflict.
+    rerouted chain and solves it whole with the two sinks, and the cube of
+    ``r`` on the relevant parameters of the first violating step is the
+    conflict.  With a sound ``gamma``, :func:`mcsynth.construct_conflict`
+    must return the same cube.
 
     ``gamma`` must lower-bound (safety) or upper-bound (liveness) the
     reachability value of every member of ``scope`` at every state; the
     bounds of ``scope`` itself or the trivial all-zeros / all-ones vector
-    qualify.  Every member of the returned conflict's generalization within
+    qualify.  Every member of the returned cube's generalization within
     ``scope`` violates ``prop``.
     """
     if not realization_in(scope, r):
@@ -428,7 +440,7 @@ def reference_conflict(
         if stats is not None:
             stats.model_checks += 1
         if not evaluate_property(value, prop):
-            return Conflict(params=rel, reference=r, scope=scope)
+            return cube_of(r, rel)
     # The last step expanded everything reachable, so it saw the real chain.
     # Satisfaction means either the caller passed a satisfying member or
     # gamma disagrees with direct checking.

@@ -41,6 +41,7 @@ from conftest import (
     TOY_TARGET,
     _gap_threshold,
     corpus_family,
+    cube_of,
     enumerate_values,
     goal_index,
     make_instance,
@@ -81,7 +82,7 @@ def golden_runs(toy4):
     with_trivial = construct_conflict(
         induce(toy4, TOY_R[0]), prop, trivial_gamma(toy4.n_states, prop), scope, stats=stats_trivial
     )
-    gen = generalization(TOY_R[0], with_bounds.params, scope)
+    gen = generalization(with_bounds, scope)
     verdict = synthesize(toy4, Specification(properties=(prop,)), method="hybrid")
     elapsed = time.perf_counter() - start
     budgets = [
@@ -160,8 +161,8 @@ def test_criterion_1_golden_example(toy4, golden_runs):
         for i, expected in {0: 0.8, 1: 0.6, 2: 0.4, 3: 0.2}.items():
             assert g["values"][i] == pytest.approx(expected, abs=1e-6)
         assert np.allclose(g["lb"], [0.2, 0.6, 0.2, 1.0, 0.0], atol=1e-6)
-        assert g["with_bounds"].params == frozenset({0})
-        assert g["with_trivial"].params == frozenset({0, 1})
+        assert g["with_bounds"] == cube_of(TOY_R[0], {0})
+        assert g["with_trivial"] == cube_of(TOY_R[0], {0, 1})
         assert [m.values for m in g["generalization"]] == [
             TOY_R[0].values,
             TOY_R[1].values,
@@ -231,7 +232,8 @@ def test_criterion_4_conflict_validity(conflict_validity_runs):
         assert len(conflict_validity_runs) == 100
         for run in conflict_validity_runs:
             conflict, prop = run["conflict"], run["prop"]
-            members = generalization(run["reference"], conflict.params, run["scope"])
+            members = generalization(conflict, run["scope"])
+            assert run["reference"] in members
             for m in members:
                 value = run["values"][m.values]
                 assert not evaluate_property(value, prop), "satisfying member pruned"

@@ -37,10 +37,12 @@ from conftest import (
     chain_row,
     choose_to_expand,
     corpus_family,
+    cube_of,
     enumerate_values,
     goal_index,
     greedy_steps,
     lane_family,
+    pinned,
     reachable_via_holes,
     reference_conflict,
     reference_reach,
@@ -129,14 +131,14 @@ class TestConstructConflict:
         conflict = construct_conflict(
             induce(toy4, TOY_R[0]), SAFETY, toy_lb, scope, stats=stats
         )
-        assert conflict.params == frozenset({0})
+        assert conflict == cube_of(TOY_R[0], {0})
         assert stats.model_checks <= 3
 
     def test_toy_trivial_gamma_gives_full_conflict(self, toy4):
         scope = toy4.full_subfamily()
         gamma = trivial_gamma(toy4.n_states, SAFETY)
         conflict = construct_conflict(induce(toy4, TOY_R[0]), SAFETY, gamma, scope)
-        assert conflict.params == frozenset({0, 1})
+        assert conflict == cube_of(TOY_R[0], {0, 1})
 
     def test_bound_conflict_never_larger_than_trivial_on_toy(self, toy4, toy_lb):
         scope = toy4.full_subfamily()
@@ -144,12 +146,12 @@ class TestConstructConflict:
         with_trivial = construct_conflict(
             induce(toy4, TOY_R[0]), SAFETY, trivial_gamma(toy4.n_states, SAFETY), scope
         )
-        assert len(with_bounds.params) <= len(with_trivial.params)
+        assert len(with_bounds) <= len(with_trivial)
 
     def test_generalization_of_conflict_all_violate(self, toy4, toy_lb):
         scope = toy4.full_subfamily()
         conflict = construct_conflict(induce(toy4, TOY_R[0]), SAFETY, toy_lb, scope)
-        members = generalization(conflict.reference, conflict.params, scope)
+        members = generalization(conflict, scope)
         assert [m.values for m in members] == [TOY_R[0].values, TOY_R[1].values]
         for m in members:
             value = reference_reach(induce(toy4, m), TOY_TARGET)[0]
@@ -187,7 +189,9 @@ class TestConstructConflict:
             stats = SynthStats()
             conflict = construct_conflict(induce(fam, r), prop, bounds.lb, scope, stats=stats)
             assert stats.model_checks <= len(scope.multi_valued()) + 1
-            for m in generalization(r, conflict.params, scope):
+            members = generalization(conflict, scope)
+            assert r in members
+            for m in members:
                 assert not evaluate_property(values[m.values], prop)
             checked += 1
         assert checked >= 8
@@ -205,7 +209,9 @@ class TestConstructConflict:
         bounds = compute_bounds(build_quotient(fam, scope), targets)
         r = Realization(violators[0])
         conflict = construct_conflict(induce(fam, r), prop, bounds.ub, scope)
-        for m in generalization(r, conflict.params, scope):
+        members = generalization(conflict, scope)
+        assert r in members
+        for m in members:
             assert not evaluate_property(values[m.values], prop)
 
 
@@ -229,14 +235,14 @@ class TestGammaValidation:
 
 
 def _outcome(build, family, r, prop, gamma, scope):
-    """Conflict parameters and model checks, or the error raised and its checks."""
+    """Pinned parameters, cube and model checks, or the error raised and its checks."""
     stats = SynthStats()
     head = (family, r) if build is reference_conflict else (induce(family, r),)
     try:
         conflict = build(*head, prop, gamma, scope, stats=stats)
     except (ValueError, InvalidBoundsError) as err:
         return type(err).__name__, str(err), stats.model_checks
-    return conflict.params, conflict.reference, stats.model_checks
+    return pinned(conflict), conflict, stats.model_checks
 
 
 def bisection_budget(family, r, scope) -> int:
@@ -331,7 +337,7 @@ class TestAgainstReferenceRerouting:
                     i for i, rel in enumerate(steps)
                     if not evaluate_property(rerouted_value(fam, r, prop, gamma, scope, rel), prop)
                 )
-                assert conflict.params == steps[first]
+                assert conflict == cube_of(r, steps[first])
                 firsts.add(first)
         assert min(firsts) == 0 and max(firsts) >= 6
 
@@ -347,11 +353,11 @@ class TestAgainstReferenceRerouting:
         ] == [True, False, True]
         stats = SynthStats()
         conflict = construct_conflict(induce(toy4, TOY_R[0]), SAFETY, gamma, scope, stats=stats)
-        assert conflict.params == frozenset({0, 1})
+        assert conflict == cube_of(TOY_R[0], {0, 1})
         assert stats.model_checks == 2
-        value = rerouted_value(toy4, TOY_R[0], SAFETY, gamma, scope, conflict.params)
+        value = rerouted_value(toy4, TOY_R[0], SAFETY, gamma, scope, pinned(conflict))
         assert not evaluate_property(value, SAFETY)
-        assert reference_conflict(toy4, TOY_R[0], SAFETY, gamma, scope).params == frozenset()
+        assert reference_conflict(toy4, TOY_R[0], SAFETY, gamma, scope) == ()
 
 
 # A target carrying a multi-valued parameter: Z only decides where t goes
@@ -431,26 +437,26 @@ class TestMinimalConflictOracle:
     def test_toy_minimum_is_x(self, toy4):
         scope = toy4.full_subfamily()
         conflict = minimal_conflict_oracle(toy4, TOY_R[0], SAFETY, scope)
-        assert conflict.params == frozenset({0})
+        assert conflict == cube_of(TOY_R[0], {0})
 
     def test_all_violating_family_gives_empty_conflict(self, toy4):
         scope = toy4.full_subfamily()
         # every member reaches t with probability >= 0.2
         impossible = Property(op="<=", threshold=0.1, targets=TOY_TARGET)
         conflict = minimal_conflict_oracle(toy4, TOY_R[0], impossible, scope)
-        assert conflict.params == frozenset()
+        assert conflict == ()
 
     def test_single_member_scope(self, toy4):
         scope = toy4.full_subfamily().restricted(0, (1,)).restricted(1, (3,))
         assert member_count(scope) == 1
         conflict = minimal_conflict_oracle(toy4, TOY_R[0], SAFETY, scope)
-        assert conflict.params == frozenset()
+        assert conflict == ()
 
     def test_greedy_never_smaller_than_minimal(self, toy4, toy_lb):
         scope = toy4.full_subfamily()
         greedy = construct_conflict(induce(toy4, TOY_R[0]), SAFETY, toy_lb, scope)
         minimal = minimal_conflict_oracle(toy4, TOY_R[0], SAFETY, scope)
-        assert len(greedy.params) >= len(minimal.params)
+        assert len(greedy) >= len(minimal)
 
     def test_satisfying_member_rejected(self, toy4):
         with pytest.raises(ValueError, match="satisfies"):

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mcsynth import (
-    Conflict,
     Family,
     Realization,
     Subfamily,
@@ -22,7 +21,7 @@ from mcsynth import (
 )
 from mcsynth import model
 
-from conftest import TOY_R, chain_row, corpus_family, make_family, template, CORPUS_CONFIGS
+from conftest import TOY_R, chain_row, corpus_family, cube_of, make_family, template, CORPUS_CONFIGS
 
 
 def one_state_family(row: dict[int, float]) -> Family:
@@ -155,15 +154,15 @@ class TestInduce:
 
 class TestGeneralization:
     def test_toy_conflict_x_covers_two_members(self, toy4):
-        members = generalization(TOY_R[0], {0}, toy4.full_subfamily())
+        members = generalization(cube_of(TOY_R[0], {0}), toy4.full_subfamily())
         assert members == [TOY_R[0], TOY_R[1]]
 
     def test_all_params_pinned_gives_reference_only(self, toy4):
-        members = generalization(TOY_R[2], set(range(4)), toy4.full_subfamily())
+        members = generalization(cube_of(TOY_R[2], range(4)), toy4.full_subfamily())
         assert members == [TOY_R[2]]
 
     def test_no_params_gives_whole_scope(self, toy4):
-        members = generalization(TOY_R[0], set(), toy4.full_subfamily())
+        members = generalization((), toy4.full_subfamily())
         assert members == [TOY_R[i] for i in range(4)]
 
     def test_contains_reference_and_monotone(self):
@@ -175,15 +174,15 @@ class TestGeneralization:
             r = Realization(tuple(rng.choice(dom) for dom in fam.domains))
             big = set(rng.sample(multi, rng.randint(0, len(multi))))
             small = set(rng.sample(sorted(big), rng.randint(0, len(big))))
-            gen_big = generalization(r, big, scope)
-            gen_small = generalization(r, small, scope)
+            gen_big = generalization(cube_of(r, big), scope)
+            gen_small = generalization(cube_of(r, small), scope)
             assert r in gen_big
             # fewer pinned parameters -> larger set
             assert set(m.values for m in gen_big) <= set(m.values for m in gen_small)
 
     def test_size_is_product_of_free_domains(self, toy4):
         scope = toy4.full_subfamily()
-        assert len(generalization(TOY_R[0], {1}, scope)) == 2
+        assert len(generalization(cube_of(TOY_R[0], {1}), scope)) == 2
 
 
 class TestMemberCount:
@@ -228,24 +227,22 @@ class TestIterateUnpruned:
 
     def test_conflict_on_x_leaves_r2_r3(self, toy4):
         scope = toy4.full_subfamily()
-        conflicts = [Conflict(params=frozenset({0}), reference=TOY_R[0], scope=scope)]
+        conflicts = [cube_of(TOY_R[0], {0})]
         assert list(iterate_unpruned(scope, conflicts)) == [TOY_R[2], TOY_R[3]]
 
     def test_empty_conflict_prunes_everything(self, toy4):
         scope = toy4.full_subfamily()
-        conflicts = [Conflict(params=frozenset(), reference=TOY_R[0], scope=scope)]
+        conflicts = [cube_of(TOY_R[0], ())]
         assert list(iterate_unpruned(scope, conflicts)) == []
 
     def test_conflicts_appended_mid_iteration_take_effect(self, toy4):
         scope = toy4.full_subfamily()
-        conflicts: list[Conflict] = []
+        conflicts: list[model.Cube] = []
         seen = []
         for r in iterate_unpruned(scope, conflicts):
             seen.append(r)
             if r == TOY_R[0]:
-                conflicts.append(
-                    Conflict(params=frozenset({0}), reference=TOY_R[0], scope=scope)
-                )
+                conflicts.append(cube_of(TOY_R[0], {0}))
         assert seen == [TOY_R[0], TOY_R[2], TOY_R[3]]
 
     @pytest.mark.parametrize("case", range(12))
@@ -261,10 +258,10 @@ class TestIterateUnpruned:
         for _ in range(rng.randint(1, 4)):
             ref = rng.choice(members)
             pinned = frozenset(rng.sample(multi, rng.randint(0, len(multi))))
-            conflicts.append(Conflict(params=pinned, reference=ref, scope=scope))
+            conflicts.append(cube_of(ref, pinned))
         covered = set()
         for c in conflicts:
-            covered |= {m.values for m in generalization(c.reference, c.params, scope)}
+            covered |= {m.values for m in generalization(c, scope)}
         expected = [m for m in members if m.values not in covered]
         assert list(iterate_unpruned(scope, conflicts)) == expected
         assert count_unpruned(scope, conflicts) == len(expected)
@@ -275,10 +272,11 @@ def accounting_cases(draw):
     """A subfamily inside a larger scope, plus store entries drawn from the scope.
 
     The subfamily restricts each scope domain as a split does, so conflict
-    references may lie outside it on pinned parameters, and its domains may
-    be singletons under pins.  Entries are conflicts (any pin set, the empty
-    one included), checked members as realizations, or the cube of either in
-    the scope, as a queued item stores it before a split restricts it.
+    pins may lie outside it, and its domains may be singletons under pins.
+    Entries are conflict cubes (a reference's values on any pin set, the
+    empty one and single-valued parameters of the scope included), checked
+    members as realizations, or the cube of either in the scope, as a queued
+    item stores it before a split restricts it.
     """
     m = draw(st.integers(0, 5))
     domains = [sorted(draw(st.sets(st.integers(0, 4), min_size=1, max_size=3))) for _ in range(m)]
@@ -288,11 +286,7 @@ def accounting_cases(draw):
         for d in domains
     ])
     member = st.tuples(*(st.sampled_from(d) for d in domains)).map(Realization)
-    conflict = st.builds(
-        lambda ref, params: Conflict(params=frozenset(params), reference=ref, scope=scope),
-        member,
-        st.sets(st.sampled_from(range(m))) if m else st.just(()),
-    )
+    conflict = st.builds(cube_of, member, st.sets(st.sampled_from(range(m))) if m else st.just(()))
     cube = st.one_of(conflict, member).map(lambda entry: model.cube_pins(entry, scope))
     entries = st.lists(st.one_of(conflict, conflict, member, cube), max_size=8)
     return sub, draw(entries), draw(st.lists(entries, max_size=6))
@@ -303,7 +297,7 @@ def memo_scale_cases(draw):
     """Many entries over 8 to 12 parameters: the residual cube sets repeat.
 
     Domains hold 2 or 3 values, trimmed to at most 4096 members so brute
-    force stays cheap.  Entries (10 to 60, conflicts pinning 1 to 5
+    force stays cheap.  Entries (10 to 60, conflict cubes pinning 1 to 5
     parameters mixed with checked members) are split between the store at
     the start and batches appended after successive yields.
     """
@@ -316,9 +310,7 @@ def memo_scale_cases(draw):
     sub = Subfamily(domains)
     member = st.tuples(*(st.sampled_from(d) for d in domains)).map(Realization)
     conflict = st.builds(
-        lambda ref, params: Conflict(params=frozenset(params), reference=ref, scope=sub),
-        member,
-        st.sets(st.sampled_from(range(len(domains))), min_size=1, max_size=5),
+        cube_of, member, st.sets(st.sampled_from(range(len(domains))), min_size=1, max_size=5)
     )
     entries = draw(st.lists(st.one_of(conflict, conflict, member), min_size=10, max_size=60))
     split = draw(st.integers(0, len(entries)))
@@ -335,8 +327,6 @@ def _covered(entries, sub: Subfamily) -> set:
     for e in entries:
         if isinstance(e, Realization):
             covered.add(e.values)
-        elif isinstance(e, Conflict):
-            covered |= {m.values for m in generalization(e.reference, e.params, e.scope)}
         else:
             covered |= {m for m in itertools.product(*sub.domains) if all(m[k] == v for k, v in e)}
     return covered
@@ -349,7 +339,7 @@ class TestAccountingAgainstBruteForce:
     # is pinned by no cube but must still advance to reach (1, 0).
     @example((
         Subfamily([(0, 1)] * 2),
-        [Conflict(frozenset({1}), Realization((0, 1)), Subfamily([(0, 1)] * 2))],
+        [((1, 1),)],
         [],
     ))
     @settings(max_examples=300, deadline=None)
@@ -406,8 +396,7 @@ class TestAccountingAgainstBruteForce:
         """
         n = 20
         sub = Subfamily([(0, 1)] * (2 * n))
-        zero = Realization((0,) * (2 * n))
-        cubes = [Conflict(frozenset({2 * i, 2 * i + 1}), zero, sub) for i in range(n)]
+        cubes = [((2 * i, 0), (2 * i + 1, 0)) for i in range(n)]
         count, calls = model._count, []
 
         def counted(*args):
@@ -426,10 +415,27 @@ class TestAccountingAgainstBruteForce:
         sub = Subfamily(())
         assert list(iterate_unpruned(sub)) == [Realization(())]
         assert count_unpruned(sub) == 1
-        for entry in (Conflict(params=frozenset(), reference=Realization(()), scope=sub),
-                      Realization(())):
+        for entry in ((), Realization(())):
             assert list(iterate_unpruned(sub, [entry])) == []
             assert count_unpruned(sub, [entry]) == 0
+
+    @pytest.mark.parametrize(
+        "entry",
+        [((1, 0), (0, 1)), ((0, 0), (0, 1)), ((-1, 0),), ((3, 0),),
+         Realization((0,)), Realization((0, 0, 0, 0))],
+        ids=["unsorted", "repeated", "negative", "beyond", "short", "long"],
+    )
+    def test_malformed_entry_rejected(self, entry):
+        # unchecked, the unsorted cube counted 12 of 8 members, the negative
+        # one 32, and the short realization read as a cube left 4 open
+        sub = Subfamily([(0, 1)] * 3)
+        with pytest.raises(ValueError, match="parameter"):
+            count_unpruned(sub, [entry])
+        with pytest.raises(ValueError, match="parameter"):
+            next(iterate_unpruned(sub, [entry]))
+        if not isinstance(entry, Realization):
+            with pytest.raises(ValueError, match="parameter"):
+                generalization(entry, sub)
 
     def test_many_single_valued_parameters_before_a_pinned_one(self):
         """1500 single-valued parameters ahead of two binary ones stay below the recursion limit."""
@@ -444,10 +450,9 @@ class TestAccountingAgainstBruteForce:
         n = 40
         sub = Subfamily([(0, 1)] * n)
         conflicts = [
-            Conflict(
-                params=frozenset(rng.sample(range(n), rng.randint(1, 6))),
-                reference=Realization(tuple(rng.randint(0, 1) for _ in range(n))),
-                scope=sub,
+            cube_of(
+                Realization(tuple(rng.randint(0, 1) for _ in range(n))),
+                rng.sample(range(n), rng.randint(1, 6)),
             )
             for _ in range(rng.randint(8, 10))
         ]
@@ -456,8 +461,8 @@ class TestAccountingAgainstBruteForce:
             for subset in itertools.combinations(conflicts, size):
                 pins = {}
                 for c in subset:
-                    for k in c.params:
-                        pins.setdefault(k, set()).add(c.reference.values[k])
+                    for k, v in c:
+                        pins.setdefault(k, set()).add(v)
                 if all(len(vals) == 1 for vals in pins.values()):
                     expected += (-1) ** size * 2 ** (n - len(pins))
         assert 0 < expected < 2**n

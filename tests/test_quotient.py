@@ -316,15 +316,20 @@ class TestSplitSubfamily:
             split_subfamily(q, zero, zero)
 
 
-    @pytest.mark.parametrize("bad", [-1, 2])
+    @pytest.mark.parametrize("bad", [-1, 2, "short"])
     def test_out_of_range_scheduler_rejected(self, toy4, bad):
         sub = toy4.full_subfamily()
         q = build_quotient(toy4, sub)
         zero = np.zeros(toy4.n_states, dtype=np.int64)
-        wild = zero.copy()
-        wild[1] = bad  # state 1 has two actions
+        if bad == "short":
+            # one action for every state would broadcast unchecked
+            wild, match = np.array([0]), r"scheduler has shape \(1,\), expected \(5,\)"
+        else:
+            wild = zero.copy()
+            wild[1] = bad  # state 1 has two actions
+            match = f"action {bad} out of range at state 1"
         for scheds in ((wild, zero), (zero, wild)):
-            with pytest.raises(ValueError, match=f"action {bad} out of range at state 1"):
+            with pytest.raises(ValueError, match=match):
                 split_subfamily(q, *scheds)
 
 

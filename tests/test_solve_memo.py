@@ -102,7 +102,7 @@ class TestBitwise:
         with solve_memo():
             for r, prop, gamma, outside in cases:
                 inside = construct_conflict(induce(family, r), prop, gamma, scope)
-                assert inside.params == outside.params
+                assert inside == outside
         monkeypatch.undo()
         for mc, targets, mask, gamma, values in probes:
             assert np.array_equal(mc_reach(mc, targets, fixed=(mask, gamma)), values)

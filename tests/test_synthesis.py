@@ -328,9 +328,10 @@ def _assert_store_exact(state, item, checked, conflicts):
     Open members are those of the item's subfamily that were never checked
     and that no stored conflict cube covers.  A candidate satisfies the base
     properties and the final working threshold.  Every stored cube is a cube
-    of the subfamily: the cube of one of ``conflicts`` (every conflict built
-    so far), or of a checked member that satisfies every base property.
-    Returns the number of stored cubes of each kind.
+    of the subfamily: the cube of one of ``conflicts`` (every conflict cube
+    built so far, with the scope it was built in), or of a checked member
+    that satisfies every base property.  Returns the number of stored cubes
+    of each kind.
     """
 
     def satisfies(values, props):
@@ -340,14 +341,13 @@ def _assert_store_exact(state, item, checked, conflicts):
             for p in props
         )
 
-    conflict_cubes = {model.cube_pins(c, item.sub): c for c in conflicts}
+    conflict_cubes = {model.cube_pins(c, item.sub): (c, scope) for c, scope in conflicts}
     members = set(itertools.product(*item.sub.domains))
     covered, kinds = set(), {"conflict": 0, "member": 0}
     for cube in item.cubes:
         assert model.cube_pins(cube, item.sub) == cube
         if cube in conflict_cubes:
-            c = conflict_cubes[cube]
-            general = {m.values for m in generalization(c.reference, c.params, c.scope)}
+            general = {m.values for m in generalization(*conflict_cubes[cube])}
             assert _cube_members(item.sub, cube) == general & members
             covered |= general & members
             kinds["conflict"] += 1
@@ -397,9 +397,9 @@ class TestCubeStore:
             checked.add(r.values)
             return real_induce(family, r)
 
-        def construct(*args, **kwargs):
-            conflicts.append(real_construct(*args, **kwargs))
-            return conflicts[-1]
+        def construct(mc, prop, gamma, scope, **kwargs):
+            conflicts.append((real_construct(mc, prop, gamma, scope, **kwargs), scope))
+            return conflicts[-1][0]
 
         monkeypatch.setattr(mcsynth.synthesis, "induce", spy)
         monkeypatch.setattr(mcsynth.synthesis, "construct_conflict", construct)
@@ -409,6 +409,9 @@ class TestCubeStore:
         item = state.queue[0]
         kinds = _assert_store_exact(state, item, checked, conflicts)
         assert kinds["conflict"] and kinds["member"]
+        # the store holds each cube construct_conflict returned, not a copy
+        stored = {id(cube) for cube in item.cubes}
+        assert all(id(c) in stored for c, _scope in conflicts)
 
         queued = len(state.queue)
         result = ar_run(state)
