@@ -24,11 +24,10 @@ from .model import (
     Subfamily,
     count_unpruned,
     generalization,
-    induce,
     iterate_unpruned,
     member_count,
 )
-from .quotient import BoundsVec, QuotientMdp, build_quotient, compute_bounds, split_subfamily
+from .quotient import BoundsVec, QuotientMdp, build_quotient, compute_bounds, induce, split_subfamily
 from .reach import (
     DECISION_ETA,
     Objective,

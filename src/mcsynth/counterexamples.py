@@ -12,7 +12,7 @@ is greedy: always the horizon state with the fewest not-yet-relevant
 parameters.  That order reads the member's rows and templates but no value,
 so it is planned whole up front, and a bisection over its ``K + 1`` steps
 finds the first violating one with at most ``ceil(log2(K + 1)) + 1`` model
-checks.  Only the exhaustive oracle induces chains, one per member it checks.
+checks.  Only the exhaustive oracle induces chains, from one root quotient.
 
 Parameters whose restricted domain in the enclosing scope is a singleton are
 always treated as relevant: they cannot vary inside the scope, so including
@@ -34,10 +34,10 @@ from .model import (
     Realization,
     Subfamily,
     generalization,
-    induce,
     member_count,
     realization_in,
 )
+from .quotient import induce, root_quotient
 from .reach import Property, evaluate_property, mc_reach
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,32 +58,31 @@ def _checked_gamma(gamma: Sequence[float], n_states: int) -> np.ndarray:
     return g
 
 
-def _expansion_plan(
-    mc: Mc, multi: frozenset[int]
-) -> tuple[np.ndarray, list[int], list[frozenset[int]]]:
+def _expansion_plan(mc: Mc, multi: Sequence[int]) -> tuple[np.ndarray, list[int], list[int]]:
     """The greedy expansion order of a member chain, planned before any check.
 
-    A walk from the initial state expands every state whose multi-valued
+    A walk from the initial state expands every state whose ``multi``-valued
     parameters are all relevant and stops at the others, the horizon.  Each
     step makes relevant the parameters of the horizon state with the fewest
     not-yet-relevant ones (ties to the lowest index) and resumes the walk.
     Step ``i`` has expanded the states with ``position < counts[i]`` and
-    holds the relevant set ``rels[i]``; the last step has an empty horizon.
+    holds the relevant set ``rels[i]``, a bitmask of parameters as in
+    :attr:`Family._param_masks`; the last step has an empty horizon.
     """
-    tmpl_ptr, tmpl_param = mc.family.tmpl_ptr.tolist(), mc.family.tmpl_param.tolist()
-    holes = [multi.intersection(tmpl_param[a:b]) for a, b in zip(tmpl_ptr, tmpl_ptr[1:])]
+    wanted = sum(1 << k for k in multi)
+    holes = [m & wanted for m in mc.family._param_masks]
     ptr, tgt = mc.row_ptr.tolist(), mc.ent_target.tolist()
     order: list[int] = []
     counts: list[int] = []
-    rels: list[frozenset[int]] = []
-    rel: set[int] = set()
+    rels: list[int] = []
+    rel = 0
     horizon: set[int] = set()
     seen = {mc.initial}
     walk = [mc.initial]
     while True:
         while walk:
             s = walk.pop()
-            if holes[s] <= rel:
+            if not holes[s] & ~rel:
                 order.append(s)
                 for t in tgt[ptr[s] : ptr[s + 1]]:
                     if t not in seen:
@@ -92,12 +91,12 @@ def _expansion_plan(
             else:
                 horizon.add(s)
         counts.append(len(order))
-        rels.append(frozenset(rel))
+        rels.append(rel)
         if not horizon:
             break
-        pick = min(horizon, key=lambda s: (len(holes[s] - rel), s))
-        rel.update(holes[pick])
-        walk = [s for s in horizon if holes[s] <= rel]
+        pick = min(horizon, key=lambda s: ((holes[s] & ~rel).bit_count(), s))
+        rel |= holes[pick]
+        walk = [s for s in horizon if not holes[s] & ~rel]
         horizon.difference_update(walk)
     position = np.full(mc.n_states, mc.n_states, dtype=np.intp)
     position[order] = np.arange(len(order))
@@ -113,7 +112,7 @@ def construct_conflict(
 ) -> Cube:
     """Greedy conflict for a member violating ``prop``, on its checked chain ``mc``.
 
-    ``mc`` comes from :func:`~mcsynth.model.induce`.  The conflict is a cube
+    ``mc`` comes from :func:`~mcsynth.quotient.induce`.  The conflict is a cube
     of ``scope``: it pins the relevant parameters, all multi-valued in
     ``scope`` and sorted by param, to the values of the chain's realization.
     ``gamma`` must lower-bound (safety) or upper-bound (liveness) the
@@ -136,7 +135,8 @@ def construct_conflict(
     if not realization_in(scope, r):
         raise ValueError("realization lies outside the scope")
     g = _checked_gamma(gamma, mc.n_states)
-    position, counts, rels = _expansion_plan(mc, frozenset(scope.multi_valued()))
+    multi = scope.multi_valued()
+    position, counts, rels = _expansion_plan(mc, multi)
 
     def violates(step: int) -> bool:
         value = mc_reach(mc, prop.targets, fixed=(position >= counts[step], g))[mc.initial]
@@ -154,7 +154,7 @@ def construct_conflict(
             lo = mid + 1
     if not confirmed and not violates(hi):
         raise ValueError("member satisfies the property, no conflict exists")
-    return tuple((k, r.values[k]) for k in sorted(rels[hi]))
+    return tuple((k, r.values[k]) for k in multi if rels[hi] >> k & 1)
 
 
 def trivial_gamma(n_states: int, prop: Property) -> np.ndarray:
@@ -190,11 +190,12 @@ def minimal_conflict_oracle(
         raise ValueError("realization lies outside the scope")
 
     cache: dict[tuple[int, ...], bool] = {}
+    root = root_quotient(family)
 
     def violates(member: Realization) -> bool:
         key = member.values
         if key not in cache:
-            value = float(mc_reach(induce(family, member), prop.targets)[family.initial])
+            value = float(mc_reach(induce(family, member, root), prop.targets)[family.initial])
             cache[key] = not evaluate_property(value, prop)
         return cache[key]
 

@@ -5,9 +5,10 @@ is immutable after construction and safe to share between threads.  Human
 readable names live only at the I/O boundary (see :mod:`mcsynth.sketch`).
 Sketch templates, member chains and quotient MDPs share one flat row layout:
 :func:`check_rows` is the one check of a stored row, and :func:`flat_rows`
-turns raw template entries into transition rows.  A family also fixes the
-order in which reachability solves visit its states: chunks of the
-condensation of its union graph, sinks first (:attr:`Family._chunk_ids`).
+turns raw template entries into the root quotient's rows, which member
+chains gather.  A family also fixes the order in which reachability solves
+visit its states: chunks of the condensation of its union graph, sinks first
+(:attr:`Family._chunk_ids`).
 """
 
 from __future__ import annotations
@@ -206,6 +207,15 @@ class Mc:
         object.__setattr__(self, "ent_source", np.repeat(np.arange(n), sizes))
         _freeze(self.row_ptr, self.ent_target, self.ent_prob, self.ent_source)
 
+    @classmethod
+    def _gathered(cls, family: Family, r: Realization, rows: tuple[np.ndarray, ...]) -> Mc:
+        """``r``'s chain on ``(row_ptr, ent_target, ent_prob, ent_source)``, rows checked before."""
+        _freeze(*rows)
+        mc = object.__new__(cls)
+        mc.__dict__.update(zip(("row_ptr", "ent_target", "ent_prob", "ent_source"), rows))
+        mc.__dict__.update(initial=family.initial, family=family, realization=r)
+        return mc
+
     @property
     def n_states(self) -> int:
         return self.row_ptr.size - 1
@@ -312,6 +322,12 @@ class Family:
         _freeze(ids)
         return ids if ids.any() else None
 
+    @cached_property
+    def _param_masks(self) -> list[int]:
+        """Per state, the parameters of its template as a bitmask (bit ``k``: parameter ``k``)."""
+        ptr, param = self.tmpl_ptr.tolist(), self.tmpl_param.tolist()
+        return [sum(1 << k for k in param[a:b]) for a, b in zip(ptr, ptr[1:])]
+
 
 @dataclass(frozen=True)
 class Realization:
@@ -370,38 +386,10 @@ class Subfamily:
         return f"Subfamily({self.domains!r})"
 
 
-def validate_realization(family: Family, r: Realization) -> None:
-    """Raise ``ValueError`` unless ``r`` is a total, in-domain assignment."""
-    if len(r.values) != family.n_params:
-        raise ValueError(
-            f"realization assigns {len(r.values)} parameters, family has {family.n_params}"
-        )
-    for k, v in enumerate(r.values):
-        if v not in family.domains[k]:
-            raise ValueError(
-                f"value {v} of parameter {family.param_names[k]!r} outside its domain"
-            )
-
-
 def realization_in(sub: Subfamily, r: Realization) -> bool:
     return len(r.values) == len(sub.domains) and all(
         v in dom for v, dom in zip(r.values, sub.domains)
     )
-
-
-def induce(family: Family, r: Realization) -> Mc:
-    """Instantiate the member chain of ``r``.
-
-    Probabilities of distinct parameters mapped to the same target state are
-    summed, so every row remains a valid distribution.
-    """
-    validate_realization(family, r)
-    target = np.asarray(r.values)[family.tmpl_param]
-    rows = flat_rows(family.n_states, family.tmpl_state, target, family.tmpl_prob)
-    mc = Mc(family.initial, *rows)
-    object.__setattr__(mc, "family", family)
-    object.__setattr__(mc, "realization", r)
-    return mc
 
 
 def generalization(cube: Cube, scope: Subfamily) -> list[Realization]:

@@ -10,11 +10,12 @@ A synthesis run builds the *root* quotient, over the family's full domains,
 once (:func:`root_quotient`).  Besides its rows the root keeps each action's
 raw choice, the ``(param, value)`` of every template entry, as flat arrays.
 The quotient of a subfamily is a *mask* of root actions, those whose every
-choice lies in the subfamily's domains (:func:`build_quotient`).  Bounds and
-splits take only a quotient, which carries its ``family`` and ``sub``:
-:func:`compute_bounds` solves the quotient it is given into plain vectors,
-and :func:`split_subfamily` splits its ``sub``, reading the schedulers'
-choices from the same arrays.
+choice lies in the subfamily's domains (:func:`build_quotient`); a member
+chain keeps the one action per state its values choose (:func:`induce`).
+Bounds and splits take only a quotient, which carries its ``family`` and
+``sub``: :func:`compute_bounds` solves the quotient it is given into plain
+vectors, and :func:`split_subfamily` splits its ``sub``, reading the
+schedulers' choices from the same arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +26,16 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InvalidBoundsError, ResourceCapError
-from .model import Family, Subfamily, breadth_first, flat_rows, member_count
+from .model import (
+    Family,
+    Mc,
+    Realization,
+    Subfamily,
+    breadth_first,
+    cube_pins,
+    flat_rows,
+    member_count,
+)
 from .reach import mdp_extreme
 
 ACTION_CAP = 10**6
@@ -178,25 +188,45 @@ def build_quotient(family: Family, sub: Subfamily, root: QuotientMdp | None = No
         np.repeat(np.arange(family.n_params), [len(dom) for dom in sub.domains]),
         [v for dom in sub.domains for v in dom],
     ] = True
+    keep, act_ptr, ent_keep = _kept(root, allowed[root.choice_param, root.choice_value])
     choice_len = np.diff(root.choice_ptr)
-    keep = np.logical_and.reduceat(
-        allowed[root.choice_param, root.choice_value], root.choice_ptr[:-1]
-    )
-    act_len = np.diff(root.act_ptr)[keep]
-    act_state = root.act_state[keep]
-    ent_keep = keep[root.ent_act]
     choice_keep = np.repeat(keep, choice_len)
     return QuotientMdp(
         family=family,
         sub=sub,
-        state_ptr=np.searchsorted(act_state, np.arange(family.n_states + 1)),
-        act_ptr=_ptr(act_len),
+        state_ptr=np.searchsorted(root.act_state[keep], np.arange(family.n_states + 1)),
+        act_ptr=act_ptr,
         ent_target=root.ent_target[ent_keep],
         ent_prob=root.ent_prob[ent_keep],
         choice_ptr=_ptr(choice_len[keep]),
         choice_param=root.choice_param[choice_keep],
         choice_value=root.choice_value[choice_keep],
     )
+
+
+def _kept(root: QuotientMdp, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Mask of the root actions whose every choice is ``ok``, their row pointers, entry mask."""
+    keep = np.logical_and.reduceat(ok, root.choice_ptr[:-1])
+    return keep, _ptr(np.diff(root.act_ptr)[keep]), keep[root.ent_act]
+
+
+def induce(family: Family, r: Realization, root: QuotientMdp | None = None) -> Mc:
+    """The member chain of ``r``: at each state, the root action choosing ``r``'s values.
+
+    ``root`` is the family's root quotient or a mask holding ``r``; without
+    it, ``r`` is checked and the root built here.  The rows are gathered, so
+    bitwise those ``flat_rows`` gives ``r``'s templates, and not checked again.
+    """
+    if root is None:
+        if cube_pins(r, family.full_subfamily()) is None:
+            raise ValueError("realization gives a parameter a value outside its domain")
+        root = root_quotient(family)
+    values = np.fromiter(r.values, np.int64, len(r.values))
+    _, row_ptr, ent_keep = _kept(root, root.choice_value == values[root.choice_param])
+    if row_ptr.size != family.n_states + 1:
+        raise ValueError("realization picks no action of the quotient at some state")
+    rows = (row_ptr, root.ent_target[ent_keep], root.ent_prob[ent_keep], root.ent_source[ent_keep])
+    return Mc._gathered(family, r, rows)
 
 
 def compute_bounds(qmdp: QuotientMdp, targets: Iterable[int]) -> BoundsVec:

@@ -262,12 +262,9 @@ def mc_reach(
     values[tlist] = 1.0  # a target stays a target under the mask
     free = ~mask
     free[tlist] = False
-    # the search touches free states only, from those with an edge into a root
-    src = mc.ent_source
-    root = ~free & (values > 0.0)
-    seed = np.zeros(n, dtype=bool)
-    seed[src[free[src] & root[mc.ent_target]]] = True
-    unknown = breadth_first(mc.in_edges, np.flatnonzero(seed).tolist(), free) >= 0
+    # the walk starts at the roots and enters free states only; those it reaches are unknown
+    roots = np.flatnonzero(~free & (values > 0.0)).tolist()
+    unknown = breadth_first(mc.in_edges, roots, free) > 0
     chunk = None if mc.family is None else mc.family._chunk_ids
     _solve(mc.ent_source, mc.ent_target, mc.ent_prob, values, unknown, chunk)
     return values

@@ -7,8 +7,9 @@ analyses one queued subfamily with quotient bounds and prunes, accepts or
 splits it; its quotient is a mask of the family's root quotient, which a
 run builds once (:attr:`HybridState.root`), and lives for that step only.
 CEGIS (``cegis_phase``) checks the members of queued subfamilies one at a
-time and prunes the generalization of a conflict for every violated
-property.  The methods of :func:`synthesize` are settings of that loop:
+time, each on a chain gathered from the same root, and prunes the
+generalization of a conflict for every violated property.  The methods of
+:func:`synthesize` are settings of that loop:
 
 ============  ====  ======================================================
 method        AR    CEGIS
@@ -41,7 +42,6 @@ from .model import (
     Subfamily,
     count_unpruned,
     cube_pins,
-    induce,
     iterate_unpruned,
     member_count,
 )
@@ -50,6 +50,7 @@ from .quotient import (
     QuotientMdp,
     build_quotient,
     compute_bounds,
+    induce,
     root_quotient,
     split_subfamily,
 )
@@ -132,7 +133,7 @@ class HybridState:
 
     @cached_property
     def root(self) -> QuotientMdp:
-        """The family's root quotient, built on first use; AR steps solve masks of it."""
+        """The family's root quotient, built on first use; AR masks it, member checks gather it."""
         return root_quotient(self.family)
 
 
@@ -180,10 +181,10 @@ def _target_sets(state: HybridState) -> list[frozenset[int]]:
 def _check(state: HybridState, r: Realization) -> tuple[Mc, dict, list[Property]]:
     """Check member ``r`` against every property, the working one included.
 
-    Returns its chain, its initial-state value per target set and the
-    properties it violates.  Each target set costs one model check.
+    Returns its chain (gathered from the run's root), its initial-state value
+    per target set and the violated properties.  Each target set is a model check.
     """
-    mc = induce(state.family, r)
+    mc = induce(state.family, r, state.root)
     values = {}
     for tset in _target_sets(state):
         values[tset] = float(mc_reach(mc, tset)[state.family.initial])

@@ -21,7 +21,7 @@ LINTED = [
 ]
 # ``cat src/mcsynth/*.py | wc -l`` may not exceed this; a change that grows
 # the sources raises it here, in plain view
-SRC_LINES = 2636
+SRC_LINES = 2652
 
 EXPORTS = [
     "BoundsVec",

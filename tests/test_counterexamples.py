@@ -162,6 +162,16 @@ class TestConstructConflict:
         with pytest.raises(ValueError, match="satisfies"):
             construct_conflict(induce(toy4, TOY_R[3]), SAFETY, toy_lb, scope)
 
+    @pytest.mark.parametrize("gamma", ["bounds", "trivial"])
+    def test_realization_outside_scope_rejected(self, toy4, toy_lb, gamma):
+        # TOY_R[0] sets X to s1; the scope keeps only s2
+        scope = toy4.full_subfamily().restricted(0, (2,))
+        g = toy_lb if gamma == "bounds" else trivial_gamma(toy4.n_states, SAFETY)
+        stats = SynthStats()
+        with pytest.raises(ValueError, match="outside the scope"):
+            construct_conflict(induce(toy4, TOY_R[0]), SAFETY, g, scope, stats=stats)
+        assert stats.model_checks == 0
+
     def test_chain_without_realization_rejected(self, toy4, toy_lb):
         mc = induce(toy4, TOY_R[0])
         bare = Mc(mc.initial, mc.row_ptr, mc.ent_target, mc.ent_prob)
@@ -461,6 +471,12 @@ class TestMinimalConflictOracle:
     def test_satisfying_member_rejected(self, toy4):
         with pytest.raises(ValueError, match="satisfies"):
             minimal_conflict_oracle(toy4, TOY_R[3], SAFETY, toy4.full_subfamily())
+
+    def test_realization_outside_scope_rejected(self, toy4):
+        # TOY_R[0] violates SAFETY but sets X to s1, which the scope leaves out
+        scope = toy4.full_subfamily().restricted(0, (2,))
+        with pytest.raises(ValueError, match="outside the scope"):
+            minimal_conflict_oracle(toy4, TOY_R[0], SAFETY, scope)
 
     def test_member_cap_enforced(self):
         from mcsynth import generate_benchmark

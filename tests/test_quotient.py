@@ -449,13 +449,15 @@ class TestRootMask:
 
         monkeypatch.setattr(synthesis_mod, "root_quotient", spy)
         family, spec, two_targets = two_target_instance()
-        for method, want in (("ar", 1), ("hybrid", 1), ("cegis", 1), ("onebyone", 0)):
-            for the_spec in (spec, two_targets):
-                calls.clear()
-                result = synthesize(family, the_spec, method=method)
-                assert len(calls) == want, method
-                if method == "ar":
-                    assert result.stats.ar_iterations > 1
+        # every method gathers its member chains from the one root
+        for method in ("ar", "hybrid", "cegis", "onebyone"):
+            for bounds in ("family", "trivial"):
+                for the_spec in (spec, two_targets):
+                    calls.clear()
+                    result = synthesize(family, the_spec, method=method, bounds=bounds)
+                    assert len(calls) == 1, (method, bounds)
+                    if method == "ar":
+                        assert result.stats.ar_iterations > 1
 
     def test_one_mask_per_ar_step_for_every_target_set(self, monkeypatch):
         import mcsynth.synthesis as synthesis_mod
@@ -478,6 +480,8 @@ class TestRootMask:
             root_quotient(fam)
         prop = Property(op=">=", threshold=0.5, targets=frozenset({1}))
         spec = Specification(properties=(prop,))
-        for method in ("ar", "hybrid"):
-            with pytest.raises(ResourceCapError, match="actions"):
-                synthesize(fam, spec, method=method)
+        # the cap holds for every method, since each one builds the root
+        for method in ("ar", "hybrid", "cegis", "onebyone"):
+            for bounds in ("family", "trivial"):
+                with pytest.raises(ResourceCapError, match="actions"):
+                    synthesize(fam, spec, method=method, bounds=bounds)

@@ -1,25 +1,35 @@
 """Flat transition rows: chain validation and bitwise agreement with dict references.
 
-Member chains and quotient actions are built by
-:func:`mcsynth.model.flat_rows`, rerouted chains by the reference ``reroute``
-in ``conftest``; the references below accumulate each row in a dict, in
-template order, the way the rows are defined, and must match to the last bit.
-Stored rows are read-only once checked.
+Quotient actions are built by :func:`mcsynth.model.flat_rows`, member chains
+are gathered from the root quotient's actions, rerouted chains are built by
+the reference ``reroute`` in ``conftest``; the references below accumulate
+each row in a dict, in template order, the way the rows are defined, and
+must match to the last bit.  A gathered chain must also be bitwise the rows
+``flat_rows`` builds from the member's own templates, and pass the row check
+it skips.  Stored rows are read-only once checked.
 """
 
+import functools
 import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from mcsynth import Mc, Realization, Subfamily, build_quotient, induce
+import mcsynth.synthesis
+from mcsynth import Mc, Realization, Subfamily, build_quotient, induce, synthesize
+from mcsynth.model import check_rows, flat_rows
+from mcsynth.quotient import root_quotient
 
 from conftest import (
+    CORPUS_CONFIGS,
     action_choice,
     action_row,
     corpus_family,
     lane_family,
+    make_family,
+    make_instance,
     n_actions,
     reroute,
     templates,
@@ -226,3 +236,93 @@ class TestQuotientActionOrder:
                         lo, hi = mc.row_ptr[s], mc.row_ptr[s + 1]
                         assert tgt.tolist() == mc.ent_target[lo:hi].tolist()
                         assert prob.tolist() == mc.ent_prob[lo:hi].tolist()
+
+
+def template_rows(fam, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows of ``r``'s chain built from its templates by ``flat_rows``, not from the root."""
+    return flat_rows(fam.n_states, fam.tmpl_state, np.asarray(r.values)[fam.tmpl_param], fam.tmpl_prob)
+
+
+def assert_gathered(fam, r, mc):
+    """``mc`` is bitwise the template rows of ``r``, passes the row check and is read-only."""
+    arrays = (mc.row_ptr, mc.ent_target, mc.ent_prob)
+    for got, want in zip(arrays, template_rows(fam, r)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    sizes = check_rows(*arrays, fam.n_states, "targets an unknown state")
+    assert np.array_equal(mc.ent_source, np.repeat(np.arange(fam.n_states), sizes))
+    assert (mc.family, mc.realization, mc.initial) == (fam, r, fam.initial)
+    assert not any(a.flags.writeable for a in arrays + (mc.ent_source,))
+
+
+GATHER_CASES = len(CORPUS_CONFIGS) + 3
+
+
+@functools.cache
+def gather_case(i: int):
+    """Corpus family ``i`` (then three lane families) and its root quotient."""
+    lanes = ((12, 4, 0.7, 1), (40, 8, 0.7, 3), (400, 6, 0.6, 1))
+    fam = corpus_family(i) if i < len(CORPUS_CONFIGS) else lane_family(*lanes[i - len(CORPUS_CONFIGS)])
+    return fam, root_quotient(fam)
+
+
+# one state sends the mass of p, q and the fixed z to the states p and q pick
+SHARED_TARGET = make_family(
+    state_names=("a", "b", "c"),
+    initial=0,
+    param_names=("p", "q", "z"),
+    domains=((1, 2), (1, 2), (2,)),
+    rows=({0: 0.1, 1: 0.2, 2: 0.7}, {2: 1.0}, {2: 1.0}),
+)
+
+
+class TestGatheredChains:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_corpus_members_match_template_rows(self, data):
+        fam, root = gather_case(data.draw(st.integers(0, GATHER_CASES - 1)))
+        r = Realization(tuple(data.draw(st.sampled_from(dom)) for dom in fam.domains))
+        assert_gathered(fam, r, induce(fam, r, root))
+        # a mask holding r gathers the same rows
+        sub = Subfamily([
+            sorted({v} | set(data.draw(st.lists(st.sampled_from(dom), max_size=2))))
+            for v, dom in zip(r.values, fam.domains)
+        ])
+        assert_gathered(fam, r, induce(fam, r, build_quotient(fam, sub, root)))
+
+    def test_parameters_sharing_a_target_sum_in_template_order(self):
+        fam = SHARED_TARGET
+        root = root_quotient(fam)
+        for values in itertools.product(*fam.domains):
+            r = Realization(values)
+            mc = induce(fam, r, root)
+            assert_gathered(fam, r, mc)
+            assert_gathered(fam, r, induce(fam, r))
+        mc = induce(fam, Realization((2, 2, 2)), root)
+        # one entry holding (0.1 + 0.2) + 0.7, which differs from 0.1 + (0.2 + 0.7)
+        assert rows_of(mc.row_ptr, mc.ent_target, mc.ent_prob)[0] == ((2,), ((0.1 + 0.2) + 0.7,))
+        mc = induce(fam, Realization((1, 1, 2)), root)
+        assert rows_of(mc.row_ptr, mc.ent_target, mc.ent_prob)[0] == ((1, 2), (0.1 + 0.2, 0.7))
+
+    def test_member_outside_the_quotient_rejected(self):
+        fam = SHARED_TARGET
+        q = build_quotient(fam, fam.full_subfamily().restricted(0, (2,)))
+        with pytest.raises(ValueError, match="no action"):
+            induce(fam, Realization((1, 1, 2)), q)
+
+    def test_driver_chains_match_template_rows(self, monkeypatch):
+        chains = []
+        real = mcsynth.synthesis.induce
+
+        def spy(family, r, root=None):
+            chains.append(real(family, r, root))
+            return chains[-1]
+
+        monkeypatch.setattr(mcsynth.synthesis, "induce", spy)
+        for i in range(3):
+            fam, spec, _values = make_instance(i, "mixed")
+            for method in mcsynth.synthesis.METHODS:
+                chains.clear()
+                result = synthesize(fam, spec, method=method)
+                assert len(chains) == result.stats.checked > 0
+                for mc in chains:
+                    assert_gathered(fam, mc.realization, mc)

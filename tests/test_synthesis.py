@@ -393,9 +393,9 @@ class TestCubeStore:
         real_induce = mcsynth.synthesis.induce
         real_construct = mcsynth.synthesis.construct_conflict
 
-        def spy(family, r):
+        def spy(family, r, root=None):
             checked.add(r.values)
-            return real_induce(family, r)
+            return real_induce(family, r, root)
 
         def construct(mc, prop, gamma, scope, **kwargs):
             conflicts.append((real_construct(mc, prop, gamma, scope, **kwargs), scope))
@@ -519,9 +519,9 @@ class TestOneChainPerMember:
         for mod in (mcsynth.synthesis, mcsynth.counterexamples):
             real = mod.induce
 
-            def spy(family, r, real=real):
+            def spy(family, r, root=None, real=real):
                 calls.append(r)
-                return real(family, r)
+                return real(family, r, root)
 
             monkeypatch.setattr(mod, "induce", spy)
         real_construct = mcsynth.synthesis.construct_conflict
