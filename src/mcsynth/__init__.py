@@ -19,7 +19,6 @@ from .errors import (
 )
 from .model import (
     Family,
-    Mc,
     Realization,
     Subfamily,
     count_unpruned,
@@ -55,7 +54,6 @@ __all__ = [
     "DECISION_ETA",
     "Family",
     "InvalidBoundsError",
-    "Mc",
     "McsynthError",
     "Objective",
     "Property",

@@ -1,11 +1,12 @@
 """Conflict construction by greedy state expansion against a bound vector.
 
-The member chain the driver checked, carrying its family and realization, is
-shrunk to a small set of *relevant* parameters.  States whose parameters are
-all relevant (the expanded states) keep their concrete behaviour; every
-other state is pinned to the value a bound vector gamma gives it, as if it
-were rerouted to a fresh target with that probability, and only the expanded
-states are solved for.  If the member violates the property even so, every
+The member chain the driver checked, the quotient of that one member (its
+``sub`` is the member's realization), is shrunk to a small set of
+*relevant* parameters.  States whose parameters are all relevant (the
+expanded states) keep their concrete behaviour; every other state is pinned
+to the value a bound vector gamma gives it, as if it were rerouted to a
+fresh target with that probability, and only the expanded states are
+solved for.  If the member violates the property even so, every
 member that agrees with it on the relevant parameters does too, and the
 conflict is the cube pinning them to the member's values.  Expansion
 is greedy: always the horizon state with the fewest not-yet-relevant
@@ -30,14 +31,13 @@ from .errors import ResourceCapError
 from .model import (
     Cube,
     Family,
-    Mc,
     Realization,
     Subfamily,
+    cube_pins,
     generalization,
     member_count,
-    realization_in,
 )
-from .quotient import induce, root_quotient
+from .quotient import QuotientMdp, induce, root_quotient
 from .reach import Property, evaluate_property, mc_reach
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -58,7 +58,9 @@ def _checked_gamma(gamma: Sequence[float], n_states: int) -> np.ndarray:
     return g
 
 
-def _expansion_plan(mc: Mc, multi: Sequence[int]) -> tuple[np.ndarray, list[int], list[int]]:
+def _expansion_plan(
+    mc: QuotientMdp, multi: Sequence[int]
+) -> tuple[np.ndarray, list[int], list[int]]:
     """The greedy expansion order of a member chain, planned before any check.
 
     A walk from the initial state expands every state whose ``multi``-valued
@@ -71,7 +73,7 @@ def _expansion_plan(mc: Mc, multi: Sequence[int]) -> tuple[np.ndarray, list[int]
     """
     wanted = sum(1 << k for k in multi)
     holes = [m & wanted for m in mc.family._param_masks]
-    ptr, tgt = mc.row_ptr.tolist(), mc.ent_target.tolist()
+    ptr, tgt = mc.act_ptr.tolist(), mc.ent_target.tolist()
     order: list[int] = []
     counts: list[int] = []
     rels: list[int] = []
@@ -104,7 +106,7 @@ def _expansion_plan(mc: Mc, multi: Sequence[int]) -> tuple[np.ndarray, list[int]
 
 
 def construct_conflict(
-    mc: Mc,
+    mc: QuotientMdp,
     prop: Property,
     gamma: Sequence[float],
     scope: Subfamily,
@@ -114,7 +116,8 @@ def construct_conflict(
 
     ``mc`` comes from :func:`~mcsynth.quotient.induce`.  The conflict is a cube
     of ``scope``: it pins the relevant parameters, all multi-valued in
-    ``scope`` and sorted by param, to the values of the chain's realization.
+    ``scope`` and sorted by param, to the values of the chain's realization,
+    its ``sub``.
     ``gamma`` must lower-bound (safety) or upper-bound (liveness) the
     reachability value of every member of ``scope`` at every state; the
     bounds of ``scope`` itself or the trivial all-zeros / all-ones vector
@@ -129,10 +132,10 @@ def construct_conflict(
     unchecked, one more check decides, and a member that satisfies ``prop``
     has no conflict.  Each check adds one to ``stats.model_checks``.
     """
-    r = mc.realization
-    if r is None:
+    r = mc.sub
+    if not isinstance(r, Realization):
         raise ValueError("chain carries no realization; build it with induce")
-    if not realization_in(scope, r):
+    if cube_pins(r, scope) is None:
         raise ValueError("realization lies outside the scope")
     g = _checked_gamma(gamma, mc.n_states)
     multi = scope.multi_valued()
@@ -186,7 +189,7 @@ def minimal_conflict_oracle(
         raise ResourceCapError(
             f"oracle limited to {ORACLE_PARAM_CAP} multi-valued parameters"
         )
-    if not realization_in(scope, r):
+    if cube_pins(r, scope) is None:
         raise ValueError("realization lies outside the scope")
 
     cache: dict[tuple[int, ...], bool] = {}

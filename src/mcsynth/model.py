@@ -1,14 +1,14 @@
-"""Core data model: chains, families, realizations, subfamilies, cubes.
+"""Core data model: families, realizations, subfamilies, cubes.
 
 States and parameters are interned to dense integer indices; every type here
 is immutable after construction and safe to share between threads.  Human
 readable names live only at the I/O boundary (see :mod:`mcsynth.sketch`).
-Sketch templates, member chains and quotient MDPs share one flat row layout:
-:func:`check_rows` is the one check of a stored row, and :func:`flat_rows`
-turns raw template entries into the root quotient's rows, which member
-chains gather.  A family also fixes the order in which reachability solves
-visit its states: chunks of the condensation of its union graph, sinks first
-(:attr:`Family._chunk_ids`).
+Sketch templates and quotient MDPs (a member chain among them, the quotient
+of one member) share one flat row layout: :func:`check_rows` is the one
+check of a stored row, and :func:`flat_rows` turns raw template entries into
+the root quotient's rows, which every other quotient gathers.  A family also
+fixes the order in which reachability solves visit its states: chunks of
+the condensation of its union graph, sinks first (:attr:`Family._chunk_ids`).
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ def flat_rows(
 def check_rows(
     ptr: np.ndarray, keys: np.ndarray, prob: np.ndarray, n_keys: int, out_of_range: str
 ) -> np.ndarray:
-    """Check stored rows, a chain's (keys are targets) or a template's (parameters).
+    """Check stored rows, a quotient's actions (keys are targets) or a template's (parameters).
 
     Pointers span the entries, no row is empty, keys lie in ``range(n_keys)``
     and strictly increase within a row, probabilities are positive and sum
@@ -83,7 +83,7 @@ def check_rows(
 def _freeze(*arrays: np.ndarray) -> None:
     """Make ``arrays`` read-only, so a stored row cannot change after its check."""
     for a in arrays:
-        a.flags.writeable = False
+        a.setflags(write=False)
 
 
 def predecessors(n: int, src: np.ndarray, tgt: np.ndarray) -> tuple[list[int], list[int]]:
@@ -176,62 +176,11 @@ def strong_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 @dataclass(frozen=True, eq=False)
-class Mc:
-    """Markov chain as flat rows: a quotient MDP with one action per state.
-
-    The row of state ``s`` is ``ent_target[row_ptr[s]:row_ptr[s + 1]]`` with
-    probabilities ``ent_prob`` at the same positions; targets are strictly
-    increasing within a row and probabilities positive, summing to 1 within
-    ``PROB_SUM_TOL``.  ``ent_source`` holds the state of each entry.
-
-    :func:`induce` alone sets ``family`` and ``realization``, as a quotient
-    carries its family; solves follow the family's chunks.  A chain built by
-    hand has neither and is one chunk.  Row arrays passed in become read-only.
-    """
-
-    initial: int
-    row_ptr: np.ndarray
-    ent_target: np.ndarray
-    ent_prob: np.ndarray
-    ent_source: np.ndarray = field(init=False, repr=False)
-    family: Family | None = field(init=False, repr=False, default=None)
-    realization: Realization | None = field(init=False, repr=False, default=None)
-
-    def __post_init__(self):
-        n = self.n_states
-        if not 0 <= self.initial < n:
-            raise ValueError(f"initial state {self.initial} out of range")
-        sizes = check_rows(
-            self.row_ptr, self.ent_target, self.ent_prob, n, "targets an unknown state"
-        )
-        object.__setattr__(self, "ent_source", np.repeat(np.arange(n), sizes))
-        _freeze(self.row_ptr, self.ent_target, self.ent_prob, self.ent_source)
-
-    @classmethod
-    def _gathered(cls, family: Family, r: Realization, rows: tuple[np.ndarray, ...]) -> Mc:
-        """``r``'s chain on ``(row_ptr, ent_target, ent_prob, ent_source)``, rows checked before."""
-        _freeze(*rows)
-        mc = object.__new__(cls)
-        mc.__dict__.update(zip(("row_ptr", "ent_target", "ent_prob", "ent_source"), rows))
-        mc.__dict__.update(initial=family.initial, family=family, realization=r)
-        return mc
-
-    @property
-    def n_states(self) -> int:
-        return self.row_ptr.size - 1
-
-    @cached_property
-    def in_edges(self) -> tuple[list[int], list[int]]:
-        """:func:`predecessors` of the chain, kept for the prob-0 walk of every solve on it."""
-        return predecessors(self.n_states, self.ent_source, self.ent_target)
-
-
-@dataclass(frozen=True, eq=False)
 class Family:
     """A finite family of Markov chains over parameterized transition targets.
 
     Each state's template is a distribution over *parameters*, stored in
-    :class:`Mc`'s row layout with parameters in place of targets:
+    a quotient's row layout with parameters in place of targets:
     ``tmpl_param[tmpl_ptr[s]:tmpl_ptr[s + 1]]`` and ``tmpl_prob`` (with
     ``tmpl_state``, the state of each entry).  Assigning each parameter a
     value from its domain (a strictly increasing tuple of state indices)
@@ -384,12 +333,6 @@ class Subfamily:
 
     def __repr__(self) -> str:
         return f"Subfamily({self.domains!r})"
-
-
-def realization_in(sub: Subfamily, r: Realization) -> bool:
-    return len(r.values) == len(sub.domains) and all(
-        v in dom for v, dom in zip(r.values, sub.domains)
-    )
 
 
 def generalization(cube: Cube, scope: Subfamily) -> list[Realization]:

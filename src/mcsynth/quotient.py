@@ -11,16 +11,18 @@ once (:func:`root_quotient`).  Besides its rows the root keeps each action's
 raw choice, the ``(param, value)`` of every template entry, as flat arrays.
 The quotient of a subfamily is a *mask* of root actions, those whose every
 choice lies in the subfamily's domains (:func:`build_quotient`); a member
-chain keeps the one action per state its values choose (:func:`induce`).
-Bounds and splits take only a quotient, which carries its ``family`` and
-``sub``: :func:`compute_bounds` solves the quotient it is given into plain
-vectors, and :func:`split_subfamily` splits its ``sub``, reading the
-schedulers' choices from the same arrays.
+chain is the quotient of one member, the one action per state its values
+choose (:func:`induce`), so the solvers and conflicts read the same type
+as AR steps.  Bounds and splits take only a quotient, which carries its
+``family`` and ``sub``: :func:`compute_bounds` solves the quotient it is
+given into plain vectors, and :func:`split_subfamily` splits its ``sub``,
+reading the schedulers' choices from the same arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -28,13 +30,15 @@ import numpy as np
 from .errors import InvalidBoundsError, ResourceCapError
 from .model import (
     Family,
-    Mc,
     Realization,
     Subfamily,
+    _freeze,
     breadth_first,
+    check_rows,
     cube_pins,
     flat_rows,
     member_count,
+    predecessors,
 )
 from .reach import mdp_extreme
 
@@ -53,16 +57,22 @@ class QuotientMdp:
     choice lives in ``choice_param`` / ``choice_value`` at
     ``choice_ptr[a]:choice_ptr[a+1]``: per template entry, in template order,
     the parameter and the value the action gives it.  ``n_states`` and
-    ``initial`` are read from ``state_ptr`` and ``family``.  A quotient built
-    by hand, without a family, may leave the choice arrays out.
+    ``initial`` are read from ``state_ptr`` and ``family``.
+
+    A member chain is the quotient of one member (:func:`induce`): one
+    action per state, no choice arrays, and the member's :class:`Realization`
+    as ``sub``.  A quotient built by hand, without a family, may leave the
+    choice arrays out; its action rows are checked with :func:`check_rows`
+    and no state may be without actions.  Gathered quotients are not checked
+    again: their rows are the root's, built by ``flat_rows``.
 
     ``act_state`` (the state of each action), ``ent_act`` and ``ent_source``
     (the action and state of each entry) serve every solve on the quotient;
-    they are always derived from the pointers.
+    they are always derived from the pointers.  All arrays are read-only.
     """
 
-    family: Family
-    sub: Subfamily
+    family: Family | None
+    sub: Subfamily | Realization | None
     state_ptr: np.ndarray
     act_ptr: np.ndarray
     ent_target: np.ndarray
@@ -75,11 +85,28 @@ class QuotientMdp:
     ent_source: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        act_state = np.repeat(np.arange(self.n_states), np.diff(self.state_ptr))
-        ent_act = np.repeat(np.arange(act_state.size), np.diff(self.act_ptr))
+        n = self.n_states
+        if self.family is None:
+            check_rows(self.act_ptr, self.ent_target, self.ent_prob, n, "targets an unknown state")
+            n_acts = np.diff(self.state_ptr)
+            if not (n_acts > 0).all():
+                raise ValueError(f"state {int(np.argmin(n_acts))} has no actions")
+        _freeze(self.state_ptr, self.act_ptr, self.ent_target, self.ent_prob)
+        # slices and array methods: every member chain pays for this block
+        act_len = self.act_ptr[1:] - self.act_ptr[:-1]
+        if self.is_chain:  # action s is the one action of state s
+            act_state = self.state_ptr[:-1]
+            ent_act = ent_source = act_state.repeat(act_len)
+        else:
+            act_state = np.repeat(np.arange(n), np.diff(self.state_ptr))
+            ent_act = np.repeat(np.arange(act_state.size), act_len)
+            ent_source = act_state[ent_act]
+        _freeze(act_state, ent_act, ent_source)
         object.__setattr__(self, "act_state", act_state)
         object.__setattr__(self, "ent_act", ent_act)
-        object.__setattr__(self, "ent_source", act_state[ent_act])
+        object.__setattr__(self, "ent_source", ent_source)
+        if self.choice_ptr is not None:
+            _freeze(self.choice_ptr, self.choice_param, self.choice_value)
 
     @property
     def n_states(self) -> int:
@@ -88,6 +115,16 @@ class QuotientMdp:
     @property
     def initial(self) -> int:
         return self.family.initial
+
+    @property
+    def is_chain(self) -> bool:
+        """One action per state: as many actions as states, and no state has none."""
+        return self.act_ptr.size == self.state_ptr.size
+
+    @cached_property
+    def in_edges(self) -> tuple[list[int], list[int]]:
+        """:func:`predecessors` of every entry, kept for the backward walks of the solves on it."""
+        return predecessors(self.n_states, self.ent_source, self.ent_target)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,8 +247,8 @@ def _kept(root: QuotientMdp, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return keep, _ptr(np.diff(root.act_ptr)[keep]), keep[root.ent_act]
 
 
-def induce(family: Family, r: Realization, root: QuotientMdp | None = None) -> Mc:
-    """The member chain of ``r``: at each state, the root action choosing ``r``'s values.
+def induce(family: Family, r: Realization, root: QuotientMdp | None = None) -> QuotientMdp:
+    """The member chain of ``r``, its one-member quotient: per state the root action choosing ``r``.
 
     ``root`` is the family's root quotient or a mask holding ``r``; without
     it, ``r`` is checked and the root built here.  The rows are gathered, so
@@ -222,11 +259,17 @@ def induce(family: Family, r: Realization, root: QuotientMdp | None = None) -> M
             raise ValueError("realization gives a parameter a value outside its domain")
         root = root_quotient(family)
     values = np.fromiter(r.values, np.int64, len(r.values))
-    _, row_ptr, ent_keep = _kept(root, root.choice_value == values[root.choice_param])
-    if row_ptr.size != family.n_states + 1:
+    _, act_ptr, ent_keep = _kept(root, root.choice_value == values[root.choice_param])
+    if act_ptr.size != family.n_states + 1:
         raise ValueError("realization picks no action of the quotient at some state")
-    rows = (row_ptr, root.ent_target[ent_keep], root.ent_prob[ent_keep], root.ent_source[ent_keep])
-    return Mc._gathered(family, r, rows)
+    return QuotientMdp(
+        family=family,
+        sub=r,
+        state_ptr=np.arange(act_ptr.size),
+        act_ptr=act_ptr,
+        ent_target=root.ent_target[ent_keep],
+        ent_prob=root.ent_prob[ent_keep],
+    )
 
 
 def compute_bounds(qmdp: QuotientMdp, targets: Iterable[int]) -> BoundsVec:

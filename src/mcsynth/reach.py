@@ -1,22 +1,24 @@
-"""Reachability probabilities for chains and quotient MDPs.
+"""Reachability probabilities for quotient MDPs, member chains among them.
 
-Every solver runs a qualitative prob-0 precomputation first: target states
-are pinned to exactly 1 and states that cannot reach the target to exactly 0,
-which leaves a nonsingular linear system ``(I - Q) x = c`` on the remaining
-states.  Chains and max mode find those with one backward walk
-(:func:`~mcsynth.model.breadth_first`), min mode with a fixpoint.  Chains
-solve that system once, directly; quotient MDPs run policy iteration,
-evaluating each policy with the same solve.  The solve runs chunk by chunk
-along the condensation of the family's union graph, sinks first, one dense
-system per chunk (:func:`_solve`); a family below ``SOLVE_CHUNK`` states is
-one chunk.  Within one synthesis run (:func:`solve_memo`) a multi-chunk
-solve remembers each chunk system by its content, so the chunks that a
-member, a conflict step or a policy shares with an earlier solve are not
-solved again.  Values are exact up to floating rounding.  Every threshold
-decision goes through :func:`evaluate_property` with the decision tolerance
-``DECISION_ETA``; ties resolve toward satisfaction.  The test suite checks
-these solvers against its own dense reference, which shares no code with
-this module.
+A member chain is a quotient with one action per state, so both solvers
+read one model type.  Every solver runs a qualitative prob-0 precomputation
+first: target states are pinned to exactly 1 and states that cannot reach
+the target to exactly 0, which leaves a nonsingular linear system
+``(I - Q) x = c`` on the remaining states.  Chains and max mode find those
+with one backward walk (:func:`~mcsynth.model.breadth_first`) over the
+quotient's cached predecessor lists, min mode with a fixpoint.  Chains
+(:func:`mc_reach`) solve that system once, directly; quotient MDPs
+(:func:`mdp_extreme`) run policy iteration, evaluating each policy with the
+same solve.  The solve runs chunk by chunk along the condensation of the
+family's union graph, sinks first, one dense system per chunk
+(:func:`_solve`); a family below ``SOLVE_CHUNK`` states is one chunk.
+Within one synthesis run (:func:`solve_memo`) a multi-chunk solve remembers
+each chunk system by its content, so the chunks that a member, a conflict
+step or a policy shares with an earlier solve are not solved again.  Values
+are exact up to floating rounding.  Every threshold decision goes through
+:func:`evaluate_property` with the decision tolerance ``DECISION_ETA``; ties
+resolve toward satisfaction.  The test suite checks these solvers against
+its own dense reference, which shares no code with this module.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
 
-from .model import Mc, breadth_first, predecessors
+from .model import breadth_first
 
 if TYPE_CHECKING:  # pragma: no cover
     from .quotient import QuotientMdp
@@ -234,15 +236,18 @@ def _solve(
 
 
 def mc_reach(
-    mc: Mc,
+    mc: "QuotientMdp",
     targets: Iterable[int],
     fixed: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
-    """Per-state probability of eventually reaching ``targets``.
+    """Per-state probability of eventually reaching ``targets`` in the chain ``mc``.
 
-    Target states are exactly 1, states that cannot reach the target in the
-    underlying graph exactly 0; the rest come from the direct solve of
-    :func:`_solve`, chunk by chunk when the chain carries its family.
+    ``mc`` is a quotient with one action per state, as
+    :func:`~mcsynth.quotient.induce` builds it; a state with more actions
+    raises ``ValueError``.  Target states are exactly 1, states that cannot
+    reach the target in the underlying graph exactly 0; the rest come from
+    the direct solve of :func:`_solve`, chunk by chunk when the chain
+    carries its family.
 
     ``fixed = (mask, given)`` pins every non-target state under ``mask`` to
     its value in ``given`` (within [0, 1]) and ignores its row, as if it
@@ -252,6 +257,8 @@ def mc_reach(
     non-target states are the unknowns of the solve.  Without ``fixed``
     nothing is pinned, so the targets are the only roots of that search.
     """
+    if not mc.is_chain:
+        raise ValueError("mc_reach solves a chain: some state has more than one action")
     n = mc.n_states
     tlist = sorted(_check_targets(n, targets))
     if fixed is None:
@@ -318,9 +325,6 @@ def mdp_extreme(
         raise ValueError(f"unknown mode {mode!r}")
     n = mdp.n_states
     state_ptr, act_ptr = mdp.state_ptr, mdp.act_ptr
-    n_acts = np.diff(state_ptr)
-    if (n_acts == 0).any():
-        raise ValueError(f"state {int(np.argmax(n_acts == 0))} has no actions")
     tset = _check_targets(n, targets)
     tgt, prob = mdp.ent_target, mdp.ent_prob
     act_first = state_ptr[:-1]
@@ -334,7 +338,7 @@ def mdp_extreme(
         policy[zero] = _first_action(stays, state_ptr)[zero]
         reduce = np.minimum.reduceat
     else:
-        dist = breadth_first(predecessors(n, ent_source, tgt), sorted(tset))
+        dist = breadth_first(mdp.in_edges, sorted(tset))
         values, unknown = _fixed_values(n, tset, dist < 0)
         closer = np.logical_or.reduceat(dist[tgt] == dist[ent_source] - 1, act_ptr[:-1])
         policy[unknown] = _first_action(closer, state_ptr)[unknown]

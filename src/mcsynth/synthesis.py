@@ -37,7 +37,6 @@ from .counterexamples import construct_conflict, trivial_gamma
 from .errors import ResourceCapError
 from .model import (
     Family,
-    Mc,
     Realization,
     Subfamily,
     count_unpruned,
@@ -178,7 +177,7 @@ def _target_sets(state: HybridState) -> list[frozenset[int]]:
     return tsets
 
 
-def _check(state: HybridState, r: Realization) -> tuple[Mc, dict, list[Property]]:
+def _check(state: HybridState, r: Realization) -> tuple[QuotientMdp, dict, list[Property]]:
     """Check member ``r`` against every property, the working one included.
 
     Returns its chain (gathered from the run's root), its initial-state value

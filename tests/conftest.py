@@ -11,7 +11,8 @@ linear solve over the whole chain with its own target check and backward
 search, which calls nothing in :mod:`mcsynth.reach`, so the oracles stay
 independent of the solvers under test.  ``reference_conflict`` and its
 helpers build conflict cubes on explicitly rerouted chains by a linear scan
-over ``greedy_steps``, the reference for the bisected ``construct_conflict``;
+over ``greedy_steps``, the reference for the bisected ``construct_conflict``,
+and take the same gathered member chain it takes;
 ``cube_of`` pins a realization's values on a parameter set and ``pinned``
 reads a cube's parameters back;
 ``reference_pinned_reach`` runs the prob-0 search of a pinned solve
@@ -23,8 +24,11 @@ time, the reference for the masked quotients and array splitting of
 :mod:`mcsynth.quotient`.  ``reference_solve`` solves all unknown states of a
 chain as one dense system, the reference for the chunked solves of
 :mod:`mcsynth.reach`.  ``lane_family`` loads the benchmark's family shape.
-``make_family`` builds a family from one ``{param: prob}`` dict per state,
-and ``template`` / ``templates`` read its flat template rows back;
+``hand_chain`` and ``make_mc`` build a chain by hand, a quotient with one
+action per state and no family, from flat rows or from one
+``{target: prob}`` dict per state.  ``make_family`` builds a family from one
+``{param: prob}`` dict per state, and ``template`` / ``templates`` read its
+flat template rows back;
 ``n_actions``, ``action_row`` and ``action_choice`` read a quotient state's
 action count and one action's row and raw choice back from the flat arrays.
 """
@@ -48,7 +52,6 @@ import pytest
 from mcsynth import (
     Family,
     InvalidBoundsError,
-    Mc,
     Property,
     Realization,
     Specification,
@@ -64,8 +67,8 @@ from mcsynth import (
 )
 import mcsynth.reach as reach
 from mcsynth.errors import ResourceCapError
-from mcsynth.model import Cube, flat_rows, member_count, realization_in
-from mcsynth.quotient import ACTION_CAP, QuotientMdp
+from mcsynth.model import Cube, flat_rows, member_count
+from mcsynth.quotient import ACTION_CAP, QuotientMdp, root_quotient
 
 TOY4_TEXT = """
 {
@@ -144,7 +147,24 @@ CORPUS_CONFIGS = [
 ]
 
 
-def make_mc(rows, initial: int = 0) -> Mc:
+def hand_chain(ptr, tgt, prob) -> QuotientMdp:
+    """A chain built by hand from its rows: a quotient with one action per state.
+
+    It has no family and no member, so its rows are checked; the arrays
+    passed in become read-only.
+    """
+    ptr = np.asarray(ptr, dtype=np.int64)
+    return QuotientMdp(
+        family=None,
+        sub=None,
+        state_ptr=np.arange(ptr.size),
+        act_ptr=ptr,
+        ent_target=np.asarray(tgt, dtype=np.int64),
+        ent_prob=np.asarray(prob, dtype=np.float64),
+    )
+
+
+def make_mc(rows) -> QuotientMdp:
     """Chain from one ``{target: prob}`` dict per state; zero entries are dropped."""
     ptr, tgt, prob = [0], [], []
     for row in rows:
@@ -153,12 +173,7 @@ def make_mc(rows, initial: int = 0) -> Mc:
                 tgt.append(t)
                 prob.append(row[t])
         ptr.append(len(tgt))
-    return Mc(
-        initial,
-        np.asarray(ptr, dtype=np.int64),
-        np.asarray(tgt, dtype=np.int64),
-        np.asarray(prob, dtype=np.float64),
-    )
+    return hand_chain(ptr, tgt, prob)
 
 
 def make_family(rows: Sequence[dict[int, float]], **fields) -> Family:
@@ -197,9 +212,9 @@ def templates(family: Family) -> list[Template]:
     return [template(family, s) for s in range(family.n_states)]
 
 
-def chain_row(mc: Mc, s: int) -> dict[int, float]:
-    """Row ``s`` of ``mc`` as a ``{target: prob}`` dict in target order."""
-    lo, hi = mc.row_ptr[s], mc.row_ptr[s + 1]
+def chain_row(mc: QuotientMdp, s: int) -> dict[int, float]:
+    """Row ``s`` of the chain ``mc``, its action ``s``, as a ``{target: prob}`` dict."""
+    lo, hi = mc.act_ptr[s], mc.act_ptr[s + 1]
     return dict(zip(mc.ent_target[lo:hi].tolist(), mc.ent_prob[lo:hi].tolist()))
 
 
@@ -210,14 +225,15 @@ def chain_row(mc: Mc, s: int) -> dict[int, float]:
 # same conflicts with sound bound vectors.
 
 
-def reroute(mc: Mc, expanded: Iterable[int], gamma: Sequence[float]) -> Mc:
+def reroute(mc: QuotientMdp, expanded: Iterable[int], gamma: Sequence[float]) -> QuotientMdp:
     """Replace all non-expanded states by a probabilistic shortcut.
 
     Two absorbing sinks are appended: index ``n`` (the new target) and
     ``n+1``.  Expanded states keep their rows; a non-expanded state ``s``
     moves to the new target with probability ``gamma[s]`` and to the other
     sink otherwise.  With every state expanded the result behaves exactly
-    like ``mc`` for reachability.
+    like ``mc`` for reachability.  The result is a chain built by hand, with
+    no family and so no initial state: read that from ``mc``.
     """
     n = mc.n_states
     top, bot = n, n + 1
@@ -229,7 +245,7 @@ def reroute(mc: Mc, expanded: Iterable[int], gamma: Sequence[float]) -> Mc:
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"gamma[{other[i]}] = {float(g[i])!r} outside [0, 1]")
-    src = np.repeat(np.arange(n), np.diff(mc.row_ptr))
+    src = np.repeat(np.arange(n), np.diff(mc.act_ptr))
     own = keep[src]
     src = np.concatenate((src[own], other, other, [top, bot]))
     tgt = np.concatenate((mc.ent_target[own], np.repeat([top, bot], other.size), [top, bot]))
@@ -237,8 +253,7 @@ def reroute(mc: Mc, expanded: Iterable[int], gamma: Sequence[float]) -> Mc:
     live = prob > 0.0  # gamma 0 or 1 leaves a one-entry shortcut
     src, tgt, prob = src[live], tgt[live], prob[live]
     order = np.argsort(src, kind="stable")
-    row_ptr = np.searchsorted(src[order], np.arange(n + 3))
-    return Mc(mc.initial, row_ptr, tgt[order], prob[order])
+    return hand_chain(np.searchsorted(src[order], np.arange(n + 3)), tgt[order], prob[order])
 
 
 def reference_solve(
@@ -267,7 +282,7 @@ def reference_solve(
     values[unknown] = np.clip(np.linalg.solve(system, rhs), 0.0, 1.0)
 
 
-def reference_reach(mc: Mc, targets: Iterable[int]) -> np.ndarray:
+def reference_reach(mc: QuotientMdp, targets: Iterable[int]) -> np.ndarray:
     """Reachability probabilities of ``mc`` by one dense solve over the whole chain.
 
     The reference for :func:`mcsynth.mc_reach`; it calls nothing in
@@ -312,7 +327,7 @@ def _scope_multi(family: Family, scope: Subfamily | None) -> frozenset[int]:
 
 
 def reachable_via_holes(
-    mc: Mc,
+    mc: QuotientMdp,
     family: Family,
     params: Iterable[int],
     scope: Subfamily | None = None,
@@ -329,7 +344,7 @@ def reachable_via_holes(
     multi = _scope_multi(family, scope)
     expanded: set[int] = set()
     horizon: set[int] = set()
-    ptr, tgt = mc.row_ptr.tolist(), mc.ent_target.tolist()
+    ptr, tgt = mc.act_ptr.tolist(), mc.ent_target.tolist()
     seen = {mc.initial}
     queue = deque([mc.initial])
     while queue:
@@ -362,14 +377,14 @@ def choose_to_expand(
     return min(hs, key=lambda s: (missing(s), s))
 
 
-def greedy_steps(family: Family, r: Realization, scope: Subfamily) -> list[frozenset[int]]:
-    """The relevant set of every step of the greedy expansion order of ``r``.
+def greedy_steps(mc: QuotientMdp, scope: Subfamily) -> list[frozenset[int]]:
+    """The relevant set of every step of the greedy expansion order of the member chain ``mc``.
 
     Step 0 holds no relevant parameter; each later step adds those of the
     horizon state :func:`choose_to_expand` picks.  The last step has an
     empty horizon, so it has expanded every reachable state.
     """
-    mc = induce(family, r)
+    family = mc.family
     multi = _scope_multi(family, scope)
     rel: set[int] = set()
     steps = []
@@ -383,20 +398,18 @@ def greedy_steps(family: Family, r: Realization, scope: Subfamily) -> list[froze
 
 
 def rerouted_value(
-    family: Family,
-    r: Realization,
+    mc: QuotientMdp,
     prop: Property,
     gamma: Sequence[float],
     scope: Subfamily,
     params: Iterable[int],
 ) -> float:
-    """Initial-state value of ``r`` rerouted at the expansion of ``params``.
+    """Initial-state value of the member chain ``mc`` rerouted at the expansion of ``params``.
 
     The states :func:`reachable_via_holes` expands keep their rows; every
     other state jumps to a fresh target with its ``gamma`` value.
     """
-    mc = induce(family, r)
-    expanded, _ = reachable_via_holes(mc, family, params, scope)
+    expanded, _ = reachable_via_holes(mc, mc.family, params, scope)
     rerouted = reroute(mc, expanded, gamma)
     return float(mc_reach(rerouted, set(prop.targets) | {mc.n_states})[mc.initial])
 
@@ -412,8 +425,7 @@ def pinned(cube: Cube) -> frozenset[int]:
 
 
 def reference_conflict(
-    family: Family,
-    r: Realization,
+    mc: QuotientMdp,
     prop: Property,
     gamma: Sequence[float],
     scope: Subfamily,
@@ -421,11 +433,13 @@ def reference_conflict(
 ) -> Cube:
     """The greedy conflict loop as rerouting defines it (reference for ``construct_conflict``).
 
-    A linear scan: every step of :func:`greedy_steps`, in order, builds the
-    rerouted chain and solves it whole with the two sinks, and the cube of
-    ``r`` on the relevant parameters of the first violating step is the
-    conflict.  With a sound ``gamma``, :func:`mcsynth.construct_conflict`
-    must return the same cube.
+    ``mc`` is the member chain :func:`mcsynth.induce` gathers, as for
+    ``construct_conflict``; its member ``r`` is ``mc.sub``.  A linear scan:
+    every step of :func:`greedy_steps`, in order, builds the rerouted chain
+    and solves it whole with the two sinks, and the cube of ``r`` on the
+    relevant parameters of the first violating step is the conflict.  With a
+    sound ``gamma``, :func:`mcsynth.construct_conflict` must return the same
+    cube.
 
     ``gamma`` must lower-bound (safety) or upper-bound (liveness) the
     reachability value of every member of ``scope`` at every state; the
@@ -433,10 +447,14 @@ def reference_conflict(
     qualify.  Every member of the returned cube's generalization within
     ``scope`` violates ``prop``.
     """
-    if not realization_in(scope, r):
+    r = mc.sub
+    inside = len(r.values) == len(scope.domains) and all(
+        v in dom for v, dom in zip(r.values, scope.domains)
+    )
+    if not inside:
         raise ValueError("realization lies outside the scope")
-    for rel in greedy_steps(family, r, scope):
-        value = rerouted_value(family, r, prop, gamma, scope, rel)
+    for rel in greedy_steps(mc, scope):
+        value = rerouted_value(mc, prop, gamma, scope, rel)
         if stats is not None:
             stats.model_checks += 1
         if not evaluate_property(value, prop):
@@ -444,7 +462,6 @@ def reference_conflict(
     # The last step expanded everything reachable, so it saw the real chain.
     # Satisfaction means either the caller passed a satisfying member or
     # gamma disagrees with direct checking.
-    mc = induce(family, r)
     direct = float(reference_reach(mc, prop.targets)[mc.initial])
     if evaluate_property(direct, prop):
         raise ValueError("member satisfies the property, no conflict exists")
@@ -452,7 +469,7 @@ def reference_conflict(
 
 
 def reference_pinned_reach(
-    mc: Mc, targets: Iterable[int], fixed: tuple[np.ndarray, np.ndarray]
+    mc: QuotientMdp, targets: Iterable[int], fixed: tuple[np.ndarray, np.ndarray]
 ) -> np.ndarray:
     """``mc_reach(mc, targets, fixed=fixed)`` with the prob-0 search over the whole chain.
 
@@ -679,9 +696,10 @@ def goal_index(family: Family) -> int:
 
 def enumerate_values(family: Family, targets) -> dict[tuple, float]:
     """Oracle: initial-state value of every member, by the dense :func:`reference_reach`."""
+    root = root_quotient(family)
     out = {}
     for r in iterate_unpruned(family.full_subfamily()):
-        out[r.values] = float(reference_reach(induce(family, r), targets)[family.initial])
+        out[r.values] = float(reference_reach(induce(family, r, root), targets)[family.initial])
     return out
 
 

@@ -14,7 +14,6 @@ import pytest
 
 from mcsynth import (
     InvalidBoundsError,
-    Mc,
     Property,
     Realization,
     SynthStats,
@@ -30,6 +29,7 @@ from mcsynth import (
     trivial_gamma,
     evaluate_property,
 )
+from mcsynth.quotient import root_quotient
 
 from conftest import (
     TOY_R,
@@ -41,6 +41,7 @@ from conftest import (
     enumerate_values,
     goal_index,
     greedy_steps,
+    hand_chain,
     lane_family,
     pinned,
     reachable_via_holes,
@@ -174,7 +175,7 @@ class TestConstructConflict:
 
     def test_chain_without_realization_rejected(self, toy4, toy_lb):
         mc = induce(toy4, TOY_R[0])
-        bare = Mc(mc.initial, mc.row_ptr, mc.ent_target, mc.ent_prob)
+        bare = hand_chain(mc.act_ptr, mc.ent_target, mc.ent_prob)
         with pytest.raises(ValueError, match="no realization"):
             construct_conflict(bare, SAFETY, toy_lb, toy4.full_subfamily())
 
@@ -244,28 +245,28 @@ class TestGammaValidation:
         assert stats.model_checks == 0
 
 
-def _outcome(build, family, r, prop, gamma, scope):
+def _outcome(build, mc, prop, gamma, scope):
     """Pinned parameters, cube and model checks, or the error raised and its checks."""
     stats = SynthStats()
-    head = (family, r) if build is reference_conflict else (induce(family, r),)
     try:
-        conflict = build(*head, prop, gamma, scope, stats=stats)
+        conflict = build(mc, prop, gamma, scope, stats=stats)
     except (ValueError, InvalidBoundsError) as err:
         return type(err).__name__, str(err), stats.model_checks
     return pinned(conflict), conflict, stats.model_checks
 
 
-def bisection_budget(family, r, scope) -> int:
+def bisection_budget(mc, scope) -> int:
     """At most ceil(log2(K + 1)) + 1 checks over the steps 0..K of the greedy order."""
-    k = len(greedy_steps(family, r, scope)) - 1
+    k = len(greedy_steps(mc, scope)) - 1
     return math.ceil(math.log2(k + 1)) + 1
 
 
 def corpus_cases(seed: int):
-    """(family, member, property, sound gammas, random gamma) over the corpus.
+    """(family, member chain, property, sound gammas, random gamma) over the corpus.
 
     Each family gets a threshold between its two middle member values, both
-    comparisons, and one satisfying and one violating member per comparison.
+    comparisons, and one satisfying and one violating member per comparison,
+    each gathered from the family's one root quotient.
     """
     rng = random.Random(seed)
     for i in range(0, 48, 2):
@@ -277,7 +278,8 @@ def corpus_cases(seed: int):
             continue
         mid = len(distinct) // 2
         thr = (distinct[mid - 1] + distinct[mid]) / 2
-        bounds = compute_bounds(build_quotient(fam, fam.full_subfamily()), targets)
+        root = root_quotient(fam)
+        bounds = compute_bounds(build_quotient(fam, fam.full_subfamily(), root), targets)
         for op in ("<=", ">="):
             prop = Property(op=op, threshold=thr, targets=targets)
             sound = [bounds.lb if prop.is_safety else bounds.ub, trivial_gamma(fam.n_states, prop)]
@@ -287,40 +289,40 @@ def corpus_cases(seed: int):
                 by_verdict[evaluate_property(val, prop)].append(Realization(v))
             for rs in by_verdict.values():
                 if rs:
-                    yield fam, rng.choice(rs), prop, sound, noise
+                    yield fam, induce(fam, rng.choice(rs), root), prop, sound, noise
 
 
 class TestAgainstReferenceRerouting:
     def test_corpus_conflicts_match_reference(self):
         kinds = {"conflict": 0, "error": 0}
-        for fam, r, prop, sound, noise in corpus_cases(61):
+        for fam, mc, prop, sound, noise in corpus_cases(61):
             scope = fam.full_subfamily()
             for gamma in sound:
-                want = _outcome(reference_conflict, fam, r, prop, gamma, scope)
-                got = _outcome(construct_conflict, fam, r, prop, gamma, scope)
-                assert got[:2] == want[:2], (fam.n_states, prop.op, r)
+                want = _outcome(reference_conflict, mc, prop, gamma, scope)
+                got = _outcome(construct_conflict, mc, prop, gamma, scope)
+                assert got[:2] == want[:2], (fam.n_states, prop.op, mc.sub)
                 kinds["conflict" if isinstance(want[0], frozenset) else "error"] += 1
             # A random gamma bounds nothing: the conflict found need not be
             # the scan's first violating step, but its own step violates.
-            got = _outcome(construct_conflict, fam, r, prop, noise, scope)
+            got = _outcome(construct_conflict, mc, prop, noise, scope)
             kinds["conflict" if isinstance(got[0], frozenset) else "error"] += 1
             if isinstance(got[0], frozenset):
-                value = rerouted_value(fam, r, prop, noise, scope, got[0])
-                assert not evaluate_property(value, prop), (fam.n_states, prop.op, r)
+                value = rerouted_value(mc, prop, noise, scope, got[0])
+                assert not evaluate_property(value, prop), (fam.n_states, prop.op, mc.sub)
             else:
                 assert got[0] == "ValueError"
                 assert got[1] == "member satisfies the property, no conflict exists"
-                last = greedy_steps(fam, r, scope)[-1]
-                assert evaluate_property(rerouted_value(fam, r, prop, noise, scope, last), prop)
+                last = greedy_steps(mc, scope)[-1]
+                assert evaluate_property(rerouted_value(mc, prop, noise, scope, last), prop)
         assert kinds["conflict"] >= 150 and kinds["error"] >= 50, kinds
 
     def test_model_checks_within_bisection_budget(self):
         cases = 0
-        for fam, r, prop, sound, noise in corpus_cases(62):
+        for fam, mc, prop, sound, noise in corpus_cases(62):
             scope = fam.full_subfamily()
-            budget = bisection_budget(fam, r, scope)
+            budget = bisection_budget(mc, scope)
             for gamma in sound + [noise]:
-                assert _outcome(construct_conflict, fam, r, prop, gamma, scope)[2] <= budget
+                assert _outcome(construct_conflict, mc, prop, gamma, scope)[2] <= budget
                 cases += 1
         assert cases >= 200
 
@@ -332,20 +334,22 @@ class TestAgainstReferenceRerouting:
         goal = frozenset({goal_index(fam)})
         scope = fam.full_subfamily()
         rng = random.Random(3)
+        root = root_quotient(fam)
         firsts = set()
         for _ in range(4):
             r = Realization(tuple(rng.choice(dom) for dom in fam.domains))
-            value = mc_reach(induce(fam, r), goal)[fam.initial]
+            mc = induce(fam, r, root)
+            value = mc_reach(mc, goal)[fam.initial]
             prop = Property(op="<=", threshold=max(0.0, value - 0.05), targets=goal)
-            steps = greedy_steps(fam, r, scope)
+            steps = greedy_steps(mc, scope)
             assert len(steps) - 1 == 10
             for gamma in (np.ones(fam.n_states), trivial_gamma(fam.n_states, prop)):
                 stats = SynthStats()
-                conflict = construct_conflict(induce(fam, r), prop, gamma, scope, stats=stats)
+                conflict = construct_conflict(mc, prop, gamma, scope, stats=stats)
                 assert stats.model_checks <= 5
                 first = next(
                     i for i, rel in enumerate(steps)
-                    if not evaluate_property(rerouted_value(fam, r, prop, gamma, scope, rel), prop)
+                    if not evaluate_property(rerouted_value(mc, prop, gamma, scope, rel), prop)
                 )
                 assert conflict == cube_of(r, steps[first])
                 firsts.add(first)
@@ -357,17 +361,18 @@ class TestAgainstReferenceRerouting:
         # scan stops at step 0, the bisection skips it and lands on step 2.
         scope = toy4.full_subfamily()
         gamma = np.array([0.9, 0.1, 0.0, 1.0, 0.0])
+        mc = induce(toy4, TOY_R[0])
         assert [
-            rerouted_value(toy4, TOY_R[0], SAFETY, gamma, scope, rel) > SAFETY.threshold
-            for rel in greedy_steps(toy4, TOY_R[0], scope)
+            rerouted_value(mc, SAFETY, gamma, scope, rel) > SAFETY.threshold
+            for rel in greedy_steps(mc, scope)
         ] == [True, False, True]
         stats = SynthStats()
-        conflict = construct_conflict(induce(toy4, TOY_R[0]), SAFETY, gamma, scope, stats=stats)
+        conflict = construct_conflict(mc, SAFETY, gamma, scope, stats=stats)
         assert conflict == cube_of(TOY_R[0], {0, 1})
         assert stats.model_checks == 2
-        value = rerouted_value(toy4, TOY_R[0], SAFETY, gamma, scope, pinned(conflict))
+        value = rerouted_value(mc, SAFETY, gamma, scope, pinned(conflict))
         assert not evaluate_property(value, SAFETY)
-        assert reference_conflict(toy4, TOY_R[0], SAFETY, gamma, scope) == ()
+        assert reference_conflict(mc, SAFETY, gamma, scope) == ()
 
 
 # A target carrying a multi-valued parameter: Z only decides where t goes
@@ -417,8 +422,9 @@ class TestPinnedStateEdgeCases:
         r = Realization(tuple(fam.state_names.index(v) for v in values))
         gamma = trivial_gamma(fam.n_states, prop)
         scope = fam.full_subfamily()
-        want = _outcome(reference_conflict, fam, r, prop, gamma, scope)
-        got = _outcome(construct_conflict, fam, r, prop, gamma, scope)
+        mc = induce(fam, r)
+        want = _outcome(reference_conflict, mc, prop, gamma, scope)
+        got = _outcome(construct_conflict, mc, prop, gamma, scope)
         return fam, got, want
 
     def test_target_on_horizon_counts_as_reached(self):

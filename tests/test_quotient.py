@@ -191,7 +191,7 @@ class TestMdpExtreme:
         for s in range(q.n_states):
             tgt, prb = action_row(q, s, int(sched[s]))
             rows.append(dict(zip(map(int, tgt), map(float, prb))))
-        return make_mc(rows, initial=q.initial)
+        return make_mc(rows)
 
     def test_scheduler_attains_value(self, toy4):
         q = build_quotient(toy4, toy4.full_subfamily())
@@ -244,10 +244,11 @@ class TestComputeBounds:
         for i in range(0, 50, 4):
             fam = corpus_family(i)
             targets = {goal_index(fam)}
+            root = root_quotient(fam)
             stack = [fam.full_subfamily()]
             while stack:
                 sub = stack.pop()
-                q = build_quotient(fam, sub)
+                q = build_quotient(fam, sub, root)
                 bounds = compute_bounds(q, targets)
                 assert (bounds.lb <= bounds.ub + 1e-12).all()
                 if member_count(sub) == 1:

@@ -11,7 +11,6 @@ import mcsynth.model as model
 import mcsynth.reach as reach
 from mcsynth import (
     DECISION_ETA,
-    Mc,
     Property,
     QuotientMdp,
     Realization,
@@ -34,7 +33,7 @@ from conftest import (
 )
 
 
-def random_mc(rng: random.Random, n: int) -> Mc:
+def random_mc(rng: random.Random, n: int) -> QuotientMdp:
     """Random chain with a reachable absorbing target at index n-1."""
     rows = []
     for s in range(n - 1):
@@ -94,7 +93,7 @@ class TestMcReach:
         rows = [{0: 1.0}]
         rows += [{i - 1: q, i + 1: p} for i in range(1, n - 1)]
         rows.append({n - 1: 1.0})
-        got = mc_reach(make_mc(rows, initial=n // 2), {n - 1})
+        got = mc_reach(make_mc(rows), {n - 1})
         ratio = q / p
         want = (1.0 - ratio ** np.arange(n)) / (1.0 - ratio ** (n - 1))
         assert np.max(np.abs(got - want)) <= 1e-9
@@ -184,7 +183,7 @@ def make_mdp(actions) -> QuotientMdp:
     )
 
 
-def scheduler_chain(actions, sched) -> Mc:
+def scheduler_chain(actions, sched) -> QuotientMdp:
     return make_mc([acts[a] for acts, a in zip(actions, sched)])
 
 
@@ -232,6 +231,30 @@ class TestMdpExtremeOracles:
             assert np.allclose(vals, pick(chains, axis=0), atol=1e-9)
             direct = reference_reach(scheduler_chain(actions, sched), {n - 1})
             assert np.allclose(direct, vals, atol=1e-9)
+
+
+class TestOneSolverLayer:
+    """A chain is a quotient with one action per state, so both solvers take it."""
+
+    def test_mc_reach_rejects_a_two_action_state(self):
+        mdp = make_mdp([[{1: 1.0}], [{0: 1.0}, {1: 1.0}]])
+        with pytest.raises(ValueError, match="more than one action"):
+            mc_reach(mdp, {0})
+
+    def test_mdp_extreme_on_a_chain_is_mc_reach(self):
+        rng = random.Random(17)
+        cases = [(random_mc(rng, n), {n - 1}) for n in range(3, 40, 3)]
+        for fam in (corpus_family(3), corpus_family(20), lane_family(200, 6, 0.6, 3)):
+            goal = fam.state_names.index("goal")
+            for _ in range(3):
+                mc = induce(fam, Realization(tuple(rng.choice(dom) for dom in fam.domains)))
+                cases += [(mc, {goal}), (mc, {goal, rng.randrange(fam.n_states)})]
+        for mc, tset in cases:
+            want = mc_reach(mc, tset)
+            for mode in ("min", "max"):
+                values, policy = mdp_extreme(mc, tset, mode)
+                assert values.tobytes() == want.tobytes()
+                assert not policy.any()
 
 
 class TestMcReachExact:

@@ -1,12 +1,14 @@
 """Flat transition rows: chain validation and bitwise agreement with dict references.
 
-Quotient actions are built by :func:`mcsynth.model.flat_rows`, member chains
-are gathered from the root quotient's actions, rerouted chains are built by
-the reference ``reroute`` in ``conftest``; the references below accumulate
-each row in a dict, in template order, the way the rows are defined, and
-must match to the last bit.  A gathered chain must also be bitwise the rows
-``flat_rows`` builds from the member's own templates, and pass the row check
-it skips.  Stored rows are read-only once checked.
+A chain is a quotient with one action per state.  Quotient actions are built
+by :func:`mcsynth.model.flat_rows`, member chains are gathered from the root
+quotient's actions, rerouted chains are built by the reference ``reroute``
+in ``conftest``; the references below accumulate each row in a dict, in
+template order, the way the rows are defined, and must match to the last
+bit.  A gathered chain must also be bitwise the rows ``flat_rows`` builds
+from the member's own templates and the quotient of the one member, and pass
+the row check it skips.  A chain built by hand has its rows checked.
+Stored rows are read-only.
 """
 
 import functools
@@ -18,15 +20,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import mcsynth.synthesis
-from mcsynth import Mc, Realization, Subfamily, build_quotient, induce, synthesize
+from mcsynth import Realization, Subfamily, build_quotient, induce, synthesize
 from mcsynth.model import check_rows, flat_rows
-from mcsynth.quotient import root_quotient
+from mcsynth.quotient import QuotientMdp, root_quotient
 
 from conftest import (
     CORPUS_CONFIGS,
     action_choice,
     action_row,
     corpus_family,
+    hand_chain as chain,
     lane_family,
     make_family,
     make_instance,
@@ -36,24 +39,13 @@ from conftest import (
 )
 
 
-def chain(ptr, tgt, prob, initial=0) -> Mc:
-    return Mc(
-        initial,
-        np.asarray(ptr, dtype=np.int64),
-        np.asarray(tgt, dtype=np.int64),
-        np.asarray(prob, dtype=np.float64),
-    )
-
-
 class TestMcValidation:
+    """The rows of a chain built by hand, a quotient with no family, are checked."""
+
     def test_valid_chain_accepted(self):
         # the target sequence falls across the row boundary, not within a row
         mc = chain([0, 2, 3], [0, 1, 0], [0.5, 0.5, 1.0])
         assert mc.n_states == 2
-
-    def test_initial_out_of_range(self):
-        with pytest.raises(ValueError, match="initial"):
-            chain([0, 1, 2], [0, 1], [1.0, 1.0], initial=2)
 
     def test_row_ptr_not_starting_at_zero(self):
         with pytest.raises(ValueError, match="row pointers"):
@@ -94,11 +86,16 @@ class TestMcValidation:
         with pytest.raises(ValueError, match="sum to 1"):
             chain([0, 2, 3], [0, 1, 1], [0.5, 0.4, 1.0])
 
+    def test_state_without_actions(self):
+        ptr, tgt, prob = (np.asarray(a) for a in ([0, 1, 2], [1, 1], [1.0, 1.0]))
+        with pytest.raises(ValueError, match="state 1 has no actions"):
+            QuotientMdp(None, None, np.asarray([0, 2, 2]), ptr, tgt, prob)
+
 
 class TestStoredRowsReadOnly:
     """Rows are checked once, at construction; writing to them afterwards raises."""
 
-    @pytest.mark.parametrize("name", ["row_ptr", "ent_target", "ent_prob", "ent_source"])
+    @pytest.mark.parametrize("name", ["act_ptr", "ent_target", "ent_prob", "ent_source"])
     def test_chain_arrays(self, name):
         mc = chain([0, 2, 3], [0, 1, 0], [0.5, 0.5, 1.0])
         with pytest.raises(ValueError, match="read-only"):
@@ -166,16 +163,17 @@ class TestRowsMatchDictReference:
         merged = 0
         for i in CORPUS:
             fam = corpus_family(i)
+            root = root_quotient(fam)
             for _ in range(5):
                 r = random_member(rng, fam.full_subfamily())
-                mc = induce(fam, r)
+                mc = induce(fam, r, root)
                 want = ref_rows(templates(fam), r.values)
-                assert rows_of(mc.row_ptr, mc.ent_target, mc.ent_prob) == want
+                assert rows_of(mc.act_ptr, mc.ent_target, mc.ent_prob) == want
                 merged += sum(len(w[0]) < len(t.keys) for w, t in zip(want, templates(fam)))
         assert merged > 0  # some rows summed parameters sharing a target
         # at s1 of the toy family the fixed loop parameter and Y both point at t
         mc = induce(toy4, Realization((1, 3, 3, 4)))
-        assert rows_of(mc.row_ptr, mc.ent_target, mc.ent_prob)[1] == ((3, 4), (0.6 + 0.2, 0.2))
+        assert rows_of(mc.act_ptr, mc.ent_target, mc.ent_prob)[1] == ((3, 4), (0.6 + 0.2, 0.2))
 
     @pytest.mark.parametrize("kind", ["zero", "one", "random"])
     def test_reroute(self, kind):
@@ -198,8 +196,7 @@ class TestRowsMatchDictReference:
                 for s in range(n)
             ]
             want += [((n,), (1.0,)), ((n + 1,), (1.0,))]
-            assert got.initial == mc.initial
-            assert rows_of(got.row_ptr, got.ent_target, got.ent_prob) == want
+            assert rows_of(got.act_ptr, got.ent_target, got.ent_prob) == want
 
     def test_build_quotient(self):
         rng = random.Random(3)
@@ -223,6 +220,7 @@ class TestQuotientActionOrder:
         rng = random.Random(4)
         for i in range(0, 48, 4):
             fam = corpus_family(i)
+            root = root_quotient(fam)
             for sub in (fam.full_subfamily(), random_subfamily(rng, fam)):
                 q = build_quotient(fam, sub)
                 base = [dom[0] for dom in sub.domains]
@@ -231,9 +229,9 @@ class TestQuotientActionOrder:
                         values = list(base)
                         for k, v in action_choice(q, s, a).items():
                             values[k] = v
-                        mc = induce(fam, Realization(tuple(values)))
+                        mc = induce(fam, Realization(tuple(values)), root)
                         tgt, prob = action_row(q, s, a)
-                        lo, hi = mc.row_ptr[s], mc.row_ptr[s + 1]
+                        lo, hi = mc.act_ptr[s], mc.act_ptr[s + 1]
                         assert tgt.tolist() == mc.ent_target[lo:hi].tolist()
                         assert prob.tolist() == mc.ent_prob[lo:hi].tolist()
 
@@ -245,13 +243,23 @@ def template_rows(fam, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def assert_gathered(fam, r, mc):
     """``mc`` is bitwise the template rows of ``r``, passes the row check and is read-only."""
-    arrays = (mc.row_ptr, mc.ent_target, mc.ent_prob)
+    arrays = (mc.act_ptr, mc.ent_target, mc.ent_prob)
     for got, want in zip(arrays, template_rows(fam, r)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     sizes = check_rows(*arrays, fam.n_states, "targets an unknown state")
     assert np.array_equal(mc.ent_source, np.repeat(np.arange(fam.n_states), sizes))
-    assert (mc.family, mc.realization, mc.initial) == (fam, r, fam.initial)
+    assert (mc.family, mc.sub, mc.initial) == (fam, r, fam.initial)
+    assert np.array_equal(mc.state_ptr, np.arange(fam.n_states + 1))
     assert not any(a.flags.writeable for a in arrays + (mc.ent_source,))
+
+
+def assert_member_quotient(fam, r, mc, root):
+    """``mc`` is bitwise the quotient ``build_quotient`` gives ``r``'s one-member subfamily."""
+    q = build_quotient(fam, Subfamily([(v,) for v in r.values]), root)
+    names = ("state_ptr", "act_ptr", "ent_target", "ent_prob", "act_state", "ent_act", "ent_source")
+    for name in names:
+        got, want = getattr(mc, name), getattr(q, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
 
 GATHER_CASES = len(CORPUS_CONFIGS) + 3
@@ -281,13 +289,18 @@ class TestGatheredChains:
     def test_corpus_members_match_template_rows(self, data):
         fam, root = gather_case(data.draw(st.integers(0, GATHER_CASES - 1)))
         r = Realization(tuple(data.draw(st.sampled_from(dom)) for dom in fam.domains))
-        assert_gathered(fam, r, induce(fam, r, root))
+        mc = induce(fam, r, root)
+        assert_gathered(fam, r, mc)
+        assert_member_quotient(fam, r, mc, root)
         # a mask holding r gathers the same rows
         sub = Subfamily([
             sorted({v} | set(data.draw(st.lists(st.sampled_from(dom), max_size=2))))
             for v, dom in zip(r.values, fam.domains)
         ])
-        assert_gathered(fam, r, induce(fam, r, build_quotient(fam, sub, root)))
+        mask = build_quotient(fam, sub, root)
+        mc = induce(fam, r, mask)
+        assert_gathered(fam, r, mc)
+        assert_member_quotient(fam, r, mc, mask)
 
     def test_parameters_sharing_a_target_sum_in_template_order(self):
         fam = SHARED_TARGET
@@ -299,9 +312,9 @@ class TestGatheredChains:
             assert_gathered(fam, r, induce(fam, r))
         mc = induce(fam, Realization((2, 2, 2)), root)
         # one entry holding (0.1 + 0.2) + 0.7, which differs from 0.1 + (0.2 + 0.7)
-        assert rows_of(mc.row_ptr, mc.ent_target, mc.ent_prob)[0] == ((2,), ((0.1 + 0.2) + 0.7,))
+        assert rows_of(mc.act_ptr, mc.ent_target, mc.ent_prob)[0] == ((2,), ((0.1 + 0.2) + 0.7,))
         mc = induce(fam, Realization((1, 1, 2)), root)
-        assert rows_of(mc.row_ptr, mc.ent_target, mc.ent_prob)[0] == ((1, 2), (0.1 + 0.2, 0.7))
+        assert rows_of(mc.act_ptr, mc.ent_target, mc.ent_prob)[0] == ((1, 2), (0.1 + 0.2, 0.7))
 
     def test_member_outside_the_quotient_rejected(self):
         fam = SHARED_TARGET
@@ -325,4 +338,4 @@ class TestGatheredChains:
                 result = synthesize(fam, spec, method=method)
                 assert len(chains) == result.stats.checked > 0
                 for mc in chains:
-                    assert_gathered(fam, mc.realization, mc)
+                    assert_gathered(fam, mc.sub, mc)
