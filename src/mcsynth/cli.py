@@ -13,7 +13,9 @@ reproducible.
 
 Exit codes: 0 feasible/optimal (and for bench/ce-report success), 1
 infeasible, 2 input error (an unreadable input or an unwritable output), 3
-resource cap exceeded.
+resource cap exceeded, 4 internal error (any other exception, such as
+inconsistent bounds; its traceback is printed unless it is an mcsynth error),
+so a crash never reads as a verdict.
 """
 
 from __future__ import annotations
@@ -22,8 +24,9 @@ import argparse
 import json
 import sys
 import time
+import traceback
 
-from .errors import ResourceCapError, SketchError
+from .errors import McsynthError, ResourceCapError, SketchError
 from .report import ce_quality_report
 from .sketch import generate_benchmark, parse_sketch, parse_spec, serialize_sketch
 from .synthesis import METHODS, synthesize
@@ -32,6 +35,7 @@ EXIT_FEASIBLE = 0
 EXIT_INFEASIBLE = 1
 EXIT_INPUT = 2
 EXIT_RESOURCE = 3
+EXIT_ERROR = 4
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -178,6 +182,12 @@ def main(argv=None) -> int:
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except McsynthError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    except Exception:  # a bug: report it, and never as a verdict's exit code
+        traceback.print_exc()
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
 
@@ -86,46 +86,6 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.setflags(write=False)
 
 
-def predecessors(n: int, src: np.ndarray, tgt: np.ndarray) -> tuple[list[int], list[int]]:
-    """Flat entries grouped by target, the adjacency of a backward :func:`breadth_first`.
-
-    Returns ``(sources, ptr)``: the entries into state ``t`` come from
-    ``sources[ptr[t]:ptr[t + 1]]``.
-    """
-    order = np.argsort(tgt, kind="stable")
-    return src[order].tolist(), np.searchsorted(tgt[order], np.arange(n + 1)).tolist()
-
-
-def breadth_first(
-    adjacency: tuple[list[int], list[int]], seeds: list[int], allowed: np.ndarray | None = None
-) -> np.ndarray:
-    """Breadth-first steps of each state from the nearest seed; -1 where not reached.
-
-    ``adjacency`` is ``(flat, ptr)``, the neighbours of state ``s`` being
-    ``flat[ptr[s]:ptr[s + 1]]``: successors, or :func:`predecessors` for a
-    backward walk.  Seeds are at step 0; the walk enters no other state
-    outside ``allowed``, when given.
-    """
-    flat, ptr = adjacency
-    # -2 marks the states the walk may not enter
-    steps = [-1] * (len(ptr) - 1) if allowed is None else np.where(allowed, -1, -2).tolist()
-    frontier = list(seeds)
-    for s in frontier:
-        steps[s] = 0
-    step = 0
-    while frontier:
-        step += 1
-        reached = []
-        for t in frontier:
-            for s in flat[ptr[t] : ptr[t + 1]]:
-                if steps[s] == -1:
-                    steps[s] = step
-                    reached.append(s)
-        frontier = reached
-    out = np.array(steps, dtype=np.int64)
-    return out if allowed is None else np.maximum(out, -1, out=out)
-
-
 def strong_components(succ: Sequence[Sequence[int]]) -> list[list[int]]:
     """Strongly connected components of the graph ``succ``, sinks first.
 
@@ -181,11 +141,10 @@ class Family:
 
     Each state's template is a distribution over *parameters*, stored in
     a quotient's row layout with parameters in place of targets:
-    ``tmpl_param[tmpl_ptr[s]:tmpl_ptr[s + 1]]`` and ``tmpl_prob`` (with
-    ``tmpl_state``, the state of each entry).  Assigning each parameter a
-    value from its domain (a strictly increasing tuple of state indices)
-    turns a template into an ordinary transition row.  The template arrays a
-    caller passes in become read-only.
+    ``tmpl_param[tmpl_ptr[s]:tmpl_ptr[s + 1]]`` and ``tmpl_prob``.
+    Assigning each parameter a value from its domain (a strictly increasing
+    tuple of state indices) turns a template into an ordinary transition
+    row.  The template arrays a caller passes in become read-only.
     """
 
     state_names: tuple[str, ...]
@@ -195,7 +154,6 @@ class Family:
     tmpl_ptr: np.ndarray
     tmpl_param: np.ndarray
     tmpl_prob: np.ndarray
-    tmpl_state: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n, m = len(self.state_names), len(self.param_names)
@@ -212,11 +170,8 @@ class Family:
                 raise ValueError(f"domain of {self.param_names[k]!r} references an unknown state")
             if any(a >= b for a, b in zip(dom, dom[1:])):
                 raise ValueError(f"domain of {self.param_names[k]!r} must be strictly increasing")
-        sizes = check_rows(
-            self.tmpl_ptr, self.tmpl_param, self.tmpl_prob, m, "uses an undeclared parameter"
-        )
-        object.__setattr__(self, "tmpl_state", np.repeat(np.arange(n), sizes))
-        _freeze(self.tmpl_ptr, self.tmpl_param, self.tmpl_prob, self.tmpl_state)
+        check_rows(self.tmpl_ptr, self.tmpl_param, self.tmpl_prob, m, "uses an undeclared parameter")
+        _freeze(self.tmpl_ptr, self.tmpl_param, self.tmpl_prob)
 
     def _value(self) -> tuple:
         return (self.state_names, self.initial, self.param_names, self.domains,

@@ -22,7 +22,6 @@ reading the schedulers' choices from the same arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -33,12 +32,10 @@ from .model import (
     Realization,
     Subfamily,
     _freeze,
-    breadth_first,
     check_rows,
     cube_pins,
     flat_rows,
     member_count,
-    predecessors,
 )
 from .reach import mdp_extreme
 
@@ -120,11 +117,6 @@ class QuotientMdp:
     def is_chain(self) -> bool:
         """One action per state: as many actions as states, and no state has none."""
         return self.act_ptr.size == self.state_ptr.size
-
-    @cached_property
-    def in_edges(self) -> tuple[list[int], list[int]]:
-        """:func:`predecessors` of every entry, kept for the backward walks of the solves on it."""
-        return predecessors(self.n_states, self.ent_source, self.ent_target)
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,9 +284,19 @@ def compute_bounds(qmdp: QuotientMdp, targets: Iterable[int]) -> BoundsVec:
 
 def _reachable_under(qmdp: QuotientMdp, scheduler: np.ndarray) -> np.ndarray:
     """States reachable from the initial state in the chain ``scheduler`` induces."""
+    # a Python walk: forward walks are deep, so an array fixpoint would run many rounds
     pos, lens = _segments(qmdp.act_ptr, qmdp.state_ptr[:-1] + scheduler)
-    succ = (qmdp.ent_target[pos].tolist(), _ptr(lens).tolist())
-    return breadth_first(succ, [qmdp.initial]) >= 0
+    succ, ptr = qmdp.ent_target[pos].tolist(), _ptr(lens).tolist()
+    seen = [False] * qmdp.n_states
+    seen[qmdp.initial] = True
+    stack = [qmdp.initial]
+    while stack:
+        s = stack.pop()
+        for t in succ[ptr[s] : ptr[s + 1]]:
+            if not seen[t]:
+                seen[t] = True
+                stack.append(t)
+    return np.array(seen)
 
 
 def split_subfamily(

@@ -4,9 +4,10 @@ A member chain is a quotient with one action per state, so both solvers
 read one model type.  Every solver runs a qualitative prob-0 precomputation
 first: target states are pinned to exactly 1 and states that cannot reach
 the target to exactly 0, which leaves a nonsingular linear system
-``(I - Q) x = c`` on the remaining states.  Chains and max mode find those
-with one backward walk (:func:`~mcsynth.model.breadth_first`) over the
-quotient's cached predecessor lists, min mode with a fixpoint.  Chains
+``(I - Q) x = c`` on the remaining states.  All three find those with one
+backward attractor (:func:`_attractor`), an array fixpoint over the
+quotient's entries: chains and max mode grow it through any action, min
+mode through every action of a state.  Chains
 (:func:`mc_reach`) solve that system once, directly; quotient MDPs
 (:func:`mdp_extreme`) run policy iteration, evaluating each policy with the
 same solve.  The solve runs chunk by chunk along the condensation of the
@@ -30,8 +31,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 import numpy as np
-
-from .model import breadth_first
 
 if TYPE_CHECKING:  # pragma: no cover
     from .quotient import QuotientMdp
@@ -142,18 +141,6 @@ def _check_targets(n: int, targets: Iterable[int]) -> frozenset[int]:
     if any(not 0 <= t < n for t in tset):
         raise ValueError("target state index out of range")
     return tset
-
-
-def _fixed_values(
-    n: int, targets: frozenset[int], zero: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Values 1 at targets and 0 elsewhere, plus the mask of states left to solve."""
-    values = np.zeros(n)
-    tlist = sorted(targets)
-    values[tlist] = 1.0
-    unknown = ~zero
-    unknown[tlist] = False
-    return values, unknown
 
 
 def _solve_dense(
@@ -269,9 +256,9 @@ def mc_reach(
     values[tlist] = 1.0  # a target stays a target under the mask
     free = ~mask
     free[tlist] = False
-    # the walk starts at the roots and enters free states only; those it reaches are unknown
-    roots = np.flatnonzero(~free & (values > 0.0)).tolist()
-    unknown = breadth_first(mc.in_edges, roots, free) > 0
+    # the attractor grows from the roots through free states only; those it reaches are unknown
+    rounds, _ = _attractor(mc, ~free & (values > 0.0), free)
+    unknown = rounds > 0
     chunk = None if mc.family is None else mc.family._chunk_ids
     _solve(mc.ent_source, mc.ent_target, mc.ent_prob, values, unknown, chunk)
     return values
@@ -286,22 +273,32 @@ def _first_action(mask: np.ndarray, state_ptr: np.ndarray) -> np.ndarray:
     return np.minimum.reduceat(np.where(mask, local, mask.size), state_ptr[:-1])
 
 
-def _mdp_prob0_min(
-    mdp: "QuotientMdp", targets: frozenset[int]
+def _attractor(
+    mdp: "QuotientMdp", reached: np.ndarray, allowed: np.ndarray | None = None, every: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """States with minimal reachability 0: some action can avoid the target forever.
+    """Backward attractor of ``reached``: the round in which each state joins, -1 if never.
 
-    Greatest fixpoint of "has an action whose support stays inside the set".
-    Also returns, per action, whether its support stays inside the final set.
+    Least fixpoint: ``reached`` is round 0, and in each round a state of
+    ``allowed`` (every state when omitted) joins once some action of it
+    (with ``every``: each of its actions) has an entry into the set.  So
+    without ``every`` a round is the state's backward distance to
+    ``reached``.  Also returns, per action, whether it has an entry into
+    the final set.  Neither mask is written to.
     """
-    inside = np.ones(mdp.n_states, dtype=bool)
-    inside[sorted(targets)] = False
+    rounds = np.where(reached, 0, -1)
+    reached, open_ = reached.copy(), ~reached if allowed is None else allowed & ~reached
+    per_state = np.logical_and if every else np.logical_or
+    step = 0
     while True:
-        stays = np.logical_and.reduceat(inside[mdp.ent_target], mdp.act_ptr[:-1])
-        keep = inside & np.logical_or.reduceat(stays, mdp.state_ptr[:-1])
-        if np.array_equal(keep, inside):
-            return inside, stays
-        inside = keep
+        hit = np.logical_or.reduceat(reached[mdp.ent_target], mdp.act_ptr[:-1])
+        # a chain's action s is the one action of state s
+        join = open_ & (hit if mdp.is_chain else per_state.reduceat(hit, mdp.state_ptr[:-1]))
+        if not join.any():
+            return rounds, hit
+        step += 1
+        rounds[join] = step
+        reached |= join
+        open_ &= ~join
 
 
 def mdp_extreme(
@@ -332,14 +329,15 @@ def mdp_extreme(
     chunk = None if mdp.family is None else mdp.family._chunk_ids
 
     policy = np.zeros(n, dtype=np.int64)
+    seeds = np.zeros(n, dtype=bool)
+    seeds[sorted(tset)] = True
+    dist, hit = _attractor(mdp, seeds, every=mode == "min")
+    values, unknown = seeds.astype(float), dist > 0
     if mode == "min":
-        zero, stays = _mdp_prob0_min(mdp, tset)
-        values, unknown = _fixed_values(n, tset, zero)
-        policy[zero] = _first_action(stays, state_ptr)[zero]
+        zero = dist < 0
+        policy[zero] = _first_action(~hit, state_ptr)[zero]
         reduce = np.minimum.reduceat
     else:
-        dist = breadth_first(mdp.in_edges, sorted(tset))
-        values, unknown = _fixed_values(n, tset, dist < 0)
         closer = np.logical_or.reduceat(dist[tgt] == dist[ent_source] - 1, act_ptr[:-1])
         policy[unknown] = _first_action(closer, state_ptr)[unknown]
         reduce = np.maximum.reduceat

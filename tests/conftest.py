@@ -16,8 +16,10 @@ and take the same gathered member chain it takes;
 ``cube_of`` pins a realization's values on a parameter set and ``pinned``
 reads a cube's parameters back;
 ``reference_pinned_reach`` runs the prob-0 search of a pinned solve
-backward from every root over the whole chain, the reference for the search
-over unpinned states in ``mc_reach``, pinned or not;
+backward from every root over the whole chain, on predecessor lists of its
+own, the reference for the search over unpinned states in ``mc_reach``,
+pinned or not; ``reference_avoid_set`` is the greatest fixpoint whose
+complement the attractor through every action (min mode) computes;
 ``reference_build_quotient`` and ``reference_split_subfamily`` build each
 quotient from its own product of domains and decode actions one state at a
 time, the reference for the masked quotients and array splitting of
@@ -483,14 +485,16 @@ def reference_pinned_reach(
     n = mc.n_states
     tlist = sorted(set(targets))
     roots = set(tlist) | set(np.flatnonzero(mask & (given > 0.0)).tolist())
-    sources, ptr = mc.in_edges
+    sources = [[] for _ in range(n)]
+    for s, t in zip(mc.ent_source.tolist(), mc.ent_target.tolist()):
+        sources[t].append(s)
     dist = np.where(mask, -2, -1).tolist()
     queue = deque(sorted(roots))
     for t in queue:
         dist[t] = 0
     while queue:
         t = queue.popleft()
-        for s in sources[ptr[t] : ptr[t + 1]]:
+        for s in sources[t]:
             if dist[s] == -1:
                 dist[s] = dist[t] + 1
                 queue.append(s)
@@ -503,6 +507,30 @@ def reference_pinned_reach(
     chunk = None if mc.family is None else mc.family._chunk_ids
     reach._solve(mc.ent_source, mc.ent_target, mc.ent_prob, values, unknown, chunk)
     return values
+
+
+def reference_avoid_set(
+    actions: Sequence[Sequence[Sequence[int]]], reached: np.ndarray, allowed: np.ndarray | None
+) -> set[int]:
+    """States with an action staying in the set forever, the set starting outside ``reached``.
+
+    ``actions[s]`` lists the target sets of state ``s``'s actions.  Greatest
+    fixpoint, one state at a time: a state of ``allowed`` (every state when
+    ``None``) leaves the set while each of its actions has a target outside
+    it; the others never leave.  Its complement is the attractor of
+    ``reached`` through every action of a state.
+    """
+    inside = {s for s in range(len(actions)) if not reached[s]}
+    changed = True
+    while changed:
+        changed = False
+        for s in sorted(inside):
+            if allowed is not None and not allowed[s]:
+                continue
+            if not any(set(act) <= inside for act in actions[s]):
+                inside.discard(s)
+                changed = True
+    return inside
 
 
 # Reference quotients: every subfamily's quotient built from its own product

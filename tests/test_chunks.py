@@ -1,8 +1,10 @@
 """Solves chunk by chunk along the condensation of the family's union graph.
 
 networkx serves as the oracle for the strongly connected components and for
-the step counts of the one breadth-first walk; the dense ``reference_solve``
-of ``conftest`` is the oracle for the values.
+the rounds of the backward attractor through any action, and
+``reference_avoid_set`` of ``conftest`` for the attractor through every
+action; the dense ``reference_solve`` of ``conftest`` is the oracle for the
+values.
 """
 
 import random
@@ -21,14 +23,16 @@ from mcsynth import (
     mc_reach,
     mdp_extreme,
 )
-from mcsynth.model import SOLVE_CHUNK, breadth_first
-from mcsynth.quotient import build_quotient, root_quotient
+from mcsynth.model import SOLVE_CHUNK
+from mcsynth.quotient import QuotientMdp, build_quotient, root_quotient
 
 from conftest import (
     corpus_family,
     goal_index,
+    hand_chain,
     lane_family,
     make_family,
+    reference_avoid_set,
     reference_reach,
     reference_solve,
     reroute,
@@ -144,45 +148,89 @@ class TestCondensation:
 
 
 @st.composite
-def walk_cases(draw):
-    """A random graph with duplicate edges and self-loops, seeds, and a mask or none."""
+def attractor_cases(draw):
+    """A hand-built quotient (a chain or with up to 3 actions per state), seeds, a mask or none.
+
+    Each action moves uniformly to a random non-empty set of states; self-loops
+    and actions of one state sharing targets are allowed.
+    """
     n = draw(st.integers(1, 12))
-    state = st.integers(0, n - 1)
-    edges = draw(st.lists(st.tuples(state, state), max_size=3 * n))
-    seeds = draw(st.lists(state, max_size=4))
+    chain = draw(st.booleans())
+    targets = st.sets(st.integers(0, n - 1), min_size=1, max_size=3).map(sorted)
+    actions = [draw(st.lists(targets, min_size=1, max_size=1 if chain else 3)) for _ in range(n)]
+    state_ptr = np.cumsum([0] + [len(acts) for acts in actions])
+    rows = [act for acts in actions for act in acts]
+    mdp = QuotientMdp(
+        family=None,
+        sub=None,
+        state_ptr=state_ptr,
+        act_ptr=np.cumsum([0] + [len(act) for act in rows]),
+        ent_target=np.asarray([t for act in rows for t in act], dtype=np.int64),
+        ent_prob=np.asarray([1.0 / len(act) for act in rows for _ in act]),
+    )
+    reached = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     allowed = draw(st.none() | st.lists(st.booleans(), min_size=n, max_size=n).map(np.array))
-    return n, edges, seeds, allowed
+    return mdp, actions, reached, allowed
 
 
-class TestBreadthFirst:
+def run_attractor(mdp, reached, allowed, every):
+    """``_attractor``'s result, checked to leave both masks as they were."""
+    before = (reached.copy(), None if allowed is None else allowed.copy())
+    rounds, hit = reach._attractor(mdp, reached, allowed, every)
+    assert np.array_equal(reached, before[0])
+    assert allowed is None or np.array_equal(allowed, before[1])
+    assert rounds.dtype.kind == "i" and hit.shape == (mdp.act_ptr.size - 1,)
+    return rounds, hit
+
+
+class TestAttractor:
     @settings(max_examples=300, deadline=None)
-    @given(walk_cases())
-    def test_steps_match_networkx(self, case):
-        n, edges, seeds, allowed = case
-        edges.sort()
-        flat = [t for _, t in edges]
-        ptr = np.searchsorted([s for s, _ in edges], np.arange(n + 1)).tolist()
-        got = breadth_first((flat, ptr), seeds, allowed)
+    @given(attractor_cases())
+    def test_some_action_rounds_match_networkx(self, case):
+        mdp, actions, reached, allowed = case
+        rounds, hit = run_attractor(mdp, reached, allowed, every=False)
 
-        # a super-source one step before every seed; a seed is entered even
-        # when not allowed, any other state only when allowed
+        # backward edges from a super-source one step before every seed; a
+        # state that is not a seed is entered only when allowed
         graph = nx.DiGraph()
-        graph.add_nodes_from(range(n))
-        graph.add_edges_from(("seed", s) for s in seeds)
+        graph.add_nodes_from(["seed", *range(mdp.n_states)])
+        graph.add_edges_from(("seed", s) for s in np.flatnonzero(reached).tolist())
         graph.add_edges_from(
-            (s, t) for s, t in edges if allowed is None or allowed[t] or t in seeds
+            (t, s)
+            for s, acts in enumerate(actions)
+            for act in acts
+            for t in act
+            if allowed is None or allowed[s]
         )
-        want = np.full(n, -1)
-        if seeds:
-            for t, d in nx.single_source_shortest_path_length(graph, "seed").items():
-                if t != "seed":
-                    want[t] = d - 1
-        assert got.dtype.kind == "i" and np.array_equal(got, want)
+        want = np.full(mdp.n_states, -1)
+        for t, d in nx.single_source_shortest_path_length(graph, "seed").items():
+            if t != "seed":
+                want[t] = d - 1
+        assert np.array_equal(rounds, want)
+        inside = want >= 0
+        assert hit.tolist() == [bool(inside[act].any()) for acts in actions for act in acts]
 
-    def test_allowed_mask_is_left_unchanged(self):
-        allowed = np.array([True, False, True])
-        steps = breadth_first(([1, 2, 0], [0, 1, 2, 3]), [0], allowed)
-        assert steps.tolist() == [0, -1, -1]
+    @settings(max_examples=300, deadline=None)
+    @given(attractor_cases())
+    def test_every_action_complement_is_the_greatest_fixpoint(self, case):
+        mdp, actions, reached, allowed = case
+        rounds, hit = run_attractor(mdp, reached, allowed, every=True)
+        avoid = reference_avoid_set(actions, reached, allowed)
+        assert set(np.flatnonzero(rounds < 0).tolist()) == avoid
+        assert hit.tolist() == [not set(act) <= avoid for acts in actions for act in acts]
+        # a state joins in the round after each of its actions first reaches the set
+        for s, acts in enumerate(actions):
+            if rounds[s] > 0:
+                first = [min(int(rounds[t]) for t in act if rounds[t] >= 0) for act in acts]
+                assert rounds[s] == max(first) + 1
+
+    def test_masks_are_left_unchanged(self):
+        # 1 -> 0, 2 -> 1, 0 -> 2: state 1 may not join, so state 2 never does
+        mdp = hand_chain([0, 1, 2, 3], [2, 0, 1], [1.0, 1.0, 1.0])
+        reached, allowed = np.array([True, False, False]), np.array([True, False, True])
+        rounds, hit = reach._attractor(mdp, reached, allowed)
+        assert rounds.tolist() == [0, -1, -1] and hit.tolist() == [False, True, False]
+        assert reached.tolist() == [True, False, False]
         assert allowed.tolist() == [True, False, True]
 
 

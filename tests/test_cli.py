@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+import mcsynth.cli as cli
 from mcsynth.cli import main
+from mcsynth.errors import InvalidBoundsError
 
 from conftest import TOY4_TEXT, long_line_text
 
@@ -143,6 +145,25 @@ class TestSynthCommand:
         assert code == 3
         assert "resource cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "exc, shown",
+        [
+            (InvalidBoundsError("upper bound 0.1 below lower bound 0.2"), "InvalidBoundsError"),
+            (ValueError("rerouting never exhibited the violation"), "Traceback"),
+        ],
+        ids=["mcsynth-error", "other-exception"],
+    )
+    def test_crash_exit_four(self, tmp_path, sketch_file, capsys, monkeypatch, exc, shown):
+        # a crash must not exit 1, the code of an infeasible verdict
+        def crash(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "synthesize", crash)
+        spec = spec_file(tmp_path, "P<=0.3 [F t]\n")
+        assert main(["synth", "--sketch", sketch_file, "--spec", spec]) == 4
+        err = capsys.readouterr().err
+        assert shown in err and str(exc) in err
+        assert ("Traceback" in err) == (shown == "Traceback")
 
     @pytest.mark.parametrize("method", ["cegis", "hybrid"])
     def test_recursion_depth_exit_three(self, tmp_path, method):

@@ -102,7 +102,8 @@ class TestTemplates:
 
     def test_flat_rows_accepted_and_compared_by_value(self):
         fam = flat_family([0, 2, 3], [0, 1, 1], [0.5, 0.5, 1.0])
-        assert fam.tmpl_state.tolist() == [0, 0, 1]
+        # the state of each template entry, read off the row pointers
+        assert np.repeat(np.arange(fam.n_states), np.diff(fam.tmpl_ptr)).tolist() == [0, 0, 1]
         assert fam == flat_family([0, 2, 3], [0, 1, 1], [0.5, 0.5, 1.0])
         assert fam != flat_family([0, 2, 3], [0, 1, 1], [0.25, 0.75, 1.0])
         assert fam != flat_family([0, 1, 3], [0, 0, 1], [1.0, 0.5, 0.5])

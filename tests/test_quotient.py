@@ -67,6 +67,8 @@ MASK_FAMILIES = [corpus_family(i) for i in (0, 4, 9, 13, 15, 21, 24, 38)] + [
     lane_family(n, m, rho, seed)
     for n, m, rho, seed in ((12, 4, 0.7, 1), (24, 6, 0.6, 2), (40, 8, 0.7, 3))
 ]
+# each family with its root quotient, built once for the hypothesis tests
+MASK_ROOTED = [(fam, root_quotient(fam)) for fam in MASK_FAMILIES]
 
 
 @st.composite
@@ -355,8 +357,7 @@ class TestRootMask:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_masked_quotient_matches_reference(self, data):
-        fam = data.draw(st.sampled_from(MASK_FAMILIES))
-        root = root_quotient(fam)
+        fam, root = data.draw(st.sampled_from(MASK_ROOTED))
         sub = data.draw(subfamilies(fam))
         q = build_quotient(fam, sub, root)
         assert_bitwise_equal(q, reference_build_quotient(fam, sub))
@@ -383,11 +384,11 @@ class TestRootMask:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_split_matches_reference_on_random_schedulers(self, data):
-        fam = data.draw(st.sampled_from(MASK_FAMILIES))
+        fam, root = data.draw(st.sampled_from(MASK_ROOTED))
         sub = data.draw(subfamilies(fam))
         if member_count(sub) < 2:
             return
-        q = build_quotient(fam, sub, root_quotient(fam))
+        q = build_quotient(fam, sub, root)
         sizes = np.diff(q.state_ptr).tolist()
         scheds = [
             np.asarray([data.draw(st.integers(0, k - 1)) for k in sizes], dtype=np.int64)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import mcsynth.model as model
 import mcsynth.reach as reach
 from mcsynth import (
     DECISION_ETA,
@@ -276,9 +275,8 @@ class TestMcReachExact:
         def broken(*args, **kwargs):
             raise AssertionError("the reference called into mcsynth.reach")
 
-        for name in ("breadth_first", "_solve", "_check_targets"):
+        for name in ("_attractor", "_solve", "_check_targets"):
             monkeypatch.setattr(reach, name, broken)
-        monkeypatch.setattr(model, "breadth_first", broken)
         fam = lane_family(200, 6, 0.6, 3)
         mc = induce(fam, Realization(tuple(dom[0] for dom in fam.domains)))
         values = reference_reach(mc, {fam.state_names.index("goal")})

@@ -101,7 +101,7 @@ class TestStoredRowsReadOnly:
         with pytest.raises(ValueError, match="read-only"):
             getattr(mc, name)[0] = 1
 
-    @pytest.mark.parametrize("name", ["tmpl_ptr", "tmpl_param", "tmpl_prob", "tmpl_state"])
+    @pytest.mark.parametrize("name", ["tmpl_ptr", "tmpl_param", "tmpl_prob"])
     def test_family_arrays(self, name):
         fam = corpus_family(0)
         with pytest.raises(ValueError, match="read-only"):
@@ -238,7 +238,8 @@ class TestQuotientActionOrder:
 
 def template_rows(fam, r) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows of ``r``'s chain built from its templates by ``flat_rows``, not from the root."""
-    return flat_rows(fam.n_states, fam.tmpl_state, np.asarray(r.values)[fam.tmpl_param], fam.tmpl_prob)
+    tmpl_state = np.repeat(np.arange(fam.n_states), np.diff(fam.tmpl_ptr))
+    return flat_rows(fam.n_states, tmpl_state, np.asarray(r.values)[fam.tmpl_param], fam.tmpl_prob)
 
 
 def assert_gathered(fam, r, mc):

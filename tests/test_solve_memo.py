@@ -81,14 +81,15 @@ class TestBitwise:
 
     def test_every_conflict_probe(self, task, monkeypatch):
         family, spec = task
-        scope = family.full_subfamily()
+        scope, root = family.full_subfamily(), root_quotient(family)
         cases = []
         for r in iterate_unpruned(scope):
-            value = float(mc_reach(induce(family, r), spec.properties[0].targets)[family.initial])
+            mc = induce(family, r, root)
+            value = float(mc_reach(mc, spec.properties[0].targets)[family.initial])
             for prop in spec.properties:
                 if not evaluate_property(value, prop):
                     gamma = counterexamples.trivial_gamma(family.n_states, prop)
-                    conflict = construct_conflict(induce(family, r), prop, gamma, scope)
+                    conflict = construct_conflict(mc, prop, gamma, scope)
                     cases.append((r, prop, gamma, conflict))
         assert cases
         probes = []
@@ -101,7 +102,7 @@ class TestBitwise:
         monkeypatch.setattr(counterexamples, "mc_reach", spy)
         with solve_memo():
             for r, prop, gamma, outside in cases:
-                inside = construct_conflict(induce(family, r), prop, gamma, scope)
+                inside = construct_conflict(induce(family, r, root), prop, gamma, scope)
                 assert inside == outside
         monkeypatch.undo()
         for mc, targets, mask, gamma, values in probes:
