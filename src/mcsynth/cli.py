@@ -48,11 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     synth = sub.add_parser("synth", help="search a sketch for a satisfying member")
     synth.add_argument("--sketch", required=True, help="sketch JSON file")
     synth.add_argument("--spec", required=True, help="specification file")
-    synth.add_argument(
-        "--method",
-        choices=METHODS,
-        default="hybrid",
-    )
+    synth.add_argument("--method", choices=METHODS, default="hybrid")
     synth.add_argument(
         "--bounds",
         choices=["trivial", "family"],
@@ -99,19 +95,14 @@ def _run_synth(args) -> int:
     elapsed = time.perf_counter() - start
     payload = {
         "verdict": result.verdict,
-        "realization": (
-            None if result.realization is None else result.realization.as_dict(family)
-        ),
+        "realization": None if result.realization is None else result.realization.as_dict(family),
         "values": (
             None
             if result.values is None
             else {p.text(family): v for p, v in zip(spec.properties, result.values)}
         ),
         "optimum": result.optimum,
-        "iterations": {
-            "cegis": result.stats.cegis_iterations,
-            "ar": result.stats.ar_iterations,
-        },
+        "iterations": {"cegis": result.stats.cegis_iterations, "ar": result.stats.ar_iterations},
         "model_checks": result.stats.model_checks,
         "pruned": result.stats.pruned,
         "checked": result.stats.checked,
@@ -135,9 +126,7 @@ def _run_synth(args) -> int:
             f" pruned={result.stats.pruned} checked={result.stats.checked}"
             f" time={elapsed:.3f}s"
         )
-    if result.verdict in ("feasible", "optimal"):
-        return EXIT_FEASIBLE
-    return EXIT_INFEASIBLE
+    return EXIT_FEASIBLE if result.verdict in ("feasible", "optimal") else EXIT_INFEASIBLE
 
 
 def _run_bench_gen(args) -> int:
@@ -155,16 +144,8 @@ def _run_bench_gen(args) -> int:
 def _run_ce_report(args) -> int:
     family = parse_sketch(_read(args.sketch))
     spec = parse_spec(_read(args.spec), family)
-    report = ce_quality_report(
-        family,
-        spec,
-        mode=args.mode,
-        include_minimal=args.minimal_oracle,
-    )
-    if args.json:
-        print(report.to_json(), end="")
-    else:
-        print(report.to_text(family), end="")
+    report = ce_quality_report(family, spec, mode=args.mode, include_minimal=args.minimal_oracle)
+    print(report.to_json() if args.json else report.to_text(family), end="")
     return EXIT_FEASIBLE
 
 

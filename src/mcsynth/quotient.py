@@ -21,7 +21,7 @@ reading the schedulers' choices from the same arrays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -65,7 +65,9 @@ class QuotientMdp:
 
     ``act_state`` (the state of each action), ``ent_act`` and ``ent_source``
     (the action and state of each entry) serve every solve on the quotient;
-    they are always derived from the pointers.  All arrays are read-only.
+    they are derived from the pointers, except that :func:`induce` hands a
+    chain the ``ent_source`` it gathers from the root (``_ent_source``).
+    All arrays are read-only.
     """
 
     family: Family | None
@@ -77,11 +79,12 @@ class QuotientMdp:
     choice_ptr: np.ndarray | None = field(default=None, repr=False)
     choice_param: np.ndarray | None = field(default=None, repr=False)
     choice_value: np.ndarray | None = field(default=None, repr=False)
+    _ent_source: InitVar[np.ndarray | None] = None
     act_state: np.ndarray = field(init=False, repr=False)
     ent_act: np.ndarray = field(init=False, repr=False)
     ent_source: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _ent_source):
         n = self.n_states
         if self.family is None:
             check_rows(self.act_ptr, self.ent_target, self.ent_prob, n, "targets an unknown state")
@@ -90,15 +93,17 @@ class QuotientMdp:
                 raise ValueError(f"state {int(np.argmin(n_acts))} has no actions")
         _freeze(self.state_ptr, self.act_ptr, self.ent_target, self.ent_prob)
         # slices and array methods: every member chain pays for this block
-        act_len = self.act_ptr[1:] - self.act_ptr[:-1]
         if self.is_chain:  # action s is the one action of state s
-            act_state = self.state_ptr[:-1]
-            ent_act = ent_source = act_state.repeat(act_len)
+            act_state = self.state_ptr[:-1]  # a view of a read-only array is read-only
+            if _ent_source is None:
+                _ent_source = act_state.repeat(self.act_ptr[1:] - self.act_ptr[:-1])
+            ent_act = ent_source = _ent_source
+            _freeze(ent_source)
         else:
             act_state = np.repeat(np.arange(n), np.diff(self.state_ptr))
-            ent_act = np.repeat(np.arange(act_state.size), act_len)
+            ent_act = np.repeat(np.arange(act_state.size), self.act_ptr[1:] - self.act_ptr[:-1])
             ent_source = act_state[ent_act]
-        _freeze(act_state, ent_act, ent_source)
+            _freeze(act_state, ent_act, ent_source)
         object.__setattr__(self, "act_state", act_state)
         object.__setattr__(self, "ent_act", ent_act)
         object.__setattr__(self, "ent_source", ent_source)
@@ -236,7 +241,7 @@ def build_quotient(family: Family, sub: Subfamily, root: QuotientMdp | None = No
 def _kept(root: QuotientMdp, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Mask of the root actions whose every choice is ``ok``, their row pointers, entry mask."""
     keep = np.logical_and.reduceat(ok, root.choice_ptr[:-1])
-    return keep, _ptr(np.diff(root.act_ptr)[keep]), keep[root.ent_act]
+    return keep, _ptr((root.act_ptr[1:] - root.act_ptr[:-1])[keep]), keep[root.ent_act]
 
 
 def induce(family: Family, r: Realization, root: QuotientMdp | None = None) -> QuotientMdp:
@@ -261,6 +266,7 @@ def induce(family: Family, r: Realization, root: QuotientMdp | None = None) -> Q
         act_ptr=act_ptr,
         ent_target=root.ent_target[ent_keep],
         ent_prob=root.ent_prob[ent_keep],
+        _ent_source=root.ent_source[ent_keep],
     )
 
 

@@ -15,7 +15,8 @@ family's union graph, sinks first, one dense system per chunk
 (:func:`_solve`); a family below ``SOLVE_CHUNK`` states is one chunk.
 Within one synthesis run (:func:`solve_memo`) a multi-chunk solve remembers
 each chunk system by its content, so the chunks that a member, a conflict
-step or a policy shares with an earlier solve are not solved again.  Values
+step or a policy shares with an earlier solve are not solved again; on a
+one-chunk family only AR's solves are remembered, which repeat.  Values
 are exact up to floating rounding.  Every threshold decision goes through
 :func:`evaluate_property` with the decision tolerance ``DECISION_ETA``; ties
 resolve toward satisfaction.  The test suite checks these solvers against
@@ -169,6 +170,7 @@ def _solve(
     values: np.ndarray,
     unknown: np.ndarray,
     chunk: np.ndarray | None = None,
+    remember: bool = False,
 ) -> None:
     """Set ``values[unknown]`` to the reachability values of one chain.
 
@@ -188,20 +190,23 @@ def _solve(
     its entries and the values at the states its entries leave to.  A key
     met before writes back the stored values of the chunk, bitwise what
     the dense solve would give; the memo keeps the ``MEMO_CAP`` most
-    recently used systems.  A one-chunk solve is never remembered.
+    recently used systems.  A one-chunk solve is kept only with ``remember``
+    (AR's solves, which repeat down the refinement tree).
     """
-    if chunk is None:
+    memo = _memo.get() if remember or chunk is not None else None
+    if memo is None and chunk is None:
         _solve_dense(src, tgt, prob, values, unknown)
         return
-    memo = _memo.get()
     own = unknown[src]
     src, tgt, prob = src[own], tgt[own], prob[own]
-    # the stable sort keeps each row's entries together and in order
-    order = np.argsort(chunk[src], kind="stable")
-    src, tgt, prob = src[order], tgt[order], prob[order]
-    ent_chunk = chunk[src]
-    # every unknown state has a row, so the chunks met are those of its entries
-    cuts = (np.flatnonzero(ent_chunk[1:] != ent_chunk[:-1]) + 1).tolist()
+    cuts = []
+    if chunk is not None:
+        # the stable sort keeps each row's entries together and in order
+        order = np.argsort(chunk[src], kind="stable")
+        src, tgt, prob = src[order], tgt[order], prob[order]
+        ent_chunk = chunk[src]
+        # every unknown state has a row, so the chunks met are those of its entries
+        cuts = (np.flatnonzero(ent_chunk[1:] != ent_chunk[:-1]) + 1).tolist()
     block = np.zeros(unknown.size, dtype=bool)
     for lo, hi in zip([0] + cuts, cuts + [src.size]):
         s, t, p = src[lo:hi], tgt[lo:hi], prob[lo:hi]
@@ -244,6 +249,11 @@ def mc_reach(
     non-target states are the unknowns of the solve.  Without ``fixed``
     nothing is pinned, so the targets are the only roots of that search.
     """
+    return _chain_reach(mc, targets, fixed)
+
+
+def _chain_reach(mc: "QuotientMdp", targets, fixed=None, remember: bool = False) -> np.ndarray:
+    """:func:`mc_reach`, whose solve with ``remember`` is remembered on one chunk too."""
     if not mc.is_chain:
         raise ValueError("mc_reach solves a chain: some state has more than one action")
     n = mc.n_states
@@ -260,7 +270,7 @@ def mc_reach(
     rounds, _ = _attractor(mc, ~free & (values > 0.0), free)
     unknown = rounds > 0
     chunk = None if mc.family is None else mc.family._chunk_ids
-    _solve(mc.ent_source, mc.ent_target, mc.ent_prob, values, unknown, chunk)
+    _solve(mc.ent_source, mc.ent_target, mc.ent_prob, values, unknown, chunk, remember)
     return values
 
 
@@ -316,7 +326,8 @@ def mdp_extreme(
     final policy: with exact values, actions that stay inside an end
     component tie with the optimal one but do not attain the value.  For
     the min objective, states inside the prob-0 region get the smallest
-    action that stays inside it, so the induced chain attains 0.
+    action that stays inside it, so the induced chain attains 0.  Every
+    policy evaluation is remembered inside :func:`solve_memo`, also on one chunk.
     """
     if mode not in ("min", "max"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -344,7 +355,7 @@ def mdp_extreme(
 
     while True:
         picked = ent_act == (act_first + policy)[ent_source]
-        _solve(ent_source[picked], tgt[picked], prob[picked], values, unknown, chunk)
+        _solve(ent_source[picked], tgt[picked], prob[picked], values, unknown, chunk, True)
         act_vals = np.add.reduceat(prob * values[tgt], act_ptr[:-1])
         best = reduce(act_vals, act_first)
         gain = np.abs(best - act_vals[act_first + policy])

@@ -138,8 +138,7 @@ def parse_sketch(text: str) -> Family:
             total += float(prob)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise SketchError(
-                f"probabilities of state {name!r} sum to {total!r}, expected 1",
-                location=loc,
+                f"probabilities of state {name!r} sum to {total!r}, expected 1", location=loc
             )
         rows.append(sorted(entries.items()))
 
@@ -199,9 +198,7 @@ def parse_property(text: str, family: Family) -> Property | Objective:
         op, thr_text, names = match.groups()
         threshold = float(thr_text)
         if threshold > 1.0:
-            raise PropertyError(
-                f"threshold {thr_text} outside [0, 1]", location="property"
-            )
+            raise PropertyError(f"threshold {thr_text} outside [0, 1]", location="property")
         return Property(op=op, threshold=threshold, targets=_resolve_targets(names, family))
     match = _OBJECTIVE_RE.match(stripped)
     if match:
@@ -267,8 +264,7 @@ def generate_benchmark(states: int, params: int, domain_size: int, seed: int) ->
         raise SketchError("domain size must be at least 2", location="domain")
     if domain_size > states - 1:
         raise SketchError(
-            f"domain size {domain_size} infeasible for {states} states",
-            location="domain",
+            f"domain size {domain_size} infeasible for {states} states", location="domain"
         )
     rng = random.Random(f"mcsynth-bench:{states}:{params}:{domain_size}:{seed}")
     n_inter = states - 2

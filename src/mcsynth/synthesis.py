@@ -58,6 +58,7 @@ from .reach import (
     Objective,
     Property,
     Specification,
+    _chain_reach,
     evaluate_property,
     mc_reach,
     solve_memo,
@@ -177,16 +178,21 @@ def _target_sets(state: HybridState) -> list[frozenset[int]]:
     return tsets
 
 
-def _check(state: HybridState, r: Realization) -> tuple[QuotientMdp, dict, list[Property]]:
+def _check(
+    state: HybridState, r: Realization, ar: bool = False
+) -> tuple[QuotientMdp, dict, list[Property]]:
     """Check member ``r`` against every property, the working one included.
 
     Returns its chain (gathered from the run's root), its initial-state value
-    per target set and the violated properties.  Each target set is a model check.
+    per target set and the violated properties.  Each target set is a model
+    check; an AR step's (``ar``) goes through the run's solve memo also on a
+    one-chunk family, as its policy evaluations do.
     """
     mc = induce(state.family, r, state.root)
     values = {}
     for tset in _target_sets(state):
-        values[tset] = float(mc_reach(mc, tset)[state.family.initial])
+        value = _chain_reach(mc, tset, remember=True) if ar else mc_reach(mc, tset)
+        values[tset] = float(value[state.family.initial])
         state.stats.model_checks += 1
     state.stats.checked += 1
     violated = [p for p in _props_all(state) if not evaluate_property(values[p.targets], p)]
@@ -269,7 +275,7 @@ def ar_run(state: HybridState) -> SynthesisResult | None:
     if state.optimizing and member_count(item.sub) == 1:
         # leaf subfamily: decide the single member directly
         r = next(iterate_unpruned(item.sub, item.cubes))
-        _mc, values, violated = _check(state, r)
+        _mc, values, violated = _check(state, r, ar=True)
         if not violated:
             _accept(state, r, values)
         return None
@@ -287,7 +293,7 @@ def ar_run(state: HybridState) -> SynthesisResult | None:
     if not state.optimizing and all(st == "sat" for st in statuses):
         # the bounds decide; the check only reports the witness's values
         r = next(iterate_unpruned(item.sub, item.cubes))
-        _mc, values, _violated = _check(state, r)
+        _mc, values, _violated = _check(state, r, ar=True)
         return _accept(state, r, values)
 
     open_props = [p for p, st in zip(props, statuses) if st == "open"]

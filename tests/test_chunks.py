@@ -84,7 +84,7 @@ def with_reference_solve(monkeypatch, fn, *args, **kwargs):
         patch.setattr(
             reach,
             "_solve",
-            lambda src, tgt, prob, values, unknown, chunk=None: reference_solve(
+            lambda src, tgt, prob, values, unknown, chunk=None, remember=False: reference_solve(
                 src, tgt, prob, values, unknown
             ),
         )
@@ -284,9 +284,9 @@ class TestChunkedSolve:
         seen = []
         real = reach._solve
 
-        def spy(src, tgt, prob, values, unknown, chunk=None):
+        def spy(src, tgt, prob, values, unknown, chunk=None, remember=False):
             seen.append(chunk)
-            real(src, tgt, prob, values, unknown, chunk)
+            real(src, tgt, prob, values, unknown, chunk, remember)
 
         monkeypatch.setattr(reach, "_solve", spy)
         mc_reach(induce(family, members(family, 1, 0)[0]), goal)

@@ -251,7 +251,7 @@ def assert_gathered(fam, r, mc):
     assert np.array_equal(mc.ent_source, np.repeat(np.arange(fam.n_states), sizes))
     assert (mc.family, mc.sub, mc.initial) == (fam, r, fam.initial)
     assert np.array_equal(mc.state_ptr, np.arange(fam.n_states + 1))
-    assert not any(a.flags.writeable for a in arrays + (mc.ent_source,))
+    assert not any(a.flags.writeable for a in arrays + (mc.act_state, mc.ent_act, mc.ent_source))
 
 
 def assert_member_quotient(fam, r, mc, root):

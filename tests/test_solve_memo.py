@@ -2,8 +2,10 @@
 
 Every value and scheduler computed inside a memo scope must be bitwise the
 one computed outside it, and every synthesis run must behave exactly as
-with the memo disabled.  The memo is bounded, lives for one ``synthesize``
-call only, and is never used by a one-chunk family.
+with the memo disabled, on multi-chunk and one-chunk families alike.  The
+memo is bounded and lives for one ``synthesize`` call only.  On a one-chunk
+family only AR's solves use it, its policy evaluations and leaf checks;
+member checks and conflict probes there stay outside it.
 """
 
 import numpy as np
@@ -37,10 +39,26 @@ TASKS = [
 ]
 
 
-@pytest.fixture(scope="module", params=TASKS, ids=lambda cfg: f"{cfg[0]}{cfg[1]}")
+# one-chunk lane families, below SOLVE_CHUNK states
+ONE_CHUNK_TASKS = [("window", 40, 8, 0.8), ("optimal", 40, 8, 0.6)]
+
+
+def task_id(cfg) -> str:
+    return f"{cfg[0]}{cfg[1]}"
+
+
+@pytest.fixture(scope="module", params=TASKS, ids=task_id)
 def task(request):
     family, spec = lane_task(*request.param)
     assert family._chunk_ids is not None and family._chunk_ids.max() >= 1
+    return family, spec
+
+
+@pytest.fixture(scope="module", params=TASKS + ONE_CHUNK_TASKS, ids=task_id)
+def any_task(request):
+    """The multi-chunk tasks and the one-chunk ones."""
+    family, spec = lane_task(*request.param)
+    assert (family._chunk_ids is None) == (request.param in ONE_CHUNK_TASKS)
     return family, spec
 
 
@@ -108,8 +126,8 @@ class TestBitwise:
         for mc, targets, mask, gamma, values in probes:
             assert np.array_equal(mc_reach(mc, targets, fixed=(mask, gamma)), values)
 
-    def test_mdp_extreme_down_a_refinement_tree(self, task):
-        family, _spec = task
+    def test_mdp_extreme_down_a_refinement_tree(self, any_task):
+        family, _spec = any_task
         goal = {goal_index(family)}
         root = root_quotient(family)
         level = [family.full_subfamily()]
@@ -132,8 +150,8 @@ class TestBitwise:
                 assert np.array_equal(max_sched, bounds.max_scheduler)
 
     @pytest.mark.parametrize("method", METHODS)
-    def test_synthesis_matches_the_memo_disabled(self, task, method, monkeypatch):
-        family, spec = task
+    def test_synthesis_matches_the_memo_disabled(self, any_task, method, monkeypatch):
+        family, spec = any_task
         with_memo = synthesize(family, spec, method=method)
         monkeypatch.setattr(reach, "MEMO_CAP", 0)
         without = synthesize(family, spec, method=method)
@@ -177,10 +195,23 @@ class TestScope:
         synthesize(family, spec, method=method)
         assert len(dense_calls) == 2 * first > 0
 
-    def test_one_chunk_families_never_touch_the_memo(self, dense_calls):
+    def test_one_chunk_families_remember_ar_solves_only(self, dense_calls, monkeypatch):
         family, spec = lane_task("window", 40, 6, 0.6)
         assert family._chunk_ids is None
-        for method in METHODS:
+        # member checks and conflict probes: no solve ever finds an entry stored
+        for method in ("onebyone", "cegis"):
+            dense_calls.clear()
+            synthesize(family, spec, method=method, bounds="trivial")
+            assert len(dense_calls) > 1
+            assert all(size == 0 for _memo, size in dense_calls)
+        # AR's policy evaluations and leaf checks: stored, and some met again
+        for method in ("ar", "hybrid"):
+            dense_calls.clear()
             synthesize(family, spec, method=method)
-        assert len(dense_calls) > 1
-        assert all(size == 0 for _memo, size in dense_calls)
+            assert any(size for _memo, size in dense_calls)
+            remembered = len(dense_calls)
+            with monkeypatch.context() as patch:
+                patch.setattr(reach, "MEMO_CAP", 0)
+                dense_calls.clear()
+                synthesize(family, spec, method=method)
+            assert remembered < len(dense_calls)
