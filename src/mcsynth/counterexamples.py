@@ -13,7 +13,7 @@ is greedy: always the horizon state with the fewest not-yet-relevant
 parameters.  That order reads the member's rows and templates but no value,
 so it is planned whole up front, and a bisection over its ``K + 1`` steps
 finds the first violating one with at most ``ceil(log2(K + 1)) + 1`` model
-checks.  Only the exhaustive oracle induces chains, from one root quotient.
+checks.  Only the exhaustive oracle induces chains, from the family's root.
 
 Parameters whose restricted domain in the enclosing scope is a singleton are
 always treated as relevant: they cannot vary inside the scope, so including
@@ -37,7 +37,7 @@ from .model import (
     generalization,
     member_count,
 )
-from .quotient import QuotientMdp, induce, root_quotient
+from .quotient import QuotientMdp, induce
 from .reach import Property, evaluate_property, mc_reach
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -193,12 +193,11 @@ def minimal_conflict_oracle(
         raise ValueError("realization lies outside the scope")
 
     cache: dict[tuple[int, ...], bool] = {}
-    root = root_quotient(family)
 
     def violates(member: Realization) -> bool:
         key = member.values
         if key not in cache:
-            value = float(mc_reach(induce(family, member, root), prop.targets)[family.initial])
+            value = float(mc_reach(induce(family, member), prop.targets)[family.initial])
             cache[key] = not evaluate_property(value, prop)
         return cache[key]
 

@@ -6,9 +6,10 @@ readable names live only at the I/O boundary (see :mod:`mcsynth.sketch`).
 Sketch templates and quotient MDPs (a member chain among them, the quotient
 of one member) share one flat row layout: :func:`check_rows` is the one
 check of a stored row, and :func:`flat_rows` turns raw template entries into
-the root quotient's rows, which every other quotient gathers.  A family also
-fixes the order in which reachability solves visit its states: chunks of
-the condensation of its union graph, sinks first (:attr:`Family._chunk_ids`).
+the rows of the root quotient a family keeps (:attr:`Family._root`), which
+every other quotient gathers.  A family also fixes the order in which
+reachability solves visit its states: chunks of the condensation of its
+union graph, sinks first (:attr:`Family._chunk_ids`).
 """
 
 from __future__ import annotations
@@ -17,9 +18,12 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
+
+if TYPE_CHECKING:  # pragma: no cover
+    from .quotient import QuotientMdp
 
 PROB_SUM_TOL = 1e-9
 # A solve chunk closes once it holds this many states.  Smaller chunks save
@@ -231,6 +235,17 @@ class Family:
         """Per state, the parameters of its template as a bitmask (bit ``k``: parameter ``k``)."""
         ptr, param = self.tmpl_ptr.tolist(), self.tmpl_param.tolist()
         return [sum(1 << k for k in param[a:b]) for a, b in zip(ptr, ptr[1:])]
+
+    @cached_property
+    def _unread(self) -> tuple[int, ...]:
+        """The parameters no template reads, in order; their values change no member chain."""
+        return tuple(sorted(set(range(self.n_params)).difference(self.tmpl_param.tolist())))
+
+    @cached_property
+    def _root(self) -> QuotientMdp:
+        """The quotient of the whole family, built on first use; read-only, so runs share it."""
+        from .quotient import root_quotient  # quotient imports this module
+        return root_quotient(self)
 
 
 @dataclass(frozen=True)

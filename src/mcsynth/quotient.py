@@ -6,14 +6,14 @@ the subfamily's restricted domains.  Model checking it for the minimal and
 maximal reachability yields per-state bounds valid for every member; the two
 optimal schedulers drive the choice of the parameter to split on.
 
-A synthesis run builds the *root* quotient, over the family's full domains,
-once (:func:`root_quotient`).  Besides its rows the root keeps each action's
-raw choice, the ``(param, value)`` of every template entry, as flat arrays.
-The quotient of a subfamily is a *mask* of root actions, those whose every
-choice lies in the subfamily's domains (:func:`build_quotient`); a member
-chain is the quotient of one member, the one action per state its values
-choose (:func:`induce`), so the solvers and conflicts read the same type
-as AR steps.  Bounds and splits take only a quotient, which carries its
+Each family builds its *root* quotient, over its full domains, on first use
+and keeps it (:func:`root_quotient`).  Besides its rows the root keeps each
+action's raw choice, the ``(param, value)`` of every template entry, as flat
+arrays.  The quotient of a subfamily is a *mask* of root actions, those whose
+every choice lies in the subfamily's domains (:func:`build_quotient`); a
+member chain is the quotient of one member, the one action per state its
+values choose (:func:`induce`), so the solvers and conflicts read the same
+type as AR steps.  Bounds and splits take only a quotient, which carries its
 ``family`` and ``sub``: :func:`compute_bounds` solves the quotient it is
 given into plain vectors, and :func:`split_subfamily` splits its ``sub``,
 reading the schedulers' choices from the same arrays.
@@ -33,7 +33,6 @@ from .model import (
     Subfamily,
     _freeze,
     check_rows,
-    cube_pins,
     flat_rows,
     member_count,
 )
@@ -201,22 +200,18 @@ def root_quotient(family: Family) -> QuotientMdp:
     )
 
 
-def build_quotient(family: Family, sub: Subfamily, root: QuotientMdp | None = None) -> QuotientMdp:
-    """Materialize the quotient MDP of ``sub`` as a mask of ``root``'s actions.
+def build_quotient(family: Family, sub: Subfamily) -> QuotientMdp:
+    """Materialize the quotient MDP of ``sub`` as a mask of the family's root actions.
 
-    ``root`` is the family's root quotient (built here when omitted, see
-    :func:`root_quotient`) or the quotient of any subfamily containing
-    ``sub``.  The actions kept are those whose every choice lies in ``sub``'s
-    domains, in root order, so actions and rows are those of ``sub``'s own
-    product of domains.
+    The actions kept are those whose every choice lies in ``sub``'s domains, in
+    root order, so actions and rows are those of ``sub``'s own product of domains.
     """
-    if root is None:
-        root = root_quotient(family)
     if len(sub.domains) != family.n_params:
         raise ValueError("subfamily does not match the family's parameters")
-    for k, (dom, outer) in enumerate(zip(sub.domains, root.sub.domains)):
+    for k, (dom, outer) in enumerate(zip(sub.domains, family.domains)):
         if dom is not outer and any(v not in outer for v in dom):
             raise ValueError(f"restricted domain of parameter {k} leaves the declared domain")
+    root = family._root
     allowed = np.zeros((family.n_params, family.n_states), dtype=bool)
     allowed[
         np.repeat(np.arange(family.n_params), [len(dom) for dom in sub.domains]),
@@ -244,21 +239,19 @@ def _kept(root: QuotientMdp, ok: np.ndarray) -> tuple[np.ndarray, np.ndarray, np
     return keep, _ptr((root.act_ptr[1:] - root.act_ptr[:-1])[keep]), keep[root.ent_act]
 
 
-def induce(family: Family, r: Realization, root: QuotientMdp | None = None) -> QuotientMdp:
+def induce(family: Family, r: Realization) -> QuotientMdp:
     """The member chain of ``r``, its one-member quotient: per state the root action choosing ``r``.
 
-    ``root`` is the family's root quotient or a mask holding ``r``; without
-    it, ``r`` is checked and the root built here.  The rows are gathered, so
-    bitwise those ``flat_rows`` gives ``r``'s templates, and not checked again.
+    A value outside its domain leaves a state without an action, unless no template reads it.
     """
-    if root is None:
-        if cube_pins(r, family.full_subfamily()) is None:
-            raise ValueError("realization gives a parameter a value outside its domain")
-        root = root_quotient(family)
+    if len(r.values) != family.n_params:
+        raise ValueError(f"realization assigns {len(r.values)} parameters, family has {family.n_params}")
+    root = family._root
     values = np.fromiter(r.values, np.int64, len(r.values))
     _, act_ptr, ent_keep = _kept(root, root.choice_value == values[root.choice_param])
-    if act_ptr.size != family.n_states + 1:
-        raise ValueError("realization picks no action of the quotient at some state")
+    unread = (r.values[k] not in family.domains[k] for k in family._unread)
+    if act_ptr.size != family.n_states + 1 or any(unread):
+        raise ValueError("realization gives a parameter a value outside its domain")
     return QuotientMdp(
         family=family,
         sub=r,

@@ -114,7 +114,7 @@ def ce_quality_report(
     if not spec.properties:
         return CeQualityReport(mode=mode, total_params=total, rows=())
     if state.reroute:
-        item.gamma = _gammas(state, _bounds(state, state.root))
+        item.gamma = _gammas(state, _bounds(state, family._root))
 
     rows = []
     for r in iterate_unpruned(item.sub):

@@ -4,12 +4,11 @@ Every method decides the same question: does the family contain a member
 satisfying the specification (optionally: which member is optimal)?  The
 queue starts with the whole family.  Abstraction refinement (AR, ``ar_run``)
 analyses one queued subfamily with quotient bounds and prunes, accepts or
-splits it; its quotient is a mask of the family's root quotient, which a
-run builds once (:attr:`HybridState.root`), and lives for that step only.
-CEGIS (``cegis_phase``) checks the members of queued subfamilies one at a
-time, each on a chain gathered from the same root, and prunes the
-generalization of a conflict for every violated property.  The methods of
-:func:`synthesize` are settings of that loop:
+splits it; its quotient is a mask of the family's root quotient and lives
+for that step only.  CEGIS (``cegis_phase``) checks the members of queued
+subfamilies one at a time and prunes the generalization of a conflict for
+every violated property.  The methods of :func:`synthesize` are settings of
+that loop:
 
 ============  ====  ======================================================
 method        AR    CEGIS
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 from .counterexamples import construct_conflict, trivial_gamma
 from .errors import ResourceCapError
@@ -50,7 +48,6 @@ from .quotient import (
     build_quotient,
     compute_bounds,
     induce,
-    root_quotient,
     split_subfamily,
 )
 from .reach import (
@@ -131,11 +128,6 @@ class HybridState:
     def optimizing(self) -> bool:
         return self.spec.objective is not None
 
-    @cached_property
-    def root(self) -> QuotientMdp:
-        """The family's root quotient, built on first use; AR masks it, member checks gather it."""
-        return root_quotient(self.family)
-
 
 def new_state(family: Family, spec: Specification, reroute: bool = False) -> HybridState:
     """Fresh synthesis state whose queue holds the whole family."""
@@ -183,12 +175,12 @@ def _check(
 ) -> tuple[QuotientMdp, dict, list[Property]]:
     """Check member ``r`` against every property, the working one included.
 
-    Returns its chain (gathered from the run's root), its initial-state value
-    per target set and the violated properties.  Each target set is a model
-    check; an AR step's (``ar``) goes through the run's solve memo also on a
-    one-chunk family, as its policy evaluations do.
+    Returns its chain, its initial-state value per target set and the
+    violated properties.  Each target set is a model check; an AR step's
+    (``ar``) goes through the run's solve memo also on a one-chunk family, as
+    its policy evaluations do.
     """
-    mc = induce(state.family, r, state.root)
+    mc = induce(state.family, r)
     values = {}
     for tset in _target_sets(state):
         value = _chain_reach(mc, tset, remember=True) if ar else mc_reach(mc, tset)
@@ -282,7 +274,7 @@ def ar_run(state: HybridState) -> SynthesisResult | None:
 
     props = _props_all(state)
     # the step's mask of the root and its bounds die with the step
-    qmdp = build_quotient(state.family, item.sub, state.root)
+    qmdp = build_quotient(state.family, item.sub)
     bounds = _bounds(state, qmdp)
     statuses = [_status(p, bounds[p.targets], state.family.initial) for p in props]
 
@@ -410,13 +402,13 @@ def synthesize(
     with solve_memo():
         reroute = bounds == "family" and method in ("cegis", "hybrid")
         state = new_state(family, spec, reroute=reroute)
-        root = state.queue[0]
-        if method == "onebyone" and root.remaining > MEMBER_CAP:
+        item = state.queue[0]
+        if method == "onebyone" and item.remaining > MEMBER_CAP:
             raise ResourceCapError(
-                f"family has {root.remaining} members, one-by-one cap is {MEMBER_CAP}"
+                f"family has {item.remaining} members, one-by-one cap is {MEMBER_CAP}"
             )
         if method == "cegis" and reroute:
-            root.gamma = _gammas(state, _bounds(state, state.root))
+            item.gamma = _gammas(state, _bounds(state, family._root))
 
         stats = state.stats
         ar_steps = method in ("ar", "hybrid")

@@ -70,7 +70,7 @@ from mcsynth import (
 import mcsynth.reach as reach
 from mcsynth.errors import ResourceCapError
 from mcsynth.model import Cube, flat_rows, member_count
-from mcsynth.quotient import ACTION_CAP, QuotientMdp, root_quotient
+from mcsynth.quotient import ACTION_CAP, QuotientMdp
 
 TOY4_TEXT = """
 {
@@ -724,10 +724,9 @@ def goal_index(family: Family) -> int:
 
 def enumerate_values(family: Family, targets) -> dict[tuple, float]:
     """Oracle: initial-state value of every member, by the dense :func:`reference_reach`."""
-    root = root_quotient(family)
     out = {}
     for r in iterate_unpruned(family.full_subfamily()):
-        out[r.values] = float(reference_reach(induce(family, r, root), targets)[family.initial])
+        out[r.values] = float(reference_reach(induce(family, r), targets)[family.initial])
     return out
 
 

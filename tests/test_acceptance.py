@@ -34,7 +34,6 @@ from mcsynth import (
     synthesize,
     trivial_gamma,
 )
-from mcsynth.quotient import root_quotient
 from mcsynth.report import ce_quality_report
 
 from conftest import (
@@ -125,9 +124,8 @@ def conflict_validity_runs():
                 keep = sorted(rng.sample(dom, rng.randint(max(1, len(dom) // 2), len(dom))))
                 scope = scope.restricted(k, keep)
         targets = frozenset({goal_index(family)})
-        root = root_quotient(family)
         values = {
-            r.values: float(reference_reach(induce(family, r, root), targets)[family.initial])
+            r.values: float(reference_reach(induce(family, r), targets)[family.initial])
             for r in iterate_unpruned(scope)
         }
         thr = _gap_threshold(list(values.values()), rng.uniform(0.2, 0.8))
@@ -138,11 +136,11 @@ def conflict_validity_runs():
         violators = [v for v, val in values.items() if not evaluate_property(val, prop)]
         if not violators:
             continue
-        bounds = compute_bounds(build_quotient(family, scope, root), targets)
+        bounds = compute_bounds(build_quotient(family, scope), targets)
         gamma = bounds.lb if prop.op == "<=" else bounds.ub
         r = Realization(rng.choice(violators))
         stats = SynthStats()
-        conflict = construct_conflict(induce(family, r, root), prop, gamma, scope, stats=stats)
+        conflict = construct_conflict(induce(family, r), prop, gamma, scope, stats=stats)
         runs.append(
             {
                 "family": family,
@@ -180,12 +178,11 @@ def test_criterion_2_bounds_soundness(corpus):
         for family in corpus:
             targets = frozenset({goal_index(family)})
             sub = family.full_subfamily()
-            root = root_quotient(family)
-            bounds = compute_bounds(build_quotient(family, sub, root), targets)
+            bounds = compute_bounds(build_quotient(family, sub), targets)
             lo = np.ones(family.n_states)
             hi = np.zeros(family.n_states)
             for r in iterate_unpruned(sub):
-                vals = reference_reach(induce(family, r, root), targets)
+                vals = reference_reach(induce(family, r), targets)
                 np.minimum(lo, vals, out=lo)
                 np.maximum(hi, vals, out=hi)
             assert (bounds.lb - SLACK <= lo).all()
@@ -206,16 +203,15 @@ def test_criterion_3_refinement_monotonicity_and_singleton_exactness():
             runs += 1
             prop = spec.properties[0]
             eta = 1e-6
-            root = root_quotient(family)
             stack = [family.full_subfamily()]
             while stack:
                 sub = stack.pop()
-                qmdp = build_quotient(family, sub, root)
+                qmdp = build_quotient(family, sub)
                 bounds = compute_bounds(qmdp, prop.targets)
                 if member_count(sub) == 1:
                     assert (np.abs(bounds.lb - bounds.ub) <= SLACK).all()
                     member = next(iterate_unpruned(sub))
-                    direct = mc_reach(induce(family, member, root), prop.targets)
+                    direct = mc_reach(induce(family, member), prop.targets)
                     assert (np.abs(bounds.lb - direct) <= SLACK).all()
                     continue
                 lo, hi = bounds.lb[family.initial], bounds.ub[family.initial]
@@ -225,7 +221,7 @@ def test_criterion_3_refinement_monotonicity_and_singleton_exactness():
                     continue
                 left, right = split_subfamily(qmdp, bounds.min_scheduler, bounds.max_scheduler)
                 for child in (left, right):
-                    child_q = build_quotient(family, child, root)
+                    child_q = build_quotient(family, child)
                     child_bounds = compute_bounds(child_q, prop.targets)
                     assert (bounds.lb <= child_bounds.lb + SLACK).all()
                     assert (bounds.ub >= child_bounds.ub - SLACK).all()

@@ -24,7 +24,7 @@ from mcsynth import (
     mdp_extreme,
 )
 from mcsynth.model import SOLVE_CHUNK
-from mcsynth.quotient import QuotientMdp, build_quotient, root_quotient
+from mcsynth.quotient import QuotientMdp, build_quotient
 
 from conftest import (
     corpus_family,
@@ -264,10 +264,9 @@ class TestChunkedSolve:
     def test_mdp_values_and_schedulers_match_reference(self, chunked_families, monkeypatch):
         rng = random.Random(9)
         for family in chunked_families:
-            root = root_quotient(family)
             goal = {goal_index(family)}
-            quotients = [root] + [
-                build_quotient(family, random_subfamily(family, rng), root) for _ in range(3)
+            quotients = [family._root] + [
+                build_quotient(family, random_subfamily(family, rng)) for _ in range(3)
             ]
             for qmdp in quotients:
                 for mode in ("min", "max"):
@@ -290,7 +289,7 @@ class TestChunkedSolve:
 
         monkeypatch.setattr(reach, "_solve", spy)
         mc_reach(induce(family, members(family, 1, 0)[0]), goal)
-        mdp_extreme(root_quotient(family), goal, "max")
+        mdp_extreme(family._root, goal, "max")
         assert seen and all(chunk is family._chunk_ids for chunk in seen)
 
     def test_one_chunk_is_bitwise_the_reference(self, monkeypatch):
@@ -308,7 +307,7 @@ class TestChunkedSolve:
                 got = mc_reach(mc, goal, fixed=fixed)
                 want = with_reference_solve(monkeypatch, mc_reach, mc, goal, fixed=fixed)
                 assert np.array_equal(got, want)
-            qmdp = root_quotient(family)
+            qmdp = family._root
             for mode in ("min", "max"):
                 values, sched = mdp_extreme(qmdp, goal, mode)
                 ref_values, ref_sched = with_reference_solve(

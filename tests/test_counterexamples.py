@@ -29,7 +29,6 @@ from mcsynth import (
     trivial_gamma,
     evaluate_property,
 )
-from mcsynth.quotient import root_quotient
 
 from conftest import (
     TOY_R,
@@ -278,8 +277,7 @@ def corpus_cases(seed: int):
             continue
         mid = len(distinct) // 2
         thr = (distinct[mid - 1] + distinct[mid]) / 2
-        root = root_quotient(fam)
-        bounds = compute_bounds(build_quotient(fam, fam.full_subfamily(), root), targets)
+        bounds = compute_bounds(build_quotient(fam, fam.full_subfamily()), targets)
         for op in ("<=", ">="):
             prop = Property(op=op, threshold=thr, targets=targets)
             sound = [bounds.lb if prop.is_safety else bounds.ub, trivial_gamma(fam.n_states, prop)]
@@ -289,7 +287,7 @@ def corpus_cases(seed: int):
                 by_verdict[evaluate_property(val, prop)].append(Realization(v))
             for rs in by_verdict.values():
                 if rs:
-                    yield fam, induce(fam, rng.choice(rs), root), prop, sound, noise
+                    yield fam, induce(fam, rng.choice(rs)), prop, sound, noise
 
 
 class TestAgainstReferenceRerouting:
@@ -334,11 +332,10 @@ class TestAgainstReferenceRerouting:
         goal = frozenset({goal_index(fam)})
         scope = fam.full_subfamily()
         rng = random.Random(3)
-        root = root_quotient(fam)
         firsts = set()
         for _ in range(4):
             r = Realization(tuple(rng.choice(dom) for dom in fam.domains))
-            mc = induce(fam, r, root)
+            mc = induce(fam, r)
             value = mc_reach(mc, goal)[fam.initial]
             prop = Property(op="<=", threshold=max(0.0, value - 0.05), targets=goal)
             steps = greedy_steps(mc, scope)

@@ -151,6 +151,22 @@ class TestInduce:
             induce(toy4, Realization((0, 3, 3, 4)))
         with pytest.raises(ValueError, match="parameters"):
             induce(toy4, Realization((1, 3)))
+        with pytest.raises(ValueError, match="parameters"):
+            induce(toy4, Realization((1, 3, 3, 4, 3)))
+
+    def test_parameter_no_template_reads_is_checked(self):
+        # u appears in no template, so no state's actions can reject its value
+        fam = make_family(
+            state_names=("a", "b", "c"),
+            initial=0,
+            param_names=("p", "u", "q"),
+            domains=((1, 2), (1,), (2,)),
+            rows=({0: 1.0}, {2: 1.0}, {2: 1.0}),
+        )
+        assert chain_row(induce(fam, Realization((1, 1, 2))), 0) == {1: 1.0}
+        for bad in ((1, 2, 2), (1, 0, 2), (1, -1, 2)):
+            with pytest.raises(ValueError, match="domain"):
+                induce(fam, Realization(bad))
 
 
 class TestGeneralization:

@@ -1,5 +1,7 @@
 """Quotient construction, bounds soundness, refinement splitting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -67,17 +69,14 @@ MASK_FAMILIES = [corpus_family(i) for i in (0, 4, 9, 13, 15, 21, 24, 38)] + [
     lane_family(n, m, rho, seed)
     for n, m, rho, seed in ((12, 4, 0.7, 1), (24, 6, 0.6, 2), (40, 8, 0.7, 3))
 ]
-# each family with its root quotient, built once for the hypothesis tests
-MASK_ROOTED = [(fam, root_quotient(fam)) for fam in MASK_FAMILIES]
 
 
 @st.composite
-def subfamilies(draw, family: Family, within: Subfamily | None = None) -> Subfamily:
-    """A random subfamily of ``within`` (the whole family by default)."""
-    outer = (within or family.full_subfamily()).domains
+def subfamilies(draw, family: Family) -> Subfamily:
+    """A random subfamily of ``family``."""
     return Subfamily([
         sorted(draw(st.lists(st.sampled_from(dom), min_size=1, unique=True)))
-        for dom in outer
+        for dom in family.domains
     ])
 
 
@@ -246,11 +245,10 @@ class TestComputeBounds:
         for i in range(0, 50, 4):
             fam = corpus_family(i)
             targets = {goal_index(fam)}
-            root = root_quotient(fam)
             stack = [fam.full_subfamily()]
             while stack:
                 sub = stack.pop()
-                q = build_quotient(fam, sub, root)
+                q = build_quotient(fam, sub)
                 bounds = compute_bounds(q, targets)
                 assert (bounds.lb <= bounds.ub + 1e-12).all()
                 if member_count(sub) == 1:
@@ -352,26 +350,22 @@ class TestRefinementProperties:
 
 
 class TestRootMask:
-    """Masks of one root quotient against quotients built per subfamily."""
+    """Masks of the family's one root quotient against quotients built per subfamily."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_masked_quotient_matches_reference(self, data):
-        fam, root = data.draw(st.sampled_from(MASK_ROOTED))
+        fam = data.draw(st.sampled_from(MASK_FAMILIES))
         sub = data.draw(subfamilies(fam))
-        q = build_quotient(fam, sub, root)
+        q = build_quotient(fam, sub)
         assert_bitwise_equal(q, reference_build_quotient(fam, sub))
-        # masking a quotient of a containing subfamily gives the same rows
-        inner = data.draw(subfamilies(fam, sub))
-        assert_bitwise_equal(build_quotient(fam, inner, q), reference_build_quotient(fam, inner))
 
     def test_root_bounds_equal_full_mask_bounds(self):
         # whole-family bounds solve the root itself instead of an all-true mask
         for fam in MASK_FAMILIES + [corpus_family(i) for i in range(0, 50, 5)]:
-            root = root_quotient(fam)
-            full = build_quotient(fam, fam.full_subfamily(), root)
+            full = build_quotient(fam, fam.full_subfamily())
             targets = {goal_index(fam)}
-            got, want = compute_bounds(root, targets), compute_bounds(full, targets)
+            got, want = compute_bounds(fam._root, targets), compute_bounds(full, targets)
             for name in ("lb", "ub", "min_scheduler", "max_scheduler"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
@@ -380,15 +374,16 @@ class TestRootMask:
         for fam in MASK_FAMILIES:
             want = reference_build_quotient(fam, fam.full_subfamily())
             assert_bitwise_equal(root_quotient(fam), want)
+            assert_bitwise_equal(fam._root, want)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_split_matches_reference_on_random_schedulers(self, data):
-        fam, root = data.draw(st.sampled_from(MASK_ROOTED))
+        fam = data.draw(st.sampled_from(MASK_FAMILIES))
         sub = data.draw(subfamilies(fam))
         if member_count(sub) < 2:
             return
-        q = build_quotient(fam, sub, root)
+        q = build_quotient(fam, sub)
         sizes = np.diff(q.state_ptr).tolist()
         scheds = [
             np.asarray([data.draw(st.integers(0, k - 1)) for k in sizes], dtype=np.int64)
@@ -400,13 +395,12 @@ class TestRootMask:
     def test_split_matches_reference_down_the_refinement_tree(self):
         for fam in MASK_FAMILIES:
             targets = {goal_index(fam)}
-            root = root_quotient(fam)
             stack = [fam.full_subfamily()]
             while stack:
                 sub = stack.pop()
                 if member_count(sub) < 2:
                     continue
-                q = build_quotient(fam, sub, root)
+                q = build_quotient(fam, sub)
                 bounds = compute_bounds(q, targets)
                 scheds = (bounds.min_scheduler, bounds.max_scheduler)
                 got = split_subfamily(q, *scheds)
@@ -417,11 +411,10 @@ class TestRootMask:
     def test_reachable_states_match_reference_down_the_refinement_tree(self):
         for fam in MASK_FAMILIES:
             targets = {goal_index(fam)}
-            root = root_quotient(fam)
             stack = [fam.full_subfamily()]
             while stack:
                 sub = stack.pop()
-                q = build_quotient(fam, sub, root)
+                q = build_quotient(fam, sub)
                 bounds = compute_bounds(q, targets)
                 scheds = (bounds.min_scheduler, bounds.max_scheduler)
                 for sched in scheds:
@@ -440,8 +433,8 @@ class TestRootMask:
             # the last action's choice ends the choice arrays
             assert q.choice_ptr[-1] == q.choice_param.size == q.choice_value.size
 
-    def test_root_built_once_per_run(self, monkeypatch):
-        import mcsynth.synthesis as synthesis_mod
+    def test_root_built_once_per_family(self, monkeypatch):
+        import mcsynth.quotient as quotient_mod
 
         calls = []
 
@@ -449,15 +442,15 @@ class TestRootMask:
             calls.append(family)
             return root_quotient(family)
 
-        monkeypatch.setattr(synthesis_mod, "root_quotient", spy)
-        family, spec, two_targets = two_target_instance()
-        # every method gathers its member chains from the one root
+        built, spec, two_targets = two_target_instance()
+        family = dataclasses.replace(built)  # the same family, its root not yet built
+        monkeypatch.setattr(quotient_mod, "root_quotient", spy)
+        # every method gathers its member chains from the family's one root
         for method in ("ar", "hybrid", "cegis", "onebyone"):
             for bounds in ("family", "trivial"):
                 for the_spec in (spec, two_targets):
-                    calls.clear()
                     result = synthesize(family, the_spec, method=method, bounds=bounds)
-                    assert len(calls) == 1, (method, bounds)
+                    assert len(calls) == 1 and calls[0] is family, (method, bounds)
                     if method == "ar":
                         assert result.stats.ar_iterations > 1
 
@@ -467,9 +460,9 @@ class TestRootMask:
         calls = []
         real = synthesis_mod.build_quotient
 
-        def spy(family, sub, root=None):
+        def spy(family, sub):
             calls.append(sub)
-            return real(family, sub, root)
+            return real(family, sub)
 
         monkeypatch.setattr(synthesis_mod, "build_quotient", spy)
         family, _spec, two_targets = two_target_instance()
@@ -482,7 +475,7 @@ class TestRootMask:
             root_quotient(fam)
         prop = Property(op=">=", threshold=0.5, targets=frozenset({1}))
         spec = Specification(properties=(prop,))
-        # the cap holds for every method, since each one builds the root
+        # the cap holds for every method, since each one reads the family's root
         for method in ("ar", "hybrid", "cegis", "onebyone"):
             for bounds in ("family", "trivial"):
                 with pytest.raises(ResourceCapError, match="actions"):

@@ -14,11 +14,13 @@ from mcsynth import (
     ce_quality_report,
     generate_benchmark,
     member_count,
+    parse_sketch,
+    parse_spec,
 )
 from mcsynth.errors import ResourceCapError
 from mcsynth.synthesis import MEMBER_CAP
 
-from conftest import TOY_TARGET
+from conftest import TOY4_TEXT, TOY_TARGET
 
 SPEC = Specification(properties=(Property(op="<=", threshold=0.3, targets=TOY_TARGET),))
 
@@ -147,7 +149,7 @@ class TestCeQualityReport:
             with pytest.raises(ResourceCapError, match="members"):
                 ce_quality_report(big, only, mode=mode)
 
-    def test_root_quotient_built_once(self, toy4, monkeypatch):
+    def test_root_quotient_built_once(self, monkeypatch):
         built = []
         real = mcsynth.quotient.root_quotient
 
@@ -155,14 +157,17 @@ class TestCeQualityReport:
             built.append(family)
             return real(family)
 
-        monkeypatch.setattr(mcsynth.synthesis, "root_quotient", spy)
         monkeypatch.setattr(mcsynth.quotient, "root_quotient", spy)
-        # two target sets: each gets its own bounds, both on the one root
-        props = (
-            Property(op="<=", threshold=0.3, targets=TOY_TARGET),
-            Property(op="<=", threshold=0.5, targets=frozenset({4})),
-            Property(op=">=", threshold=0.5, targets=TOY_TARGET),
-        )
-        report = ce_quality_report(toy4, Specification(properties=props), mode="family")
-        assert built == [toy4]
-        assert report.rows
+        # a parse builds no root
+        toy4 = parse_sketch(TOY4_TEXT)
+        # two target sets: each gets its own bounds, both on the family's one root
+        spec = parse_spec("P<=0.3 [F t]\nP<=0.5 [F f]\nP>=0.5 [F t]\n", toy4)
+        assert built == []
+        report = ce_quality_report(toy4, spec, mode="family", include_minimal=True)
+        assert len(built) == 1 and built[0] is toy4
+        assert report.rows and all(row.minimal_size is not None for row in report.rows)
+        # the exhaustive oracle, a later report and a later run share that root
+        ce_quality_report(toy4, spec, mode="trivial", include_minimal=True)
+        for method in mcsynth.synthesis.METHODS:
+            mcsynth.synthesize(toy4, spec, method=method)
+        assert len(built) == 1

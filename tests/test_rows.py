@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 import mcsynth.synthesis
 from mcsynth import Realization, Subfamily, build_quotient, induce, synthesize
 from mcsynth.model import check_rows, flat_rows
-from mcsynth.quotient import QuotientMdp, root_quotient
+from mcsynth.quotient import QuotientMdp
 
 from conftest import (
     CORPUS_CONFIGS,
@@ -163,10 +163,9 @@ class TestRowsMatchDictReference:
         merged = 0
         for i in CORPUS:
             fam = corpus_family(i)
-            root = root_quotient(fam)
             for _ in range(5):
                 r = random_member(rng, fam.full_subfamily())
-                mc = induce(fam, r, root)
+                mc = induce(fam, r)
                 want = ref_rows(templates(fam), r.values)
                 assert rows_of(mc.act_ptr, mc.ent_target, mc.ent_prob) == want
                 merged += sum(len(w[0]) < len(t.keys) for w, t in zip(want, templates(fam)))
@@ -220,7 +219,6 @@ class TestQuotientActionOrder:
         rng = random.Random(4)
         for i in range(0, 48, 4):
             fam = corpus_family(i)
-            root = root_quotient(fam)
             for sub in (fam.full_subfamily(), random_subfamily(rng, fam)):
                 q = build_quotient(fam, sub)
                 base = [dom[0] for dom in sub.domains]
@@ -229,7 +227,7 @@ class TestQuotientActionOrder:
                         values = list(base)
                         for k, v in action_choice(q, s, a).items():
                             values[k] = v
-                        mc = induce(fam, Realization(tuple(values)), root)
+                        mc = induce(fam, Realization(tuple(values)))
                         tgt, prob = action_row(q, s, a)
                         lo, hi = mc.act_ptr[s], mc.act_ptr[s + 1]
                         assert tgt.tolist() == mc.ent_target[lo:hi].tolist()
@@ -254,9 +252,9 @@ def assert_gathered(fam, r, mc):
     assert not any(a.flags.writeable for a in arrays + (mc.act_state, mc.ent_act, mc.ent_source))
 
 
-def assert_member_quotient(fam, r, mc, root):
+def assert_member_quotient(fam, r, mc):
     """``mc`` is bitwise the quotient ``build_quotient`` gives ``r``'s one-member subfamily."""
-    q = build_quotient(fam, Subfamily([(v,) for v in r.values]), root)
+    q = build_quotient(fam, Subfamily([(v,) for v in r.values]))
     names = ("state_ptr", "act_ptr", "ent_target", "ent_prob", "act_state", "ent_act", "ent_source")
     for name in names:
         got, want = getattr(mc, name), getattr(q, name)
@@ -268,10 +266,9 @@ GATHER_CASES = len(CORPUS_CONFIGS) + 3
 
 @functools.cache
 def gather_case(i: int):
-    """Corpus family ``i`` (then three lane families) and its root quotient."""
+    """Corpus family ``i``, then three lane families; each keeps its root between examples."""
     lanes = ((12, 4, 0.7, 1), (40, 8, 0.7, 3), (400, 6, 0.6, 1))
-    fam = corpus_family(i) if i < len(CORPUS_CONFIGS) else lane_family(*lanes[i - len(CORPUS_CONFIGS)])
-    return fam, root_quotient(fam)
+    return corpus_family(i) if i < len(CORPUS_CONFIGS) else lane_family(*lanes[i - len(CORPUS_CONFIGS)])
 
 
 # one state sends the mass of p, q and the fixed z to the states p and q pick
@@ -288,47 +285,29 @@ class TestGatheredChains:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_corpus_members_match_template_rows(self, data):
-        fam, root = gather_case(data.draw(st.integers(0, GATHER_CASES - 1)))
+        fam = gather_case(data.draw(st.integers(0, GATHER_CASES - 1)))
         r = Realization(tuple(data.draw(st.sampled_from(dom)) for dom in fam.domains))
-        mc = induce(fam, r, root)
+        mc = induce(fam, r)
         assert_gathered(fam, r, mc)
-        assert_member_quotient(fam, r, mc, root)
-        # a mask holding r gathers the same rows
-        sub = Subfamily([
-            sorted({v} | set(data.draw(st.lists(st.sampled_from(dom), max_size=2))))
-            for v, dom in zip(r.values, fam.domains)
-        ])
-        mask = build_quotient(fam, sub, root)
-        mc = induce(fam, r, mask)
-        assert_gathered(fam, r, mc)
-        assert_member_quotient(fam, r, mc, mask)
+        assert_member_quotient(fam, r, mc)
 
     def test_parameters_sharing_a_target_sum_in_template_order(self):
         fam = SHARED_TARGET
-        root = root_quotient(fam)
         for values in itertools.product(*fam.domains):
             r = Realization(values)
-            mc = induce(fam, r, root)
-            assert_gathered(fam, r, mc)
             assert_gathered(fam, r, induce(fam, r))
-        mc = induce(fam, Realization((2, 2, 2)), root)
+        mc = induce(fam, Realization((2, 2, 2)))
         # one entry holding (0.1 + 0.2) + 0.7, which differs from 0.1 + (0.2 + 0.7)
         assert rows_of(mc.act_ptr, mc.ent_target, mc.ent_prob)[0] == ((2,), ((0.1 + 0.2) + 0.7,))
-        mc = induce(fam, Realization((1, 1, 2)), root)
+        mc = induce(fam, Realization((1, 1, 2)))
         assert rows_of(mc.act_ptr, mc.ent_target, mc.ent_prob)[0] == ((1, 2), (0.1 + 0.2, 0.7))
-
-    def test_member_outside_the_quotient_rejected(self):
-        fam = SHARED_TARGET
-        q = build_quotient(fam, fam.full_subfamily().restricted(0, (2,)))
-        with pytest.raises(ValueError, match="no action"):
-            induce(fam, Realization((1, 1, 2)), q)
 
     def test_driver_chains_match_template_rows(self, monkeypatch):
         chains = []
         real = mcsynth.synthesis.induce
 
-        def spy(family, r, root=None):
-            chains.append(real(family, r, root))
+        def spy(family, r):
+            chains.append(real(family, r))
             return chains[-1]
 
         monkeypatch.setattr(mcsynth.synthesis, "induce", spy)

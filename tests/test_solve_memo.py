@@ -24,7 +24,7 @@ from mcsynth import (
     mdp_extreme,
     synthesize,
 )
-from mcsynth.quotient import build_quotient, compute_bounds, root_quotient, split_subfamily
+from mcsynth.quotient import build_quotient, compute_bounds, split_subfamily
 from mcsynth.reach import solve_memo
 from mcsynth.synthesis import METHODS
 
@@ -99,10 +99,10 @@ class TestBitwise:
 
     def test_every_conflict_probe(self, task, monkeypatch):
         family, spec = task
-        scope, root = family.full_subfamily(), root_quotient(family)
+        scope = family.full_subfamily()
         cases = []
         for r in iterate_unpruned(scope):
-            mc = induce(family, r, root)
+            mc = induce(family, r)
             value = float(mc_reach(mc, spec.properties[0].targets)[family.initial])
             for prop in spec.properties:
                 if not evaluate_property(value, prop):
@@ -120,7 +120,7 @@ class TestBitwise:
         monkeypatch.setattr(counterexamples, "mc_reach", spy)
         with solve_memo():
             for r, prop, gamma, outside in cases:
-                inside = construct_conflict(induce(family, r, root), prop, gamma, scope)
+                inside = construct_conflict(induce(family, r), prop, gamma, scope)
                 assert inside == outside
         monkeypatch.undo()
         for mc, targets, mask, gamma, values in probes:
@@ -129,13 +129,12 @@ class TestBitwise:
     def test_mdp_extreme_down_a_refinement_tree(self, any_task):
         family, _spec = any_task
         goal = {goal_index(family)}
-        root = root_quotient(family)
         level = [family.full_subfamily()]
         seen = []
         for _depth in range(3):
             below = []
             for sub in level:
-                qmdp = build_quotient(family, sub, root)
+                qmdp = build_quotient(family, sub)
                 bounds = compute_bounds(qmdp, goal)
                 seen.append((qmdp, bounds))
                 if sub.multi_valued():

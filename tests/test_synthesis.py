@@ -119,8 +119,8 @@ class TestAbstractionRefinement:
         built = []
         real = mcsynth.synthesis.build_quotient
 
-        def spy(family, sub, root=None):
-            qmdp = real(family, sub, root)
+        def spy(family, sub):
+            qmdp = real(family, sub)
             built.append(weakref.ref(qmdp))
             return qmdp
 
@@ -393,9 +393,9 @@ class TestCubeStore:
         real_induce = mcsynth.synthesis.induce
         real_construct = mcsynth.synthesis.construct_conflict
 
-        def spy(family, r, root=None):
+        def spy(family, r):
             checked.add(r.values)
-            return real_induce(family, r, root)
+            return real_induce(family, r)
 
         def construct(mc, prop, gamma, scope, **kwargs):
             conflicts.append((real_construct(mc, prop, gamma, scope, **kwargs), scope))
@@ -519,9 +519,9 @@ class TestOneChainPerMember:
         for mod in (mcsynth.synthesis, mcsynth.counterexamples):
             real = mod.induce
 
-            def spy(family, r, root=None, real=real):
+            def spy(family, r, real=real):
                 calls.append(r)
-                return real(family, r, root)
+                return real(family, r)
 
             monkeypatch.setattr(mod, "induce", spy)
         real_construct = mcsynth.synthesis.construct_conflict
@@ -541,6 +541,32 @@ class TestOneChainPerMember:
                 result = synthesize(fam, spec, method=method)
                 assert len(calls) == result.stats.checked, (method, spec)
         assert conflicts
+
+
+def bitwise_record(result) -> tuple:
+    """A run's verdict, witness, values and optimum (floats as hex) and its whole ledger."""
+    values = None if result.values is None else [float(v).hex() for v in result.values]
+    optimum = None if result.optimum is None else float(result.optimum).hex()
+    return result.verdict, result.realization, values, optimum, result.stats
+
+
+class TestRootReuse:
+    """A family keeps its root quotient, so a second run on it reuses the first run's."""
+
+    @pytest.mark.parametrize("shape", [("window", 40, 8, 0.8), ("window", 240, 5, 0.6)])
+    def test_runs_on_the_same_family_match_a_fresh_parse(self, shape):
+        family, spec = lane_task(*shape)
+        # one solve chunk below SOLVE_CHUNK states, several above
+        assert (family._chunk_ids is None) == (shape[1] < model.SOLVE_CHUNK)
+        for method in METHODS:
+            for bounds in ("family", "trivial"):
+                first = bitwise_record(synthesize(family, spec, method=method, bounds=bounds))
+                root = family._root
+                second = bitwise_record(synthesize(family, spec, method=method, bounds=bounds))
+                assert family._root is root
+                parsed = lane_task(*shape)
+                again = bitwise_record(synthesize(*parsed, method=method, bounds=bounds))
+                assert first == second == again, (method, bounds)
 
 
 class TestRecursionDepth:
