@@ -14,6 +14,11 @@ parameters.  That order reads the member's rows and templates but no value,
 so it is planned whole up front, and a bisection over its ``K + 1`` steps
 finds the first violating one with at most ``ceil(log2(K + 1)) + 1`` model
 checks.  Only the exhaustive oracle induces chains, from the family's root.
+On a one-chunk family a step is read off the member's own solve, which the
+chain keeps (values ``x`` over its unknown states ``U``): pinning the horizon
+``H`` within ``U`` adds ``f . (gamma - x)[H]``, ``N[H, H]^T f = N[0, H]`` with
+``N = (I - Q_UU)^-1`` (Kemeny & Snell, 1960), unless ``H`` holds a state of
+prob-0 for the member with positive gamma.  Other steps are solved.
 
 Parameters whose restricted domain in the enclosing scope is a singleton are
 always treated as relevant: they cannot vary inside the scope, so including
@@ -23,7 +28,7 @@ their states costs no generality.
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -60,16 +65,16 @@ def _checked_gamma(gamma: Sequence[float], n_states: int) -> np.ndarray:
 
 def _expansion_plan(
     mc: QuotientMdp, multi: Sequence[int]
-) -> tuple[np.ndarray, list[int], list[int]]:
+) -> tuple[np.ndarray, list[int], list[int], list[tuple[int, ...]]]:
     """The greedy expansion order of a member chain, planned before any check.
 
     A walk from the initial state expands every state whose ``multi``-valued
     parameters are all relevant and stops at the others, the horizon.  Each
     step makes relevant the parameters of the horizon state with the fewest
     not-yet-relevant ones (ties to the lowest index) and resumes the walk.
-    Step ``i`` has expanded the states with ``position < counts[i]`` and
-    holds the relevant set ``rels[i]``, a bitmask of parameters as in
-    :attr:`Family._param_masks`; the last step has an empty horizon.
+    Step ``i`` has expanded the states with ``position < counts[i]``, holds
+    the relevant set ``rels[i]``, a bitmask as in :attr:`Family._param_masks`,
+    and stops at the horizon ``horizons[i]``, empty at the last step.
     """
     wanted = sum(1 << k for k in multi)
     holes = [m & wanted for m in mc.family._param_masks]
@@ -77,6 +82,7 @@ def _expansion_plan(
     order: list[int] = []
     counts: list[int] = []
     rels: list[int] = []
+    horizons: list[tuple[int, ...]] = []
     rel = 0
     horizon: set[int] = set()
     seen = {mc.initial}
@@ -94,6 +100,7 @@ def _expansion_plan(
                 horizon.add(s)
         counts.append(len(order))
         rels.append(rel)
+        horizons.append(tuple(horizon))
         if not horizon:
             break
         pick = min(horizon, key=lambda s: ((holes[s] & ~rel).bit_count(), s))
@@ -102,7 +109,32 @@ def _expansion_plan(
         horizon.difference_update(walk)
     position = np.full(mc.n_states, mc.n_states, dtype=np.intp)
     position[order] = np.arange(len(order))
-    return position, counts, rels
+    return position, counts, rels, horizons
+
+
+def _step_values(mc, targets, g, position, counts, horizons) -> Callable[[int], float]:
+    """The initial state's value at each planned step, in closed form where it can be."""
+    init, one_chunk = mc.initial, mc.family._chunk_ids is None
+    if one_chunk:
+        if targets not in mc._solves:
+            mc_reach(mc, targets)  # a chain nobody checked yet
+        unknown, system, x = mc._solves[targets]
+        risky = ~unknown & (g > x)  # outside U a target has x = 1, a state of prob-0 x = 0
+        if unknown[init]:
+            index, inverse, gap = np.cumsum(unknown) - 1, np.linalg.inv(system), (g - x)[unknown]
+
+    def value(step: int) -> float:
+        h = np.fromiter(horizons[step], np.intp, len(horizons[step]))
+        if not one_chunk or risky[h].any():
+            return float(mc_reach(mc, targets, fixed=(position >= counts[step], g))[init])
+        if counts[step] == 0:  # the initial state is pinned; a target stays one
+            return 1.0 if init in targets else float(g[init])
+        if not unknown[init] or not (j := index[h[unknown[h]]]).size:
+            return float(x[init])
+        f = np.linalg.solve(inverse[np.ix_(j, j)].T, inverse[index[init], j])
+        return min(max(float(x[init] + f @ gap[j]), 0.0), 1.0)
+
+    return value
 
 
 def construct_conflict(
@@ -130,7 +162,8 @@ def construct_conflict(
     monotonically (up to rounding) toward the member's, so it is the first
     one.  Step ``K`` checks the member itself: if the bisection ends there
     unchecked, one more check decides, and a member that satisfies ``prop``
-    has no conflict.  Each check adds one to ``stats.model_checks``.
+    has no conflict.  Each check adds one to ``stats.model_checks``, also one
+    read off the member's own solve (see the module docstring).
     """
     r = mc.sub
     if not isinstance(r, Realization):
@@ -139,13 +172,13 @@ def construct_conflict(
         raise ValueError("realization lies outside the scope")
     g = _checked_gamma(gamma, mc.n_states)
     multi = scope.multi_valued()
-    position, counts, rels = _expansion_plan(mc, multi)
+    position, counts, rels, horizons = _expansion_plan(mc, multi)
+    value = _step_values(mc, prop.targets, g, position, counts, horizons)
 
     def violates(step: int) -> bool:
-        value = mc_reach(mc, prop.targets, fixed=(position >= counts[step], g))[mc.initial]
         if stats is not None:
             stats.model_checks += 1
-        return not evaluate_property(float(value), prop)
+        return not evaluate_property(value(step), prop)
 
     lo, hi = 0, len(counts) - 1
     confirmed = False

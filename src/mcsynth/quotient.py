@@ -66,7 +66,7 @@ class QuotientMdp:
     (the action and state of each entry) serve every solve on the quotient;
     they are derived from the pointers, except that :func:`induce` hands a
     chain the ``ent_source`` it gathers from the root (``_ent_source``).
-    All arrays are read-only.
+    All arrays are read-only.  A chain keeps its own solves in ``_solves``.
     """
 
     family: Family | None
@@ -82,6 +82,7 @@ class QuotientMdp:
     act_state: np.ndarray = field(init=False, repr=False)
     ent_act: np.ndarray = field(init=False, repr=False)
     ent_source: np.ndarray = field(init=False, repr=False)
+    _solves: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self, _ent_source):
         n = self.n_states
@@ -247,10 +248,10 @@ def induce(family: Family, r: Realization) -> QuotientMdp:
     if len(r.values) != family.n_params:
         raise ValueError(f"realization assigns {len(r.values)} parameters, family has {family.n_params}")
     root = family._root
-    values = np.fromiter(r.values, np.int64, len(r.values))
+    values = np.asarray(r.values)  # an int beyond int64 is an object, "1" a string: no kind i
     _, act_ptr, ent_keep = _kept(root, root.choice_value == values[root.choice_param])
     unread = (r.values[k] not in family.domains[k] for k in family._unread)
-    if act_ptr.size != family.n_states + 1 or any(unread):
+    if values.dtype.kind != "i" or act_ptr.size != family.n_states + 1 or any(unread):
         raise ValueError("realization gives a parameter a value outside its domain")
     return QuotientMdp(
         family=family,

@@ -16,8 +16,9 @@ family's union graph, sinks first, one dense system per chunk
 Within one synthesis run (:func:`solve_memo`) a multi-chunk solve remembers
 each chunk system by its content, so the chunks that a member, a conflict
 step or a policy shares with an earlier solve are not solved again; on a
-one-chunk family only AR's solves are remembered, which repeat.  Values
-are exact up to floating rounding.  Every threshold decision goes through
+one-chunk family only AR's solves are remembered, which repeat, and a chain
+keeps its own (``I - Q`` included) for its conflict probes.  Values are
+exact up to floating rounding.  Every threshold decision goes through
 :func:`evaluate_property` with the decision tolerance ``DECISION_ETA``; ties
 resolve toward satisfaction.  The test suite checks these solvers against
 its own dense reference, which shares no code with this module.
@@ -144,10 +145,8 @@ def _check_targets(n: int, targets: Iterable[int]) -> frozenset[int]:
     return tset
 
 
-def _solve_dense(
-    src: np.ndarray, tgt: np.ndarray, prob: np.ndarray, values: np.ndarray, unknown: np.ndarray
-) -> None:
-    """Set ``values[unknown]`` from the rows of the unknown states, in one dense solve."""
+def _solve_dense(src, tgt, prob, values, unknown, keep: list | None = None) -> None:
+    """Set ``values[unknown]`` from the unknown states' rows in one solve; ``keep`` gets ``I - Q``."""
     m = int(np.count_nonzero(unknown))
     if m == 0:
         return
@@ -161,6 +160,8 @@ def _solve_dense(
     outer = ~inner
     rhs = np.bincount(s[outer], weights=p[outer] * values[t[outer]], minlength=m)
     values[unknown] = np.clip(np.linalg.solve(system, rhs), 0.0, 1.0)
+    if keep is not None:
+        keep.append(system)
 
 
 def _solve(
@@ -257,7 +258,7 @@ def _chain_reach(mc: "QuotientMdp", targets, fixed=None, remember: bool = False)
     if not mc.is_chain:
         raise ValueError("mc_reach solves a chain: some state has more than one action")
     n = mc.n_states
-    tlist = sorted(_check_targets(n, targets))
+    tlist = sorted(tset := _check_targets(n, targets))
     if fixed is None:
         mask, values = np.zeros(n, dtype=bool), np.zeros(n)
     else:
@@ -270,7 +271,12 @@ def _chain_reach(mc: "QuotientMdp", targets, fixed=None, remember: bool = False)
     rounds, _ = _attractor(mc, ~free & (values > 0.0), free)
     unknown = rounds > 0
     chunk = None if mc.family is None else mc.family._chunk_ids
-    _solve(mc.ent_source, mc.ent_target, mc.ent_prob, values, unknown, chunk, remember)
+    if fixed is None and chunk is None and not remember:  # kept for the conflict probes
+        kept: list = [None]  # the system's matrix follows, if any state is unknown
+        _solve_dense(mc.ent_source, mc.ent_target, mc.ent_prob, values, unknown, kept)
+        mc._solves[tset] = (unknown, kept[-1], values.copy())
+    else:
+        _solve(mc.ent_source, mc.ent_target, mc.ent_prob, values, unknown, chunk, remember)
     return values
 
 

@@ -23,7 +23,7 @@ LINTED = [
 ]
 # ``cat src/mcsynth/*.py | wc -l`` may not exceed this; a change that grows
 # the sources raises it here, in plain view
-SRC_LINES = 2606
+SRC_LINES = 2646
 
 EXPORTS = [
     "BoundsVec",

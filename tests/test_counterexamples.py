@@ -3,7 +3,8 @@
 ``reroute``, ``reachable_via_holes``, ``choose_to_expand``, ``greedy_steps``
 and ``reference_conflict`` are the reference rerouting from ``conftest``.
 With sound bound vectors ``construct_conflict`` must reproduce its conflicts
-and errors, within the bisection's budget of model checks.
+and errors, within the bisection's budget of model checks.  On a one-chunk
+family every planned step's closed-form value must be the pinned solve's.
 """
 
 import math
@@ -11,6 +12,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+import mcsynth.counterexamples as counterexamples
 
 from mcsynth import (
     InvalidBoundsError,
@@ -31,6 +35,7 @@ from mcsynth import (
 )
 
 from conftest import (
+    CORPUS_CONFIGS,
     TOY_R,
     TOY_TARGET,
     chain_row,
@@ -444,6 +449,182 @@ class TestPinnedStateEdgeCases:
         assert got[:2] == want[:2]
         assert got[0] == frozenset({fam.param_names.index("X"), fam.param_names.index("Y")})
         assert (got[2], want[2]) == (2, 3)
+
+
+# s0 moves on to s1, whose parameter Y decides whether t is reached: under
+# Y = f the initial state is of prob-0 for the member.
+PROB_ZERO_TEXT = """
+{
+  "format": "mc-family/1",
+  "states": ["s0", "s1", "t", "f"],
+  "initial": "s0",
+  "parameters": {"A'": ["s1"], "Y": ["t", "f"], "T'": ["t"], "F'": ["f"]},
+  "transitions": {
+    "s0": {"A'": 1.0},
+    "s1": {"Y": 1.0},
+    "t": {"T'": 1.0},
+    "f": {"F'": 1.0}
+  }
+}
+"""
+
+# The cycle s1-s2-s3 is left with probability 1e-6 per state, through X, Y
+# and Z, so its states' fundamental-matrix entries reach about 3e5.
+SLOW_MIXING_TEXT = """
+{
+  "format": "mc-family/1",
+  "states": ["s0", "s1", "s2", "s3", "t", "f"],
+  "initial": "s0",
+  "parameters": {
+    "W": ["s1", "f"], "X": ["t", "f"], "Y": ["t", "f"], "Z": ["t", "f"],
+    "A'": ["s2"], "B'": ["s3"], "C'": ["s1"], "T'": ["t"], "F'": ["f"]
+  },
+  "transitions": {
+    "s0": {"W": 0.5, "T'": 0.25, "F'": 0.25},
+    "s1": {"A'": 0.999999, "X": 0.000001},
+    "s2": {"B'": 0.999999, "Y": 0.000001},
+    "s3": {"C'": 0.999999, "Z": 0.000001},
+    "t": {"T'": 1.0},
+    "f": {"F'": 1.0}
+  }
+}
+"""
+
+
+def step_values(mc, prop, gamma, scope):
+    """Per planned step: the closed-form value, the direct probe's, and whether it took that path.
+
+    The member is checked first, as the driver does, so the closed form reads
+    the chain's own solve.
+    """
+    g = np.asarray(gamma, dtype=float)
+    mc_reach(mc, prop.targets)
+    position, counts, _rels, horizons = counterexamples._expansion_plan(mc, scope.multi_valued())
+    value = counterexamples._step_values(mc, prop.targets, g, position, counts, horizons)
+    direct = []
+
+    def spy(chain, targets, fixed=None):
+        direct.append(fixed is not None)
+        return mc_reach(chain, targets, fixed)
+
+    out = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(counterexamples, "mc_reach", spy)
+        for i in range(len(counts)):
+            direct.clear()
+            closed = value(i)
+            out.append((closed, any(direct)))
+    return [
+        (closed, float(mc_reach(mc, prop.targets, fixed=(position >= c, g))[mc.initial]), took)
+        for (closed, took), c in zip(out, counts)
+    ]
+
+
+def assert_steps_agree(mc, prop, gamma, scope) -> list[bool]:
+    """Every step's closed-form value is the direct probe's, decision included.
+
+    Returns, per step, whether it took the direct probe.
+    """
+    steps = step_values(mc, prop, gamma, scope)
+    for i, (closed, direct, _took) in enumerate(steps):
+        assert abs(closed - direct) <= 1e-12, (i, closed, direct)
+        assert evaluate_property(closed, prop) == evaluate_property(direct, prop), i
+    return [took for _closed, _direct, took in steps]
+
+
+def text_case(text, values, op, threshold, target="t"):
+    fam = parse_sketch(text)
+    r = Realization(tuple(fam.state_names.index(v) for v in values))
+    prop = Property(op=op, threshold=threshold, targets=frozenset({fam.state_names.index(target)}))
+    return fam, induce(fam, r), prop, fam.full_subfamily()
+
+
+class TestClosedFormProbes:
+    @given(
+        index=st.integers(0, len(CORPUS_CONFIGS) - 1),
+        seed=st.integers(0, 2**32),
+        op=st.sampled_from(["<=", ">="]),
+        threshold=st.floats(0.0, 1.0),
+        bounds=st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_every_step_matches_the_direct_probe(self, index, seed, op, threshold, bounds):
+        fam = corpus_family(index)
+        assert fam._chunk_ids is None
+        targets = frozenset({goal_index(fam)})
+        prop = Property(op=op, threshold=threshold, targets=targets)
+        rng = random.Random(seed)
+        r = Realization(tuple(rng.choice(dom) for dom in fam.domains))
+        if bounds:
+            vec = compute_bounds(build_quotient(fam, fam.full_subfamily()), targets)
+            gamma = vec.lb if prop.is_safety else vec.ub
+        else:
+            gamma = trivial_gamma(fam.n_states, prop)
+        took = assert_steps_agree(induce(fam, r), prop, gamma, fam.full_subfamily())
+        if prop.is_safety:
+            # lower bounds and zeros are 0 wherever the member is: no step is direct
+            assert not any(took)
+
+    def test_corpus_under_both_directions_and_gammas(self):
+        closed = direct = 0
+        for fam, mc, prop, sound, _noise in corpus_cases(63):
+            for gamma in sound:
+                took = assert_steps_agree(mc, prop, gamma, fam.full_subfamily())
+                direct += sum(took)
+                closed += len(took) - sum(took)
+        assert closed >= 400 and direct >= 10, (closed, direct)
+
+    def test_initial_pinned_is_gamma(self, toy4):
+        gamma = np.array([0.125, 0.5, 0.0, 1.0, 0.0])
+        steps = step_values(induce(toy4, TOY_R[0]), SAFETY, gamma, toy4.full_subfamily())
+        assert steps[0] == (0.125, 0.125, False)
+
+    def test_initial_target_is_one(self, toy4):
+        prop = Property(op="<=", threshold=0.5, targets=frozenset({0, 3}))
+        for gamma in (np.zeros(5), np.full(5, 0.25)):
+            steps = step_values(induce(toy4, TOY_R[1]), prop, gamma, toy4.full_subfamily())
+            assert steps == [(1.0, 1.0, False)] * len(steps)
+
+    def test_initial_of_prob_zero(self):
+        fam, mc, prop, scope = text_case(PROB_ZERO_TEXT, ("s1", "f", "t", "f"), ">=", 0.5)
+        assert mc_reach(mc, prop.targets)[fam.initial] == 0.0
+        # gamma 0 on s1, of prob-0 for the member: the member's own 0
+        s1 = fam.state_names.index("s1")
+        assert assert_steps_agree(mc, prop, np.zeros(fam.n_states), scope) == [False, False]
+        assert step_values(mc, prop, np.zeros(fam.n_states), scope)[0][0] == 0.0
+        # the all-ones gamma opens a path into s1 that the identity misses
+        ones = trivial_gamma(fam.n_states, prop)
+        assert assert_steps_agree(mc, prop, ones, scope) == [True, False]
+        assert step_values(mc, prop, ones, scope)[0][:2] == (1.0, 1.0)
+        assert s1 in counterexamples._expansion_plan(mc, scope.multi_valued())[3][0]
+
+    def test_target_on_the_horizon(self):
+        _fam, mc, prop, scope = text_case(TARGET_HOLE_TEXT, ("t", "t", "f"), "<=", 0.5)
+        for gamma in (np.zeros(3), np.array([0.5, 0.25, 0.0])):
+            assert not any(assert_steps_agree(mc, prop, gamma, scope))
+
+    def test_expanded_cycle_without_exit(self):
+        values = ("s3", "t", "s1", "s2", "s1", "t", "f")
+        fam, mc, prop, scope = text_case(CLOSED_CYCLE_TEXT, values, "<=", 0.4)
+        for gamma in (np.zeros(fam.n_states), np.full(fam.n_states, 0.5)):
+            assert not any(assert_steps_agree(mc, prop, gamma, scope))
+
+    @pytest.mark.parametrize("op", ["<=", ">="])
+    def test_slowly_mixing_chain(self, op):
+        values = ("s1", "t", "f", "t", "s2", "s3", "s1", "t", "f")
+        fam, mc, prop, scope = text_case(SLOW_MIXING_TEXT, values, op, 0.5)
+        vec = compute_bounds(build_quotient(fam, scope), prop.targets)
+        for gamma in (vec.lb, vec.ub, trivial_gamma(fam.n_states, prop), np.full(6, 0.5)):
+            assert len(assert_steps_agree(mc, prop, gamma, scope)) >= 3
+
+    def test_multi_chunk_chains_take_the_direct_probe(self):
+        fam = lane_family(240, 5, 0.6, 2)
+        assert fam._chunk_ids is not None
+        goal = frozenset({goal_index(fam)})
+        r = Realization(tuple(dom[-1] for dom in fam.domains))
+        prop = Property(op="<=", threshold=0.0, targets=goal)
+        took = assert_steps_agree(induce(fam, r), prop, np.zeros(fam.n_states), fam.full_subfamily())
+        assert len(took) > 1 and all(took)
 
 
 class TestMinimalConflictOracle:

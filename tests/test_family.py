@@ -154,6 +154,12 @@ class TestInduce:
         with pytest.raises(ValueError, match="parameters"):
             induce(toy4, Realization((1, 3, 3, 4, 3)))
 
+    @pytest.mark.parametrize("bad", [1.5, "1", 10**30], ids=["float", "string", "beyond-int64"])
+    def test_value_that_is_no_int64_rejected(self, toy4, bad):
+        # 1.5 must not truncate to X = 1, nor "1" parse as it, nor 10**30 overflow
+        with pytest.raises(ValueError, match="domain"):
+            induce(toy4, Realization((bad, 3, 3, 4)))
+
     def test_parameter_no_template_reads_is_checked(self):
         # u appears in no template, so no state's actions can reject its value
         fam = make_family(
